@@ -1,5 +1,5 @@
 """Tensor-product structure on H1 (x) H2: Kronecker products, partial traces,
-density matrices and the compressed operator Tr_1[(rho (x) 1)^(1/2) H (rho (x) 1)^(1/2)].
+density matrices and the compressed operator Tr_1[(rho (x) 1) H].
 
 Index convention (fixed everywhere): the basis vector of H1 (x) H2 with flat
 index ``i = m * N + n`` is ``e_m (x) v_n``, i.e. the first factor is major.
@@ -18,8 +18,8 @@ from .linalg import HermitianOperator, eig_hermitian, trace
 # Dense storage only; refuse tensor products beyond this total dimension.
 MAX_TENSOR_DIM = 4096
 
-# PSD round-off floor: eigenvalues of a density matrix in [-PSD_TOL, 0) are
-# clamped to zero when taking square roots.
+# PSD round-off floor: a density matrix may carry eigenvalues in
+# [-PSD_TOL, 0) from round-off; anything more negative is rejected.
 PSD_TOL = 1e-10
 
 
@@ -56,7 +56,7 @@ class DensityMatrix:
         tr = trace(self.op)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr!r} is not 1 within 1e-10")
-        smallest = float(np.linalg.eigvalsh(self.op.mat)[0])
+        smallest = float(eig_hermitian(self.op).eigenvalues[0])
         if smallest < -PSD_TOL:
             raise ValueError(
                 f"density matrix has negative eigenvalue {smallest:.3e} beyond -1e-10"
@@ -76,17 +76,9 @@ class DensityMatrix:
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(HermitianOperator(np.eye(dim) / dim))
 
-    def sqrt(self) -> HermitianOperator:
-        """Spectral square root, clamping round-off-negative eigenvalues to 0."""
-        dec = eig_hermitian(self.op)
-        vals = np.where(dec.eigenvalues < 0.0, 0.0, dec.eigenvalues)
-        u = dec.eigenvectors
-        return HermitianOperator((u * np.sqrt(vals)) @ u.conj().T)
-
     def entropy_term(self) -> float:
         """Tr[rho ln rho] with 0 ln 0 := 0 (a nonpositive number)."""
-        vals = np.linalg.eigvalsh(self.op.mat)
-        vals = np.clip(vals, 0.0, None)
+        vals = np.clip(eig_hermitian(self.op).eigenvalues, 0.0, None)
         pos = vals[vals > 0.0]
         return float(np.sum(pos * np.log(pos)))
 
@@ -119,30 +111,33 @@ def partial_trace_2(op: HermitianOperator, dims: BipartiteDims) -> HermitianOper
 
 
 def compress(op: HermitianOperator, rho: DensityMatrix, dims: BipartiteDims) -> HermitianOperator:
-    """State-averaged reduction Tr_1[(rho (x) 1)^(1/2) H (rho (x) 1)^(1/2)].
+    """State-averaged reduction K = Tr_1[(rho (x) 1) H], an operator on H2.
 
-    Returns an operator on the second factor.  For a pure state this is the
-    entrywise expectation <phi|H|phi> viewed as an operator on H2.
+    By cyclicity of the partial trace, K equals Tr_1[(rho (x) 1)^(1/2) H
+    (rho (x) 1)^(1/2)]; no square root is taken.  For a pure state K is the
+    entrywise expectation <phi|H|phi>.
     """
     dims.check(op)
     if rho.dim != dims.dim1:
         raise ValueError(f"state dimension {rho.dim} does not match dim1 {dims.dim1}")
-    root = kron(rho.sqrt(), HermitianOperator.identity(dims.dim2), max_dim=dims.total)
-    sandwiched = HermitianOperator(root.mat @ op.mat @ root.mat)
-    return partial_trace_1(sandwiched, dims)
+    four = op.mat.reshape(dims.dim1, dims.dim2, dims.dim1, dims.dim2)
+    return HermitianOperator(np.einsum("ba,anbq->nq", rho.op.mat, four))
 
 
-def random_hermitian(dim: int, seed: int, scale: float = 1.0) -> HermitianOperator:
-    """Seeded GUE-style Hermitian matrix (complex Gaussian entries, symmetrized)."""
+def random_hermitian(dim: int, seed: int | np.random.Generator, scale: float = 1.0) -> HermitianOperator:
+    """Seeded GUE-style Hermitian matrix (complex Gaussian entries, symmetrized).
+
+    ``seed`` is an int or a Generator; a Generator's stream is continued.
+    """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator(scale * (g + g.conj().T) / 2.0)
 
 
-def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
+def random_density(dim: int, rank: int, seed: int | np.random.Generator) -> DensityMatrix:
     """Seeded random state: normalized Gram matrix of `rank` complex Gaussians.
 
-    Reproducible bit-for-bit for a fixed seed.
+    ``seed`` is an int or a Generator.  Reproducible bit-for-bit for a fixed seed.
     """
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must satisfy 1 <= rank <= {dim}, got {rank}")
@@ -152,8 +147,8 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     return DensityMatrix(HermitianOperator(gram / np.real(np.trace(gram))))
 
 
-def random_unit_vector(dim: int, seed: int) -> np.ndarray:
-    """Seeded random unit vector with complex Gaussian entries."""
+def random_unit_vector(dim: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Seeded random unit vector (complex Gaussian); ``seed`` is an int or a Generator."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

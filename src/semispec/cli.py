@@ -8,7 +8,8 @@ simon       counting law for a separately homogeneous potential in 2d; CSV
 zeta        transverse zeta traces per direction; JSON lines
 constants   growth-law constants, exponents and divergence classification; JSON
 
-Exit codes: 0 success, 1 an inequality violation was detected, 2 usage error.
+Exit codes: 0 success, 1 an inequality violation was detected, 2 usage or
+input error (bad flag, invalid parameter, unreadable or malformed file).
 Every command is deterministic given its flags; per-trial seeds are derived
 from --seed with numpy's SeedSequence spawning, so output files are
 byte-identical across runs and independent of any internal parallelism.
@@ -30,18 +31,6 @@ FUNCTION_CHOICES = ("expneg", "square", "pospart", "affine")
 
 def _trial_rng(seed: int, suite: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(suite, trial)))
-
-
-def _random_hermitian(rng: np.random.Generator, dim: int) -> linalg.HermitianOperator:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return linalg.HermitianOperator((g + g.conj().T) / 2.0)
-
-
-def _random_density(rng: np.random.Generator, dim: int) -> bipartite.DensityMatrix:
-    rank = int(rng.integers(1, dim + 1))
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    gram = g @ g.conj().T
-    return bipartite.DensityMatrix(linalg.HermitianOperator(gram / np.real(np.trace(gram))))
 
 
 def _functions(names) -> list[linalg.ScalarFunction]:
@@ -135,9 +124,8 @@ def cmd_ineq(args) -> int:
             rng = _trial_rng(args.seed, suite_idx, trial)
             if suite == "jensen_scalar":
                 dim = loaded.dim if loaded is not None else int(rng.integers(2, max_m * max_n + 1))
-                op = loaded if loaded is not None else _random_hermitian(rng, dim)
-                psi = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-                psi /= np.linalg.norm(psi)
+                op = loaded if loaded is not None else bipartite.random_hermitian(dim, rng)
+                psi = bipartite.random_unit_vector(op.dim, rng)
                 for f in functions:
                     lhs, rhs = inequalities.jensen_scalar_sides(op, psi, f)
                     record(rows, rhs - lhs, rhs)
@@ -148,28 +136,28 @@ def cmd_ineq(args) -> int:
                     dims = bipartite.BipartiteDims(
                         int(rng.integers(1, max_m + 1)), int(rng.integers(1, max_n + 1))
                     )
-                    op = _random_hermitian(rng, dims.total)
-                rho = _random_density(rng, dims.dim1)
+                    op = bipartite.random_hermitian(dims.total, rng)
+                rho = bipartite.random_density(dims.dim1, int(rng.integers(1, dims.dim1 + 1)), rng)
                 for f in functions:
                     lhs, rhs = inequalities.jensen_partial_trace_sides(op, rho, dims, f)
                     record(rows, rhs - lhs, rhs, op, dims)
             elif suite == "golden_thompson":
                 dim = int(rng.integers(2, max_m * max_n + 1))
-                a = _random_hermitian(rng, dim)
-                b = _random_hermitian(rng, dim)
+                a = bipartite.random_hermitian(dim, rng)
+                b = bipartite.random_hermitian(dim, rng)
                 lhs, rhs = inequalities.golden_thompson_sides(a, b)
                 record(rows, rhs - lhs, rhs)
             elif suite == "sliced_gt":
                 m = int(rng.integers(2, max_m + 1))
                 n = int(rng.integers(1, max_n + 1))
-                t_op = _random_hermitian(rng, m)
-                blocks = [_random_hermitian(rng, n) for _ in range(m)]
+                t_op = bipartite.random_hermitian(m, rng)
+                blocks = [bipartite.random_hermitian(n, rng) for _ in range(m)]
                 lhs, rhs = inequalities.sliced_gt_sides(t_op, blocks, 0.5)
                 record(rows, rhs - lhs, rhs)
             else:  # gibbs
                 dim = int(rng.integers(2, max_m + 1))
-                op = _random_hermitian(rng, dim)
-                rho = _random_density(rng, dim)
+                op = bipartite.random_hermitian(dim, rng)
+                rho = bipartite.random_density(dim, int(rng.integers(1, dim + 1)), rng)
                 lhs, rhs = inequalities.gibbs_sides(rho, op)
                 record(rows, rhs - lhs, rhs)
         gaps = [g for g, _ in rows]
@@ -397,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=lambda s: _functions(s.split(",")),
         help=f"comma list from {FUNCTION_CHOICES}",
     )
-    p_ineq.add_argument("--threads", type=int, default=1)
     p_ineq.add_argument("--out", default=None)
     p_ineq.add_argument("--dump", default=None, help="write the worst-gap operator")
     p_ineq.add_argument("--load", default=None, help="rerun the suites on a dumped operator")
@@ -412,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_weyl.add_argument("--box", type=_parse_pair, default=None)
     p_weyl.add_argument("--points", type=_parse_pair, default=None)
     p_weyl.add_argument("--method", choices=("dense", "truncated"), default="dense")
-    p_weyl.add_argument("--threads", type=int, default=1)
     p_weyl.add_argument("--out", default=None)
     p_weyl.set_defaults(func=cmd_weyl)
 
@@ -425,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_simon.add_argument("--points", type=_parse_pair, default=None)
     p_simon.add_argument("--zeta-box", type=float, default=12.0)
     p_simon.add_argument("--zeta-points", type=int, default=2399)
-    p_simon.add_argument("--threads", type=int, default=1)
     p_simon.add_argument("--out", default=None)
     p_simon.set_defaults(func=cmd_simon)
 
@@ -454,9 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        build_parser().error("--threads must be at least 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        _usage_error(str(exc))
 
 
 if __name__ == "__main__":

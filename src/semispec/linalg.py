@@ -3,8 +3,9 @@
 Everything in the package is built on the three types defined here.
 `HermitianOperator` is the universal carrier for Hamiltonians, density
 matrices and compressed operators; `ScalarFunction` is a tagged real
-function applied through the spectral theorem; `eig_hermitian` is the one
-eigensolver every other module goes through.
+function applied through the spectral theorem; `eig_hermitian` is the only
+eigensolver in `linalg`, `bipartite` and `inequalities`.  `schrodinger` takes
+grid spectra from LAPACK's tridiagonal, banded and dense `eigvalsh` routines.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -27,7 +28,7 @@ HERMITICITY_ATOL = 1e-8
 RECONSTRUCTION_RTOL = 1e-10
 
 # When True, `custom` scalar functions declared convex are spot-checked for
-# midpoint convexity on the spectral hull before being applied.
+# midpoint convexity on the spectral hull whenever their domain is checked.
 DEBUG_CONVEXITY = False
 
 
@@ -176,7 +177,11 @@ class ScalarFunction:
         return self.fn(np.asarray(x, dtype=float))
 
     def check_domain(self, eigenvalues: np.ndarray) -> None:
-        """Raise if any eigenvalue lies outside the function's domain."""
+        """Raise if any eigenvalue lies outside the function's domain.
+
+        Under ``DEBUG_CONVEXITY`` also spot-check a declared-convex ``custom``
+        function on the spectral hull, unless the hull is a single point.
+        """
         if self.kind == "power_neg":
             lo = float(np.min(eigenvalues))
             if lo <= 0.0:
@@ -184,6 +189,10 @@ class ScalarFunction:
                     f"power_neg requires a strictly positive spectrum; "
                     f"smallest eigenvalue is {lo!r}"
                 )
+        if DEBUG_CONVEXITY and self.kind == "custom" and self.convex:
+            lo, hi = float(np.min(eigenvalues)), float(np.max(eigenvalues))
+            if hi > lo:
+                self.check_midpoint_convexity(lo, hi)
 
     def check_midpoint_convexity(self, lo: float, hi: float, samples: int = 33) -> None:
         """Spot-check f((x+y)/2) <= (f(x)+f(y))/2 on a mesh of [lo, hi]."""
@@ -241,8 +250,6 @@ def apply_function(op: HermitianOperator, f: ScalarFunction) -> HermitianOperato
     """
     dec = eig_hermitian(op)
     f.check_domain(dec.eigenvalues)
-    if DEBUG_CONVEXITY and f.kind == "custom" and f.convex and op.dim > 1:
-        f.check_midpoint_convexity(float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]))
     fvals = np.asarray(f(dec.eigenvalues), dtype=float)
     u = dec.eigenvectors
     return HermitianOperator((u * fvals) @ u.conj().T)
@@ -311,7 +318,7 @@ def format_operator(op: HermitianOperator) -> str:
 
 def parse_operator(text: str) -> HermitianOperator:
     """Inverse of :func:`format_operator`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
     head = lines[0].split()
     if len(head) != 2 or head[0] != "dim":
         raise ValueError(f"expected 'dim N' header, got {lines[0]!r}")

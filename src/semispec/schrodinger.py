@@ -155,16 +155,19 @@ def parse_potential_config(text: str):
         raise ValueError("empty potential config")
     variant, kv = parts[0], dict(p.split("=", 1) for p in parts[1:])
     profile = tuple(float(v) for v in kv.get("profile", "1").split(","))
-    if variant == "homogeneous":
-        if len(profile) == 1:
-            profile = (profile[0], profile[0])
-        return Homogeneous(float(kv["gamma"]), int(kv.get("d", 1)), profile)
-    if variant == "separately":
-        if len(profile) == 1:
-            profile = profile * 4
-        return SeparatelyHomogeneous(
-            float(kv["alpha"]), float(kv["beta"]), QuadrantProfile(*profile)
-        )
+    try:
+        if variant == "homogeneous":
+            if len(profile) == 1:
+                profile = (profile[0], profile[0])
+            return Homogeneous(float(kv["gamma"]), int(kv.get("d", 1)), profile)
+        if variant == "separately":
+            if len(profile) == 1:
+                profile = profile * 4
+            return SeparatelyHomogeneous(
+                float(kv["alpha"]), float(kv["beta"]), QuadrantProfile(*profile)
+            )
+    except KeyError as exc:
+        raise ValueError(f"{variant} potential config lacks {exc.args[0]}=") from None
     raise ValueError(f"unknown potential variant {variant!r}")
 
 

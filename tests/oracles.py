@@ -104,3 +104,31 @@ def dirichlet_laplacian_eigenvalues(points: int, spacing: float) -> np.ndarray:
     """Closed-form spectrum of the 1d Dirichlet finite-difference Laplacian."""
     k = np.arange(1, points + 1)
     return (2.0 - 2.0 * np.cos(k * np.pi / (points + 1))) / spacing**2
+
+
+def matrix_function(mat: np.ndarray, f) -> np.ndarray:
+    """f(A) = U f(Lambda) U* for a Hermitian matrix, from a raw eigh."""
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * f(vals)) @ vecs.conj().T
+
+
+def compress_by_sandwich(h_mat: np.ndarray, rho_mat: np.ndarray, dim1: int, dim2: int) -> np.ndarray:
+    """The literal compression Tr_1[(rho^(1/2) (x) 1) H (rho^(1/2) (x) 1)].
+
+    rho^(1/2) is built from a raw eigh with round-off-negative eigenvalues
+    clamped to zero, and the sandwich is formed with a dense Kronecker product.
+    """
+    root = matrix_function(rho_mat, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    big = np.kron(root, np.eye(dim2))
+    sandwiched = (big @ h_mat @ big).reshape(dim1, dim2, dim1, dim2)
+    k_mat = np.einsum("anaq->nq", sandwiched)
+    return 0.5 * (k_mat + k_mat.conj().T)
+
+
+def partial_jensen_sides_by_matrices(h_mat, rho_mat, dim1: int, dim2: int, fmat):
+    """Tr f(K) and Tr[rho . Tr_2 f(H)] with f applied as the matrix function ``fmat``."""
+    k_mat = compress_by_sandwich(h_mat, rho_mat, dim1, dim2)
+    lhs = float(np.real(np.trace(fmat(k_mat))))
+    reduced = np.einsum("anqn->aq", fmat(h_mat).reshape(dim1, dim2, dim1, dim2))
+    rhs = float(np.real(np.trace(rho_mat @ reduced)))
+    return lhs, rhs

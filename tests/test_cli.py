@@ -186,19 +186,27 @@ def test_constants_requires_a_mode(capsys):
     assert err.value.code == 2
 
 
-def test_malformed_flags_exit_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["ineq", "--dims", "six-by-six"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err2:
-        cli.main(["weyl", "--gamma", "two"])
-    assert err2.value.code == 2
-    with pytest.raises(SystemExit) as err3:
-        cli.main(["nosuchcommand"])
-    assert err3.value.code == 2
-    with pytest.raises(SystemExit) as err4:
-        cli.main(["ineq", "--functions", "bogus"])
-    assert err4.value.code == 2
+def test_malformed_flags_exit_two(tmp_path, capsys):
+    bad_dump = tmp_path / "bad.op"
+    bad_dump.write_text("dims 2 2\n")
+    bad_potential = tmp_path / "bad.pot"
+    bad_potential.write_text("homogeneous d=1\n")
+    cases = [
+        ["ineq", "--dims", "six-by-six"],
+        ["weyl", "--gamma", "two"],
+        ["nosuchcommand"],
+        ["ineq", "--functions", "bogus"],
+        ["ineq", "--trials", "1", "--load", str(bad_dump)],
+        ["ineq", "--trials", "1", "--load", str(tmp_path / "missing.op")],
+        ["weyl", "--gamma", "-1", "--lambda", "10"],
+        ["weyl", "--lambda", "10", "--points", "1e9"],  # node cap, checked before any allocation
+        ["weyl", "--potential-file", str(bad_potential), "--lambda", "10"],
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_weyl_potential_file(tmp_path, capsys):

@@ -18,7 +18,8 @@ from semispec.linalg import (
     square,
     trace,
 )
-from semispec.bipartite import random_hermitian, random_unit_vector
+from semispec.bipartite import BipartiteDims, DensityMatrix, random_hermitian, random_unit_vector
+from semispec.inequalities import jensen_partial_trace_sides
 
 from oracles import eigenvalues_by_bisection
 
@@ -146,6 +147,9 @@ def test_debug_convexity_spot_check(monkeypatch):
     concave = custom(lambda x: -np.abs(x) ** 1.5, convex=True)  # falsely declared
     with pytest.raises(ValueError, match="midpoint convexity"):
         apply_function(op, concave)
+    # the partial-trace sides check the spectra they evaluate on, too
+    with pytest.raises(ValueError, match="midpoint convexity"):
+        jensen_partial_trace_sides(op, DensityMatrix.maximally_mixed(1), BipartiteDims(1, 5), concave)
     # a genuinely convex custom function passes the spot check
     apply_function(op, custom(lambda x: np.cosh(x), convex=True))
 
