@@ -9,7 +9,8 @@ zeta        transverse zeta traces per direction; JSON lines
 constants   growth-law constants, exponents and divergence classification; JSON
 
 Exit codes: 0 success, 1 an inequality violation was detected, 2 usage or
-input error (bad flag, invalid parameter, unreadable or malformed file).
+input error (bad flag, invalid parameter, unreadable or malformed file), 3 a
+numerical contract not met (eigendecomposition residual, refused count, size cap).
 Every command is deterministic given its flags; per-trial seeds are derived
 from --seed with numpy's SeedSequence spawning, so output files are
 byte-identical across runs and independent of any internal parallelism.
@@ -443,6 +444,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         _usage_error(str(exc))
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ transverse effective operators, and discrete coherent-state frames.
 Grids are second-order central-difference discretizations on a box with
 Dirichlet walls (tridiagonal in 1d, 5-point banded in 2d, lower-banded
 storage) or on a 1d torus (dense).  Counting is exact for the discrete
-matrix: Sturm sign changes for tridiagonal operators and the inertia of a
-banded LDL^T factorization in 2d, with a shift perturbation and a dense
-eigendecomposition as fallbacks when a pivot breaks down.
+matrix: Sturm sign changes for tridiagonal operators and, in 2d, block-row
+inertia (one Bunch-Kaufman factorization per grid row).  On a pivot
+breakdown the rows are taken in reverse order, then the count is dense up to
+``DENSE_EIG_CAP`` and refused beyond it; no other shift is ever counted.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+from scipy.linalg import eig_banded, eigvalsh_tridiagonal, lapack
 
 from .inequalities import sliced_hamiltonian
 from .linalg import HermitianOperator
@@ -328,11 +329,8 @@ def points_for_spacing(length: float, h: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _PivotBreakdown(Exception):
-    def __init__(self, index: int, pivot: float):
-        super().__init__(f"near-zero pivot {pivot:.3e} at column {index}")
-        self.index = index
-        self.pivot = pivot
+class _PivotBreakdown(ArithmeticError):
+    """A pivot of the 2d block factorization is numerically zero."""
 
 
 def _sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
@@ -353,75 +351,72 @@ def _sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
     return count
 
 
-def _banded_negcount(bands: np.ndarray, shift: float, pivot_rtol: float = 1e-12) -> int:
-    """Negative pivots of the LDL^T factorization of (A - shift I).
+def _block_negcount(op: GridOperator, shift: float, reverse: bool = False) -> int:
+    """Eigenvalues of a 2d Dirichlet operator below ``shift``, by block-row inertia.
 
-    A sliding (bw+1) x (bw+1) window holds the running Schur complement, so
-    the cost is O(n bw^2) and no pivoting is performed; a pivot within
-    ``pivot_rtol`` (relative) of zero aborts with :class:`_PivotBreakdown`.
+    The 5-point operator is block tridiagonal with coupling blocks
+    -(1/hx^2) I, so Haynsworth's inertia additivity gives
+    nu_-(A - s) = sum_i nu_-(D_i), D_i = A_ii - s - hx^-4 D_{i-1}^-1.  Each
+    D_i is factorized by Bunch-Kaufman (``dsytrf``), its inertia read off
+    the pivots by Sylvester's law, and inverted from the factors
+    (``dsytri``).  Blocks run along the shorter axis; ``reverse`` takes the
+    rows in opposite order, changing the leading blocks but not the inertia.
+    A pivot eigenvalue within 1e-12 (relative) of zero raises
+    :class:`_PivotBreakdown`.
     """
-    bw = bands.shape[0] - 1
-    n = bands.shape[1]
-    ptol = pivot_rtol * (float(np.abs(bands).max(initial=0.0)) + abs(shift) + 1.0)
-    if bw == 0:
-        d = bands[0] - shift
-        if np.any(np.abs(d) <= ptol):
-            raise _PivotBreakdown(int(np.argmin(np.abs(d))), float(d[np.argmin(np.abs(d))]))
-        return int(np.count_nonzero(d < 0.0))
-
-    m = bw + 1
-    padded = np.zeros((m, n + m))
-    padded[:, :n] = bands
-    padded[0, :n] -= shift
-    padded[0, n:] = 1.0  # inert filler columns keep the window full-size
-
-    window = np.zeros((m, m))
-    for c in range(m):
-        window[c:, c] = padded[: m - c, c]
-    window += np.tril(window, -1).T
-
-    spare = np.empty((m, m))
-    outer = np.empty((bw, bw))
-    gather_rows = bw - np.arange(bw)
+    hx, hy = op.spacing
+    v = op.potential.reshape(op.points)
+    if v.shape[1] > v.shape[0]:
+        v, hx, hy = v.T, hy, hx
+    v = v[::-1] if reverse else v
+    m = v.shape[1]
+    idx = np.arange(m)
+    centre = 2.0 / hx**2 + 2.0 / hy**2
+    ptol = 1e-12 * (centre + float(v.max()) + abs(shift) + 1.0)
+    fixed = np.zeros((m, m), order="F")  # lower triangle of A_ii - s - V_i; LAPACK reads no other
+    fixed[idx[1:], idx[:-1]] = -1.0 / hy**2
+    np.fill_diagonal(fixed, centre - shift)
+    block, inv = np.empty((m, m), order="F"), np.zeros((m, m), order="F")
     neg = 0
-    for j in range(n):
-        d = window[0, 0]
-        if abs(d) <= ptol:
-            raise _PivotBreakdown(j, float(d))
-        if d < 0.0:
-            neg += 1
-        v = window[1:, 0] / d
-        np.multiply.outer(v, v, out=outer)
-        outer *= d
-        np.subtract(window[1:, 1:], outer, out=spare[:bw, :bw])
-        new_col = padded[gather_rows, j + 1 + np.arange(bw)]
-        spare[bw, :bw] = new_col
-        spare[:bw, bw] = new_col
-        spare[bw, bw] = padded[0, j + m]
-        window, spare = spare, window
+    for row, vals in enumerate(v):
+        np.multiply(inv, -1.0 / hx**4, out=block)
+        block += fixed
+        block.flat[:: m + 1] += vals
+        ldu, ipiv, _ = lapack.dsytrf(block, lower=1, overwrite_a=1)
+        # ipiv > 0 marks a 1x1 pivot; runs of ipiv < 0 hold 2x2 pivots, each with
+        # det < 0 (Bunch-Kaufman) and so exactly one negative eigenvalue
+        d, two = ldu.diagonal(), ipiv < 0
+        run_start = np.maximum.accumulate(np.where(two & ~np.r_[False, two[:-1]], idx, 0))
+        first = np.flatnonzero(two & ((idx - run_start) % 2 == 0))
+        a, b, c = d[first], ldu[first + 1, first], d[first + 1]
+        # the smaller eigenvalue magnitude of [[a, b], [b, c]] is |det| / the larger one
+        small2 = np.abs(a * c - b * b) / (0.5 * np.abs(a + c) + np.hypot(0.5 * (a - c), b))
+        smallest = min(np.abs(d[~two]).min(initial=np.inf), small2.min(initial=np.inf))
+        if smallest <= ptol:
+            raise _PivotBreakdown(f"pivot eigenvalue {smallest:.3e} in block row {row}")
+        neg += int(np.count_nonzero(d[~two] < 0.0)) + first.size
+        inv, _ = lapack.dsytri(ldu, ipiv, lower=1, overwrite_a=1)
     return neg
 
 
 def _count_below(op, shift: float) -> int:
+    """Exact count of eigenvalues strictly below ``shift``; a 2d breakdown is
+    retried in reverse row order, then counted densely or refused."""
     if isinstance(op, HermitianOperator):
         return int(np.count_nonzero(np.linalg.eigvalsh(op.mat) < shift))
     if op.dense_mat is not None:
         return int(np.count_nonzero(np.linalg.eigvalsh(op.dense_mat) < shift))
     if op.bandwidth == 1:
         return _sturm_negcount(op.bands[0], op.bands[1], shift)
-    try:
-        return _banded_negcount(op.bands, shift)
-    except _PivotBreakdown:
-        pass
-    nudged = shift - 1e-9 * (1.0 + abs(shift))
-    try:
-        return _banded_negcount(op.bands, nudged)
-    except _PivotBreakdown:
-        pass
+    for reverse in (False, True):
+        try:
+            return _block_negcount(op, shift, reverse)
+        except _PivotBreakdown as exc:
+            breakdown = exc
     if op.n > DENSE_EIG_CAP:
         raise RuntimeError(
-            f"banded factorization broke down twice and {op.n} nodes exceed the "
-            f"dense fallback cap {DENSE_EIG_CAP}"
+            f"block factorization at shift {shift!r} broke down in both row orders "
+            f"({breakdown}) and {op.n} nodes exceed the dense fallback cap {DENSE_EIG_CAP}"
         )
     return int(np.count_nonzero(np.linalg.eigvalsh(op.dense()) < shift))
 

@@ -5,6 +5,8 @@ being cross-checked: the characteristic polynomial is built by the
 Faddeev-LeVerrier recursion and bisected directly, and the double-Jensen
 chain below re-derives the partial-trace inequality one basis vector at a
 time, sharing nothing with the library beyond raw eigendecompositions.
+The 2d count is checked against a node-by-node scalar LDL^T of the banded
+matrix, independent of the library's block-row factorization.
 """
 
 from __future__ import annotations
@@ -132,3 +134,54 @@ def partial_jensen_sides_by_matrices(h_mat, rho_mat, dim1: int, dim2: int, fmat)
     reduced = np.einsum("anqn->aq", fmat(h_mat).reshape(dim1, dim2, dim1, dim2))
     rhs = float(np.real(np.trace(rho_mat @ reduced)))
     return lhs, rhs
+
+
+def banded_negcount(bands: np.ndarray, shift: float, pivot_rtol: float = 1e-12) -> int:
+    """Negative pivots of the unpivoted scalar LDL^T factorization of (A - shift I).
+
+    ``bands`` is symmetric lower-banded storage (``bands[r, j] = A[j + r, j]``).
+
+    A sliding (bw+1) x (bw+1) window holds the running Schur complement, so
+    the cost is O(n bw^2) and no pivoting is performed; a pivot within
+    ``pivot_rtol`` (relative) of zero raises ``ArithmeticError``.
+    """
+    bw = bands.shape[0] - 1
+    n = bands.shape[1]
+    ptol = pivot_rtol * (float(np.abs(bands).max(initial=0.0)) + abs(shift) + 1.0)
+    if bw == 0:
+        d = bands[0] - shift
+        if np.any(np.abs(d) <= ptol):
+            raise ArithmeticError(f"near-zero pivot {float(np.abs(d).min()):.3e}")
+        return int(np.count_nonzero(d < 0.0))
+
+    m = bw + 1
+    padded = np.zeros((m, n + m))
+    padded[:, :n] = bands
+    padded[0, :n] -= shift
+    padded[0, n:] = 1.0  # inert filler columns keep the window full-size
+
+    window = np.zeros((m, m))
+    for c in range(m):
+        window[c:, c] = padded[: m - c, c]
+    window += np.tril(window, -1).T
+
+    spare = np.empty((m, m))
+    outer = np.empty((bw, bw))
+    gather_rows = bw - np.arange(bw)
+    neg = 0
+    for j in range(n):
+        d = window[0, 0]
+        if abs(d) <= ptol:
+            raise ArithmeticError(f"near-zero pivot {d:.3e} at column {j}")
+        if d < 0.0:
+            neg += 1
+        v = window[1:, 0] / d
+        np.multiply.outer(v, v, out=outer)
+        outer *= d
+        np.subtract(window[1:, 1:], outer, out=spare[:bw, :bw])
+        new_col = padded[gather_rows, j + 1 + np.arange(bw)]
+        spare[bw, :bw] = new_col
+        spare[:bw, bw] = new_col
+        spare[bw, bw] = padded[0, j + m]
+        window, spare = spare, window
+    return neg

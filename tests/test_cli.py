@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from semispec import cli
+from semispec import cli, schrodinger
 from semispec.bipartite import parse_bipartite_operator
 
 
@@ -207,6 +207,21 @@ def test_malformed_flags_exit_two(tmp_path, capsys):
             cli.main(argv)
         assert err.value.code == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+
+
+def test_numerical_contract_error_exit_three(monkeypatch, capsys):
+    def refuse(op, shift):
+        raise RuntimeError("block factorization broke down in both row orders")
+
+    monkeypatch.setattr(schrodinger, "_count_below", refuse)
+    code = cli.main(
+        ["simon", "--alpha", "1", "--beta", "2", "--lambda", "3",
+         "--box", "8,4", "--points", "20,10", "--zeta-points", "199"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.strip() == "error: block factorization broke down in both row orders"
+    assert captured.out == ""
 
 
 def test_weyl_potential_file(tmp_path, capsys):

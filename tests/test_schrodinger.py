@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from semispec import schrodinger
 from semispec.linalg import HermitianOperator
 from semispec.bipartite import random_hermitian
 from semispec.schrodinger import (
@@ -39,7 +40,7 @@ from semispec.schrodinger import (
     zeta_trace,
 )
 
-from oracles import dirichlet_laplacian_eigenvalues
+from oracles import banded_negcount, dirichlet_laplacian_eigenvalues
 
 OSCILLATOR = Homogeneous(2.0, 1, (1.0, 1.0))
 SIMON = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
@@ -198,7 +199,7 @@ def test_counting_2d_matches_dense():
         assert counting_function(op, lam) == int(np.count_nonzero(dense_vals < lam))
 
 
-def test_counting_2d_near_eigenvalue_perturbation_path():
+def test_counting_2d_on_eigenvalue_within_bracket():
     op = build_hamiltonian(SIMON, (4.0, 4.0), (12, 12))
     vals = np.linalg.eigvalsh(op.dense())
     mu = float(vals[7])
@@ -206,6 +207,52 @@ def test_counting_2d_near_eigenvalue_perturbation_path():
         warnings.simplefilter("ignore")
         n = counting_function(op, mu)
     assert n in (7, 8)
+
+
+ASYMMETRIC = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 2.0, 3.0, 0.5))
+
+
+@pytest.mark.parametrize("points", [(40, 30), (30, 40), (23, 7), (7, 23), (9, 9)])
+def test_block_count_matches_banded_ldl_oracle(points):
+    op = build_hamiltonian(ASYMMETRIC, (5.0, 4.0), points)
+    lo, hi = gershgorin_bounds(op)
+    for lam in np.random.default_rng(sum(points)).uniform(lo - 1.0, 0.5 * hi, 12):
+        expected = banded_negcount(op.bands, lam)
+        for reverse in (False, True):
+            assert schrodinger._block_negcount(op, lam, reverse) == expected
+        assert schrodinger._count_below(op, lam) == expected
+
+
+def _first_row_block(op):
+    # A_11 of the block recursion: the x = -L row (px > py, so no transpose)
+    hx, hy = op.spacing
+    py = op.points[1]
+    return (
+        np.diag(2.0 / hx**2 + 2.0 / hy**2 + op.potential[:py])
+        + np.diag(np.full(py - 1, -1.0 / hy**2), 1)
+        + np.diag(np.full(py - 1, -1.0 / hy**2), -1)
+    )
+
+
+def test_block_count_forward_breakdown_resolved_in_reverse_order():
+    op = build_hamiltonian(ASYMMETRIC, (5.0, 4.0), (14, 9))
+    vals = np.linalg.eigvalsh(op.dense())
+    shift = float(np.linalg.eigvalsh(_first_row_block(op))[0])
+    assert np.min(np.abs(vals - shift)) > 1e-3  # an eigenvalue of A_11, not of A
+    with pytest.raises(schrodinger._PivotBreakdown):
+        schrodinger._block_negcount(op, shift)
+    expected = int(np.count_nonzero(vals < shift))
+    assert schrodinger._block_negcount(op, shift, reverse=True) == expected
+    assert schrodinger._count_below(op, shift) == expected
+    assert counting_function(op, shift) == expected
+
+
+def test_block_count_on_eigenvalue_past_dense_cap_raises(monkeypatch):
+    op = build_hamiltonian(ASYMMETRIC, (5.0, 4.0), (14, 9))
+    mu = float(np.linalg.eigvalsh(op.dense())[0])
+    monkeypatch.setattr(schrodinger, "DENSE_EIG_CAP", 0)
+    with pytest.raises(RuntimeError, match="both row orders"):
+        schrodinger._count_below(op, mu)
 
 
 def test_counting_dense_fallback_on_hermitian_input():
