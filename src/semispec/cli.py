@@ -74,6 +74,14 @@ def _parse_pair(text: str) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def _parse_quadrants(text: str) -> schrodinger.QuadrantProfile:
+    """One value for all four quadrants, or four in pp,pm,mp,mm order."""
+    vals = _parse_floats(text)
+    if len(vals) not in (1, 4):
+        raise argparse.ArgumentTypeError(f"expected one or four comma values, got {text!r}")
+    return schrodinger.QuadrantProfile(*(vals * 4)[:4])
+
+
 def _emit(out_path: str | None, text: str) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -249,8 +257,7 @@ def cmd_weyl(args) -> int:
 
 
 def _separately_from_args(args) -> schrodinger.SeparatelyHomogeneous:
-    profile = schrodinger.QuadrantProfile(*(tuple(args.profile) * 4)[:4]) if len(args.profile) == 1 else schrodinger.QuadrantProfile(*args.profile)
-    return schrodinger.SeparatelyHomogeneous(args.alpha, args.beta, profile)
+    return schrodinger.SeparatelyHomogeneous(args.alpha, args.beta, args.profile)
 
 
 def _zeta_per_direction(pot, box: float, points: int, p: float) -> dict[int, float]:
@@ -406,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_simon = sub.add_parser("simon", help="partially semiclassical counting law in 2d")
     p_simon.add_argument("--alpha", type=float, required=True)
     p_simon.add_argument("--beta", type=float, required=True)
-    p_simon.add_argument("--profile", type=_parse_pair, default=(1.0,))
+    p_simon.add_argument("--profile", type=_parse_quadrants, default=schrodinger.uniform_quadrants())
     p_simon.add_argument("--lambda", dest="lam", type=_parse_floats, default=None)
     p_simon.add_argument("--box", type=_parse_pair, default=None)
     p_simon.add_argument("--points", type=_parse_pair, default=None)
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta = sub.add_parser("zeta", help="transverse zeta traces per direction")
     p_zeta.add_argument("--alpha", type=float, required=True)
     p_zeta.add_argument("--beta", type=float, required=True)
-    p_zeta.add_argument("--profile", type=_parse_pair, default=(1.0,))
+    p_zeta.add_argument("--profile", type=_parse_quadrants, default=schrodinger.uniform_quadrants())
     p_zeta.add_argument("--p", type=float, default=None)
     p_zeta.add_argument("--zeta-box", type=float, default=12.0)
     p_zeta.add_argument("--zeta-points", type=int, default=2399)

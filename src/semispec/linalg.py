@@ -256,51 +256,16 @@ def apply_function(op: HermitianOperator, f: ScalarFunction) -> HermitianOperato
 
 
 # ---------------------------------------------------------------------------
-# log-gamma (Lanczos)
+# log-gamma
 # ---------------------------------------------------------------------------
-
-# Lanczos coefficients for g = 607/128, n = 15 (Godfrey's set); accurate to
-# about 1e-14 relative in Gamma over the range used by the asymptotic
-# constants.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
-
-    Lanczos series with fixed published coefficients; relative accuracy of
-    exp(log_gamma(x)) against Gamma(x) is below 1e-12 on [0.05, 170].
-    """
+    """Natural log of the Gamma function for x > 0 (the C library's ``lgamma``)."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument away from the poles
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    s = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------

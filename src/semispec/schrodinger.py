@@ -9,6 +9,10 @@ matrix: Sturm sign changes for tridiagonal operators and, in 2d, block-row
 inertia (one Bunch-Kaufman factorization per grid row).  On a pivot
 breakdown the rows are taken in reverse order, then the count is dense up to
 ``DENSE_EIG_CAP`` and refused beyond it; no other shift is ever counted.
+
+Coherent-frame bounds use the closed forms of the frame sums: the averaged
+frame projector sum is (sum g^2) I, and on the torus the frame energies are
+2/h^2 + (g^2 * V)(x) - (2/h^2) cos(2 pi k / M) sum_j g(j) g(j+1).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal, lapack
 
-from .inequalities import sliced_hamiltonian
 from .linalg import HermitianOperator
 
 # Memory guards: total grid nodes, and the largest matrix we will hand to a
@@ -733,52 +736,61 @@ def gaussian_window(m: int, sigma: float | None = None) -> CoherentWindow:
     return CoherentWindow(g / math.sqrt(np.sum(g * g)))
 
 
-def _phase_matrix(m: int) -> np.ndarray:
-    j = np.arange(m)
-    return np.exp(2j * math.pi * np.outer(j, j) / m)
-
-
-def coherent_frame_defect(window: CoherentWindow) -> float:
-    """Frobenius distance of the averaged frame projector sum from the identity.
-
-    The frame runs over all M positions and M discrete momenta,
-    psi[j] = exp(2 pi i k j / M) g(j - x); for a normalized window the frame
-    is exactly tight, so the defect is pure round-off.
-    """
+def _window_average(window: CoherentWindow, values: np.ndarray) -> np.ndarray:
+    """sum_a g(a - x)^2 values[a] at every position x: a circular correlation
+    along the first axis, by FFT."""
     g = window.values
-    m = g.size
-    phases = _phase_matrix(m)
-    acc = np.zeros((m, m), dtype=np.complex128)
-    for x in range(m):
-        block = np.roll(g, x)[:, None] * phases
-        acc += block @ block.conj().T
-    acc /= m
-    acc[np.diag_indices(m)] -= 1.0
-    return float(np.linalg.norm(acc))
+    weights = np.conj(np.fft.fft(g * g)).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.fft.ifft(weights * np.fft.fft(values, axis=0), axis=0)
 
 
-def coherent_lower_bound(op: GridOperator, t: float, window: CoherentWindow) -> float:
-    """Phase-space sum (1/M) sum exp(-t <psi|H|psi>) over the coherent frame.
+def _frame_boltzmann(op, t: float, window: CoherentWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Factors with exp(-t <psi_xk|H|psi_xk>) = bx[x] * bk[k] for the torus operator.
 
-    A lower bound for the heat trace of the torus operator: Jensen applied
-    inside each frame state, summed with frame tightness.
+    H = diag(2/h^2 + V) - (S + S^T)/h^2 gives the frame energies
+    E[x, k] = (g^2 * (2/h^2 + V))(x) - s cos(2 pi k / M) with
+    s = (2/h^2) sum_j g(j) g(j+1).  Splitting E at -s keeps both exponents
+    nonnegative (E >= 0 since H >= 0), so neither factor overflows.
     """
     if not (isinstance(op, GridOperator) and op.boundary == "periodic" and op.ndim == 1):
-        raise ValueError("coherent_lower_bound needs a 1d periodic grid operator")
+        raise ValueError("coherent frame bounds need a 1d periodic grid operator")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     g = window.values
     m = g.size
     if m != op.n:
         raise ValueError(f"window size {m} does not match operator size {op.n}")
-    h = op.dense_mat
-    phases = _phase_matrix(m)
-    total = 0.0
-    for x in range(m):
-        block = np.roll(g, x)[:, None] * phases
-        expect = np.real(np.einsum("jm,jm->m", block.conj(), h @ block))
-        total += float(np.sum(np.exp(-t * expect)))
-    return total / m
+    kinetic = 2.0 / op.spacing[0] ** 2
+    s = kinetic * float(np.dot(g, np.roll(g, -1)))
+    position = _window_average(window, kinetic + op.potential).real
+    bx = np.exp(-t * (position - s))
+    bk = np.exp(-t * s * (1.0 - np.cos(2.0 * math.pi * np.arange(m) / m)))
+    return bx, bk
+
+
+def coherent_frame_defect(window: CoherentWindow) -> float:
+    """Frobenius distance of the averaged frame projector sum from the identity.
+
+    The frame runs over all M positions and M discrete momenta,
+    psi[j] = exp(2 pi i k j / M) g(j - x).  Since
+    sum_k exp(2 pi i k (j - l) / M) = M delta_jl, the averaged sum is exactly
+    (sum_j g(j)^2) I, so the defect is |sum g^2 - 1| sqrt(M).
+    """
+    g = window.values
+    return abs(float(np.dot(g, g)) - 1.0) * math.sqrt(g.size)
+
+
+def coherent_lower_bound(op: GridOperator, t: float, window: CoherentWindow) -> float:
+    """Phase-space sum (1/M) sum exp(-t <psi|H|psi>) over the coherent frame.
+
+    A lower bound for the heat trace of the torus operator: Jensen applied
+    inside each frame state, summed with frame tightness.  The frame energies
+    are <psi_xk|H|psi_xk> = 2/h^2 + (g^2 * V)(x)
+    - (2/h^2) cos(2 pi k / M) sum_j g(j) g(j+1), with (g^2 * V)(x) =
+    sum_j g(j - x)^2 V(j); the sum costs O(M log M).
+    """
+    bx, bk = _frame_boltzmann(op, t, window)
+    return float(bx.sum() * bk.sum()) / window.size
 
 
 def coherent_partial_lower_bound(
@@ -792,28 +804,20 @@ def coherent_partial_lower_bound(
     For H = T (x) 1 + blockdiag(W_m) with T the torus operator, returns
     (1/M) sum over frame states of Tr exp(-t K), where K is the compression
     of H by the frame state; by the partial-trace Jensen inequality and
-    frame tightness this never exceeds Tr exp(-t H).
+    frame tightness this never exceeds Tr exp(-t H).  In closed form
+    K_xk = <psi_xk|T|psi_xk> I + Wbar_x with Wbar_x = sum_a g(a - x)^2 W_a,
+    so Tr exp(-t K_xk) = exp(-t <psi_xk|T|psi_xk>) Tr exp(-t Wbar_x) and one
+    batch of M small eigenvalue problems replaces the M^2 compressions.
     """
-    if not (isinstance(t_op, GridOperator) and t_op.boundary == "periodic" and t_op.ndim == 1):
-        raise ValueError("coherent_partial_lower_bound needs a 1d periodic grid operator")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    g = window.values
-    m = g.size
-    if m != t_op.n:
-        raise ValueError(f"window size {m} does not match operator size {t_op.n}")
-    h = sliced_hamiltonian(t_op.hermitian(), blocks)
-    sub = blocks[0].dim
-    four = h.mat.reshape(m, sub, m, sub)
-    phases = _phase_matrix(m)
-    total = 0.0
-    for x in range(m):
-        block = np.roll(g, x)[:, None] * phases
-        compressed = np.einsum("am,aibj,bm->mij", block.conj(), four, block, optimize=True)
-        compressed = 0.5 * (compressed + np.conj(np.transpose(compressed, (0, 2, 1))))
-        vals = np.linalg.eigvalsh(compressed)
-        total += float(np.sum(np.exp(-t * vals)))
-    return total / m
+    bx, bk = _frame_boltzmann(t_op, t, window)
+    m = window.size
+    if len(blocks) != m:
+        raise ValueError(f"need one block per basis vector: {len(blocks)} != {m}")
+    if len({w.dim for w in blocks}) != 1:
+        raise ValueError("all blocks must share one dimension")
+    wbar = _window_average(window, np.stack([w.mat for w in blocks]))
+    traces = np.exp(-t * np.linalg.eigvalsh(wbar)).sum(axis=1)
+    return float(bx @ traces * bk.sum()) / m
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from semispec import cli, schrodinger
 from semispec.bipartite import parse_bipartite_operator
@@ -157,6 +158,62 @@ def test_zeta_oscillator_transverse(capsys):
     for r in rows:
         assert r["p"] == pytest.approx(2.0)
         assert r["zeta"] == pytest.approx(math.pi**2 / 8.0, rel=0.01)
+
+
+ZETA_SMALL = ["zeta", "--alpha", "1", "--beta", "2", "--zeta-points", "199"]
+
+
+def test_zeta_profile_pair_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["zeta", "--alpha", "1", "--beta", "2", "--profile", "1,2"])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+
+
+def test_quadrant_profile_one_or_four_values(capsys):
+    code1, out1 = run_cli(capsys, *ZETA_SMALL, "--profile", "1")
+    code4, out4 = run_cli(capsys, *ZETA_SMALL, "--profile", "1,1,1,1")
+    assert code1 == code4 == 0
+    assert out4 == out1
+    code, out = run_cli(capsys, *ZETA_SMALL, "--profile", "1,2,3,4")
+    assert code == 0
+    zetas = {row["omega"]: row["zeta"] for row in map(json.loads, out.strip().splitlines())}
+    assert zetas[1] != zetas[-1]  # pp,pm = 1,2 against mp,mm = 3,4
+    code, out = run_cli(
+        capsys,
+        "simon", "--alpha", "1", "--beta", "2", "--profile", "1,2,3,4", "--lambda", "3,4,5",
+        "--box", "16,5", "--points", "120,40", "--zeta-points", "999",
+    )
+    assert code == 0 and out.startswith("lambda,N_discrete,prediction,ratio\n")
+
+
+profile_texts = st.one_of(
+    st.text(alphabet="0123456789.,-+eEinfa ", max_size=24),
+    st.lists(
+        st.one_of(st.floats(), st.integers(-10, 10)), min_size=0, max_size=5
+    ).map(lambda vals: ",".join(str(v) for v in vals)),
+)
+
+
+# capsys is drained by every example, so sharing it across examples is safe
+@settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(profile_texts)
+def test_fuzzed_zeta_profile_never_tracebacks(capsys, text):
+    try:
+        code = cli.main(ZETA_SMALL + [f"--profile={text}"])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2), text
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error:" in err
 
 
 # constants -------------------------------------------------------------------

@@ -40,7 +40,13 @@ from semispec.schrodinger import (
     zeta_trace,
 )
 
-from oracles import banded_negcount, dirichlet_laplacian_eigenvalues
+from oracles import (
+    banded_negcount,
+    coherent_frame_defect_by_sum,
+    coherent_lower_bound_by_sum,
+    coherent_partial_lower_bound_by_sum,
+    dirichlet_laplacian_eigenvalues,
+)
 
 OSCILLATOR = Homogeneous(2.0, 1, (1.0, 1.0))
 SIMON = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
@@ -424,9 +430,56 @@ def test_window_validation():
 
 
 @pytest.mark.parametrize("make", [delta_window, flat_window, gaussian_window])
-@pytest.mark.parametrize("m", [8, 16, 64])
+@pytest.mark.parametrize("m", [8, 16, 64, 512])
 def test_frame_defect_tiny(make, m):
     assert coherent_frame_defect(make(m)) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [delta_window, flat_window, gaussian_window])
+@pytest.mark.parametrize("m", [8, 16, 64])
+def test_coherent_closed_forms_match_frame_sums(make, m):
+    window = make(m)
+    # both defects are round-off of an exactly tight frame
+    assert coherent_frame_defect(window) == pytest.approx(coherent_frame_defect_by_sum(window), abs=1e-12)
+    op = build_hamiltonian(OSCILLATOR, 8.0, m, boundary="periodic")
+    for t in (0.05, 0.3, 1.0):
+        expected = coherent_lower_bound_by_sum(op, t, window)
+        assert coherent_lower_bound(op, t, window) == pytest.approx(expected, rel=1e-12)
+
+
+def test_coherent_partial_closed_form_matches_frame_sums():
+    m, n = 8, 3
+    windows = (delta_window(m), flat_window(m), gaussian_window(m, sigma=1.5))
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        t_op = build_hamiltonian(OSCILLATOR if seed % 2 else None, 4.0, m, boundary="periodic")
+        blocks = []
+        for _ in range(m):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            blocks.append(HermitianOperator(g @ g.conj().T))
+        t = float(rng.uniform(0.1, 1.0))
+        window = windows[seed % 3]
+        expected = coherent_partial_lower_bound_by_sum(t_op, blocks, t, window)
+        got = coherent_partial_lower_bound(t_op, blocks, t, window)
+        assert got == pytest.approx(expected, rel=1e-12), seed
+
+
+def test_coherent_partial_rejects_malformed_blocks():
+    op = build_hamiltonian(None, 4.0, 8, boundary="periodic")
+    w = gaussian_window(8)
+    with pytest.raises(ValueError, match="one block per basis vector"):
+        coherent_partial_lower_bound(op, [random_hermitian(3, seed=s) for s in range(7)], 0.5, w)
+    mixed = [random_hermitian(3, seed=s) for s in range(7)] + [random_hermitian(2, seed=7)]
+    with pytest.raises(ValueError, match="share one dimension"):
+        coherent_partial_lower_bound(op, mixed, 0.5, w)
+
+
+def test_coherent_bound_below_heat_trace_large_frame():
+    op = build_hamiltonian(OSCILLATOR, 8.0, 1024, boundary="periodic")
+    w = gaussian_window(1024, sigma=45.0)
+    for t in (0.1, 1.0):
+        trace_val = heat_trace(op, t)
+        assert 0.0 < coherent_lower_bound(op, t, w) <= trace_val + 1e-10 * (1.0 + trace_val)
 
 
 def test_coherent_bound_delta_window_diagonal_jensen():
