@@ -10,6 +10,7 @@ from .linalg import (
     apply_function,
     custom,
     eig_hermitian,
+    eig_hermitian_stack,
     exp_neg,
     log_gamma,
     positive_part,

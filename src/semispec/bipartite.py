@@ -9,7 +9,7 @@ identities in the tests pin it down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,19 +48,26 @@ class BipartiteDims:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Positive semidefinite operator of unit trace (a quantum state)."""
+    """Positive semidefinite operator of unit trace (a quantum state).
+
+    The spectrum checked at construction is kept for :meth:`entropy_term`;
+    it is not part of the comparison.
+    """
 
     op: HermitianOperator
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tr = trace(self.op)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr!r} is not 1 within 1e-10")
-        smallest = float(eig_hermitian(self.op).eigenvalues[0])
+        spectrum = eig_hermitian(self.op).eigenvalues
+        smallest = float(spectrum[0])
         if smallest < -PSD_TOL:
             raise ValueError(
                 f"density matrix has negative eigenvalue {smallest:.3e} beyond -1e-10"
             )
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -78,7 +85,7 @@ class DensityMatrix:
 
     def entropy_term(self) -> float:
         """Tr[rho ln rho] with 0 ln 0 := 0 (a nonpositive number)."""
-        vals = np.clip(eig_hermitian(self.op).eigenvalues, 0.0, None)
+        vals = np.clip(self._spectrum, 0.0, None)
         pos = vals[vals > 0.0]
         return float(np.sum(pos * np.log(pos)))
 

@@ -15,8 +15,11 @@ Covered inequalities:
   for H = T (x) 1 + blockdiag(W_m)
 * Gibbs principle       -ln Tr e^(-H)  <= Tr[rho H] + Tr[rho ln rho]
 
-Every side is read off eigenvalues and eigenvector overlaps from
-``eig_hermitian``; no f(H) matrix is formed only to take its trace.
+Every side is read off eigenvalues and eigenvector overlaps; no f(H) matrix
+is formed only to take its trace.  Each public ``*_sides`` decomposes its
+operators and passes the decompositions to one private helper holding the
+formula; ``semispec ineq`` calls the same helpers with decompositions taken
+from stacked eigensolver calls.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from .bipartite import BipartiteDims, DensityMatrix, compress
-from .linalg import HermitianOperator, ScalarFunction, eig_hermitian
+from .linalg import (
+    HermitianOperator,
+    ScalarFunction,
+    SpectralDecomposition,
+    eig_hermitian,
+    eig_hermitian_stack,
+)
 
 NONNEG_TOL = 1e-10
 
@@ -46,15 +55,22 @@ def jensen_scalar_sides(op: HermitianOperator, psi, f: ScalarFunction) -> tuple[
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"psi must be normalized; its norm is {nrm!r}")
-    if not f.convex:
-        raise ValueError("jensen_scalar_gap requires a convex function")
-    dec = eig_hermitian(op)
-    f.check_domain(dec.eigenvalues)
+    return _jensen_scalar_sides(op, eig_hermitian(op), psi, [f])[0]
+
+
+def _jensen_scalar_sides(
+    op: HermitianOperator, dec: SpectralDecomposition, psi: np.ndarray, functions: Sequence[ScalarFunction]
+) -> list[tuple[float, float]]:
+    """Both sides for each function, read off the decomposition ``dec`` of ``op``."""
     weights = np.abs(dec.eigenvectors.conj().T @ psi) ** 2
     expectation = float(np.real(np.vdot(psi, op.mat @ psi)))
-    lhs = float(f(expectation))
-    rhs = float(np.dot(weights, f(dec.eigenvalues)))
-    return lhs, rhs
+    sides = []
+    for f in functions:
+        if not f.convex:
+            raise ValueError("jensen_scalar_gap requires a convex function")
+        f.check_domain(dec.eigenvalues)
+        sides.append((float(f(expectation)), float(np.dot(weights, f(dec.eigenvalues)))))
+    return sides
 
 
 def jensen_scalar_gap(op: HermitianOperator, psi, f: ScalarFunction) -> float:
@@ -66,19 +82,31 @@ def jensen_scalar_gap(op: HermitianOperator, psi, f: ScalarFunction) -> float:
 def jensen_partial_trace_sides(
     op: HermitianOperator, rho: DensityMatrix, dims: BipartiteDims, f: ScalarFunction
 ) -> tuple[float, float]:
-    if not f.convex:
-        raise ValueError("jensen_partial_trace_gap requires a convex function")
     dims.check(op)
     kappa = eig_hermitian(compress(op, rho, dims)).eigenvalues
-    f.check_domain(kappa)
-    lhs = float(np.sum(f(kappa)))
-    dec = eig_hermitian(op)
-    f.check_domain(dec.eigenvalues)
+    return _jensen_partial_trace_sides(eig_hermitian(op), kappa, rho, dims, [f])[0]
+
+
+def _jensen_partial_trace_sides(
+    dec: SpectralDecomposition,
+    kappa: np.ndarray,
+    rho: DensityMatrix,
+    dims: BipartiteDims,
+    functions: Sequence[ScalarFunction],
+) -> list[tuple[float, float]]:
+    """Both sides for each function, from the decomposition of H and the spectrum of K_rho."""
     # Tr[rho . Tr_2 f(H)] = sum_k f(lambda_k) <u_k|rho (x) 1|u_k>
-    u = dec.eigenvectors.reshape(dims.dim1, dims.dim2, op.dim)
+    u = dec.eigenvectors.reshape(dims.dim1, dims.dim2, -1)
     weights = np.real(np.einsum("ank,ab,bnk->k", u.conj(), rho.op.mat, u))
-    rhs = float(np.dot(weights, f(dec.eigenvalues)))
-    return lhs, rhs
+    sides = []
+    for f in functions:
+        if not f.convex:
+            raise ValueError("jensen_partial_trace_gap requires a convex function")
+        f.check_domain(kappa)
+        lhs = float(np.sum(f(kappa)))
+        f.check_domain(dec.eigenvalues)
+        sides.append((lhs, float(np.dot(weights, f(dec.eigenvalues)))))
+    return sides
 
 
 def jensen_partial_trace_gap(
@@ -97,9 +125,15 @@ def jensen_partial_trace_gap(
 def golden_thompson_sides(a: HermitianOperator, b: HermitianOperator) -> tuple[float, float]:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lhs = float(np.sum(np.exp(eig_hermitian(a + b).eigenvalues)))
+    return _golden_thompson_sides(eig_hermitian(a + b), eig_hermitian(a), eig_hermitian(b))
+
+
+def _golden_thompson_sides(
+    dsum: SpectralDecomposition, da: SpectralDecomposition, db: SpectralDecomposition
+) -> tuple[float, float]:
+    """Both sides from the decompositions of A + B, A and B."""
+    lhs = float(np.sum(np.exp(dsum.eigenvalues)))
     # Tr[e^(A/2) e^B e^(A/2)] = Tr[e^A e^B] = e^a . |U* V|^2 . e^b
-    da, db = eig_hermitian(a), eig_hermitian(b)
     overlaps = np.abs(da.eigenvectors.conj().T @ db.eigenvectors) ** 2
     rhs = float(np.exp(da.eigenvalues) @ overlaps @ np.exp(db.eigenvalues))
     return lhs, rhs
@@ -131,11 +165,18 @@ def sliced_gt_sides(
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     h = sliced_hamiltonian(t_op, blocks)
-    lhs = float(np.sum(np.exp(-t * eig_hermitian(h).eigenvalues)))
+    block_vals, _ = eig_hermitian_stack([w.mat for w in blocks])
+    return _sliced_gt_sides(eig_hermitian(h), eig_hermitian(t_op), block_vals, t)
+
+
+def _sliced_gt_sides(
+    dh: SpectralDecomposition, dt: SpectralDecomposition, block_vals: Sequence[np.ndarray], t: float
+) -> tuple[float, float]:
+    """Both sides from the decompositions of H and T and the spectrum of each block."""
+    lhs = float(np.sum(np.exp(-t * dh.eigenvalues)))
     # (e^(-tT))_mm = sum_k |U_mk|^2 e^(-t lambda_k)
-    dt = eig_hermitian(t_op)
     damp = np.abs(dt.eigenvectors) ** 2 @ np.exp(-t * dt.eigenvalues)
-    block_traces = [np.sum(np.exp(-t * eig_hermitian(w).eigenvalues)) for w in blocks]
+    block_traces = [np.sum(np.exp(-t * vals)) for vals in block_vals]
     rhs = float(damp @ block_traces)
     return lhs, rhs
 
@@ -159,9 +200,13 @@ def sliced_gt_gap(t_op: HermitianOperator, blocks: Sequence[HermitianOperator], 
 def gibbs_sides(rho: DensityMatrix, op: HermitianOperator) -> tuple[float, float]:
     if rho.dim != op.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {op.dim}")
+    return _gibbs_sides(rho, op, eig_hermitian(op).eigenvalues)
+
+
+def _gibbs_sides(rho: DensityMatrix, op: HermitianOperator, vals: np.ndarray) -> tuple[float, float]:
+    """Both sides from the spectrum ``vals`` of H; the entropy uses the spectrum rho keeps."""
     energy = float(np.real(np.vdot(rho.op.mat, op.mat)))  # Tr[rho H], both Hermitian
     rhs = energy + rho.entropy_term()
-    vals = eig_hermitian(op).eigenvalues
     # log-sum-exp keeps ln Z finite for large spectra
     shift = float(np.min(vals))
     lhs = -(float(np.log(np.sum(np.exp(-(vals - shift))))) - shift)

@@ -65,8 +65,9 @@ class Homogeneous:
             raise ValueError(f"d must be 1 or 2, got {self.d}")
         if self.d == 1:
             fp, fm = self.profile
-            if fp < 0 or fm < 0:
-                raise ValueError("profile values must be nonnegative")
+            # NaN fails both comparisons; +inf is a hard wall on that side
+            if not (fp >= 0 and fm >= 0):
+                raise ValueError(f"profile values must be nonnegative, got ({fp!r}, {fm!r})")
             object.__setattr__(self, "profile", (float(fp), float(fm)))
         elif not callable(self.profile):
             raise ValueError("d=2 requires a callable angular profile")
@@ -95,8 +96,8 @@ class QuadrantProfile:
 
     def __post_init__(self):
         for v in (self.pp, self.pm, self.mp, self.mm):
-            if v < 0:
-                raise ValueError("profile values must be nonnegative")
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"profile values must be nonnegative and finite, got {v!r}")
 
     def at(self, sx: int, sy: int) -> float:
         if sx > 0:

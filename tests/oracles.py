@@ -8,16 +8,20 @@ time, sharing nothing with the library beyond raw eigendecompositions.
 The 2d count is checked against a node-by-node scalar LDL^T of the banded
 matrix, independent of the library's block-row factorization, and the
 closed-form coherent-frame bounds against literal sums over all M^2 frame
-states.
+states.  ``semispec ineq``, which evaluates its trials in blocks on stacked
+eigendecompositions, is checked against a trial-by-trial loop over the
+public ``*_sides`` functions.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Sequence
 
 import numpy as np
 
+from semispec import bipartite, inequalities
 from semispec.inequalities import sliced_hamiltonian
 from semispec.linalg import HermitianOperator
 from semispec.schrodinger import CoherentWindow, GridOperator
@@ -277,3 +281,90 @@ def coherent_partial_lower_bound_by_sum(
         vals = np.linalg.eigvalsh(compressed)
         total += float(np.sum(np.exp(-t * vals)))
     return total / m
+
+
+def ineq_by_trials(args) -> tuple[str, str | None]:
+    """``semispec ineq`` one trial and one function at a time, through the public ``*_sides``.
+
+    ``args`` are the parsed ``ineq`` flags.  Returns the JSON lines and the
+    ``--dump`` text (None without ``--dump``); the dump holds the first
+    partial-trace operator, in trial and function order, with the smallest
+    normalized gap.  Raises what the library raises.
+    """
+    max_m, max_n = args.dims
+    functions = args.functions
+    summaries = []
+    worst = (math.inf, None, None)  # smallest normalized gap, operator, dims
+
+    def record(rows, gap, rhs, op=None, dims=None):
+        nonlocal worst
+        rows.append((gap, rhs))
+        norm = gap / (1.0 + abs(rhs))
+        if op is not None and norm < worst[0]:
+            worst = (norm, op, dims)
+
+    loaded = loaded_dims = None
+    if args.load:
+        with open(args.load) as fh:
+            loaded, loaded_dims = bipartite.parse_bipartite_operator(fh.read())
+
+    suites = ["jensen_scalar", "jensen_partial_trace", "golden_thompson", "sliced_gt", "gibbs"]
+    for suite_idx, suite in enumerate(suites):
+        rows = []
+        for trial in range(args.trials):
+            rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(suite_idx, trial)))
+            if suite == "jensen_scalar":
+                dim = loaded.dim if loaded is not None else int(rng.integers(2, max_m * max_n + 1))
+                op = loaded if loaded is not None else bipartite.random_hermitian(dim, rng)
+                psi = bipartite.random_unit_vector(op.dim, rng)
+                for f in functions:
+                    lhs, rhs = inequalities.jensen_scalar_sides(op, psi, f)
+                    record(rows, rhs - lhs, rhs)
+            elif suite == "jensen_partial_trace":
+                if loaded is not None:
+                    op, dims = loaded, loaded_dims
+                else:
+                    dims = bipartite.BipartiteDims(
+                        int(rng.integers(1, max_m + 1)), int(rng.integers(1, max_n + 1))
+                    )
+                    op = bipartite.random_hermitian(dims.total, rng)
+                rho = bipartite.random_density(dims.dim1, int(rng.integers(1, dims.dim1 + 1)), rng)
+                for f in functions:
+                    lhs, rhs = inequalities.jensen_partial_trace_sides(op, rho, dims, f)
+                    record(rows, rhs - lhs, rhs, op, dims)
+            elif suite == "golden_thompson":
+                dim = int(rng.integers(2, max_m * max_n + 1))
+                a = bipartite.random_hermitian(dim, rng)
+                b = bipartite.random_hermitian(dim, rng)
+                lhs, rhs = inequalities.golden_thompson_sides(a, b)
+                record(rows, rhs - lhs, rhs)
+            elif suite == "sliced_gt":
+                m = int(rng.integers(2, max_m + 1))
+                n = int(rng.integers(1, max_n + 1))
+                t_op = bipartite.random_hermitian(m, rng)
+                blocks = [bipartite.random_hermitian(n, rng) for _ in range(m)]
+                lhs, rhs = inequalities.sliced_gt_sides(t_op, blocks, 0.5)
+                record(rows, rhs - lhs, rhs)
+            else:  # gibbs
+                dim = int(rng.integers(2, max_m + 1))
+                op = bipartite.random_hermitian(dim, rng)
+                rho = bipartite.random_density(dim, int(rng.integers(1, dim + 1)), rng)
+                lhs, rhs = inequalities.gibbs_sides(rho, op)
+                record(rows, rhs - lhs, rhs)
+        gaps = [g for g, _ in rows]
+        violations = sum(1 for g, r in rows if inequalities.violates(g, r))
+        summaries.append(
+            {
+                "suite": suite,
+                "trials": args.trials,
+                "evaluations": len(rows),
+                "min_gap": min(gaps),
+                "violations": violations,
+            }
+        )
+
+    text = "".join(json.dumps(s) + "\n" for s in summaries)
+    dump = None
+    if args.dump and worst[1] is not None:
+        dump = bipartite.format_bipartite_operator(worst[1], worst[2])
+    return text, dump

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semispec import bipartite
 from semispec.bipartite import (
     BipartiteDims,
     DensityMatrix,
@@ -14,6 +15,7 @@ from semispec.bipartite import (
     random_hermitian,
     random_unit_vector,
 )
+from semispec.inequalities import gibbs_sides
 from semispec.linalg import HermitianOperator, trace
 
 
@@ -93,6 +95,22 @@ def test_density_matrix_validation():
         DensityMatrix(HermitianOperator.identity(3))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityMatrix(HermitianOperator.from_diag([1.5, -0.5]))
+
+
+def test_density_matrix_keeps_its_spectrum(monkeypatch):
+    rho = random_density(4, 2, 5)
+    assert DensityMatrix(rho.op) == rho
+    assert "spectrum" not in repr(rho)
+    vals = np.linalg.eigh(rho.op.mat)[0]
+    pos = np.clip(vals, 0.0, None)[vals > 0.0]
+    expected = float(np.sum(pos * np.log(pos)))
+
+    def refuse(op):
+        raise AssertionError("the spectrum was recomputed")
+
+    monkeypatch.setattr(bipartite, "eig_hermitian", refuse)
+    assert rho.entropy_term() == expected
+    gibbs_sides(rho, random_hermitian(4, 6))
 
 
 def test_compress_pure_state_matches_expectation_form():

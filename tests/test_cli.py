@@ -1,11 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from semispec import cli, schrodinger
 from semispec.bipartite import parse_bipartite_operator
+
+from oracles import ineq_by_trials
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +69,65 @@ def test_ineq_dump_and_load_roundtrip(tmp_path, capsys):
     assert code2 == 0
     for line in out2.strip().splitlines():
         assert json.loads(line)["violations"] == 0
+
+
+@pytest.mark.parametrize("functions", ["expneg,square,pospart", "affine,pospart"])
+@pytest.mark.parametrize("dims", ["6x6", "3x4", "1x5"])
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_ineq_blocks_match_trial_by_trial_oracle(tmp_path, capsys, seed, dims, functions):
+    trials = str(2 * cli.TRIAL_BLOCK + 3)  # two full trial blocks and a partial one
+    dump = tmp_path / "worst.op"
+    argv = ["ineq", "--trials", trials, "--seed", str(seed), "--dims", dims, "--functions", functions,
+            "--dump", str(dump)]
+    try:
+        expected, expected_dump = ineq_by_trials(cli.build_parser().parse_args(argv))
+    except ValueError as exc:
+        # --dims 1xN: the sliced_gt and gibbs suites draw dimensions from 2..M
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert captured.err.strip() == f"error: {exc}"
+        return
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    assert dump.read_text() == expected_dump
+    load_argv = ["ineq", "--trials", trials, "--seed", str(seed), "--functions", functions, "--load", str(dump)]
+    expected_load, _ = ineq_by_trials(cli.build_parser().parse_args(load_argv))
+    code, out = run_cli(capsys, *load_argv)
+    assert code == 0
+    assert out == expected_load
+
+
+def test_ineq_dump_keeps_the_first_of_tied_gaps(tmp_path, capsys):
+    # at 3x1 every 1x1 partial-trace case has gap exactly 0, and none is negative
+    dump = tmp_path / "worst.op"
+    argv = ["ineq", "--trials", "35", "--seed", "1", "--dims", "3x1", "--functions", "pospart,square",
+            "--dump", str(dump)]
+    expected, expected_dump = ineq_by_trials(cli.build_parser().parse_args(argv))
+    partial = json.loads(expected.splitlines()[1])
+    assert partial["suite"] == "jensen_partial_trace" and partial["min_gap"] == 0.0
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+    assert dump.read_text() == expected_dump
+
+
+def test_ineq_stack_out_of_contract_exits_three(monkeypatch, capsys):
+    eigh = np.linalg.eigh
+
+    def skewed(a):
+        vals, vecs = eigh(a)
+        if a.ndim == 3 and len(a) > 3:
+            vecs = vecs.copy()
+            vecs[3] *= 2.0
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    code = cli.main(["ineq", "--trials", "40", "--seed", "1", "--dims", "2x2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: eigendecomposition residuals out of contract at stack index 3:")
 
 
 # weyl ------------------------------------------------------------------------
@@ -214,6 +276,35 @@ def test_fuzzed_zeta_profile_never_tracebacks(capsys, text):
     assert "Traceback" not in err
     if code == 2:
         assert "error:" in err
+
+
+def test_non_finite_profile_is_usage_error(capsys):
+    cases = [
+        ["zeta", "--alpha", "1", "--beta", "2", "--profile", "nan"],
+        ["zeta", "--alpha", "1", "--beta", "2", "--profile", "inf,1,1,1"],
+        ["weyl", "--profile", "nan"],
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2, argv
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "profile values must be nonnegative" in errors[0], argv
+
+
+def test_argument_type_errors_state_the_reason(capsys):
+    cases = [
+        (["zeta", "--alpha", "1", "--beta", "2", "--profile=-1"], "profile values must be nonnegative"),
+        (["weyl", "--lambda", "abc"], "expected comma-separated numbers, got 'abc'"),
+        (["ineq", "--functions", "bogus"], "unknown function 'bogus'"),
+    ]
+    for argv, reason in cases:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        stderr = capsys.readouterr().err
+        assert err.value.code == 2, argv
+        assert reason in stderr, argv
+        assert "_parse_" not in stderr and "<lambda>" not in stderr, argv
 
 
 # constants -------------------------------------------------------------------

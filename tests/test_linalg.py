@@ -9,6 +9,7 @@ from semispec.linalg import (
     apply_function,
     custom,
     eig_hermitian,
+    eig_hermitian_stack,
     exp_neg,
     format_operator,
     log_gamma,
@@ -73,6 +74,34 @@ def test_eig_deterministic():
     d1, d2 = eig_hermitian(op), eig_hermitian(op)
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+
+def test_eig_stack_bit_identical_to_single_matrices():
+    rng = np.random.default_rng(20)
+    for d in range(1, 37):
+        ops = [random_hermitian(d, rng) for _ in range(3)]
+        vals, vecs = eig_hermitian_stack(np.stack([op.mat for op in ops]))
+        assert vals.shape == (3, d) and vecs.shape == (3, d, d)
+        for i, op in enumerate(ops):
+            dec = eig_hermitian(op)
+            raw_vals, raw_vecs = np.linalg.eigh(op.mat)
+            assert np.array_equal(vals[i], dec.eigenvalues) and np.array_equal(vecs[i], dec.eigenvectors), d
+            assert np.array_equal(vals[i], raw_vals) and np.array_equal(vecs[i], raw_vecs), d
+
+
+def test_eig_stack_names_the_matrix_out_of_contract():
+    rng = np.random.default_rng(21)
+    stack = np.stack([random_hermitian(4, rng).mat for _ in range(5)])
+    eig_hermitian_stack(stack)
+    # eigh reads only the lower triangle, so no decomposition reproduces this entry
+    stack[3, 0, 1] += 1.0
+    with pytest.raises(RuntimeError, match="out of contract at stack index 3:"):
+        eig_hermitian_stack(stack)
+    with pytest.raises(ValueError, match=r"\(k, d, d\) stack"):
+        eig_hermitian_stack(stack[0])
+    # a NaN residual fails the contract rather than passing the comparisons
+    with pytest.raises(RuntimeError, match="stack index 0"):
+        eig_hermitian(HermitianOperator(np.array([[math.nan, 0.0], [0.0, 1.0]])))
 
 
 def test_apply_exp_on_diagonal():

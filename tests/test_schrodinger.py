@@ -76,6 +76,13 @@ def test_profile_validation():
         Homogeneous(2.0, 1, (1.0, -1.0))
     with pytest.raises(ValueError, match="nonnegative"):
         QuadrantProfile(1.0, 1.0, -0.1, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="profile values"):
+            QuadrantProfile(1.0, bad, 1.0, 1.0)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="profile values"):
+            Homogeneous(2.0, 1, (bad, 1.0))
+    assert Homogeneous(2.0, 1, (math.inf, 1.0)).profile == (math.inf, 1.0)  # a hard wall
     with pytest.raises(ValueError, match="gamma"):
         Homogeneous(0.0, 1, (1.0, 1.0))
 
