@@ -35,6 +35,11 @@ def _trial_rng(seed: int, suite: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(suite, trial)))
 
 
+def _draw_dim(rng: np.random.Generator, hi: int) -> int:
+    """A dimension in 2..hi, or 1 when hi is 1 (the draw for hi >= 2 is unchanged)."""
+    return int(rng.integers(min(2, hi), hi + 1))
+
+
 # argparse reports a ValueError from a type= function as "invalid <function
 # name> value", dropping its message; the parsers raise ArgumentTypeError,
 # whose message argparse prints.
@@ -164,7 +169,7 @@ def cmd_ineq(args) -> int:
     # returns the operators to decompose, a function from their
     # decompositions to the (lhs, rhs) pairs, and what a --dump would write.
     def jensen_scalar(rng):
-        dim = loaded.dim if loaded is not None else int(rng.integers(2, max_m * max_n + 1))
+        dim = loaded.dim if loaded is not None else _draw_dim(rng, max_m * max_n)
         op = loaded if loaded is not None else bipartite.random_hermitian(dim, rng)
         psi = bipartite.random_unit_vector(op.dim, rng)
         return [op], lambda d: inequalities._jensen_scalar_sides(op, d[0], psi, functions), ()
@@ -185,13 +190,13 @@ def cmd_ineq(args) -> int:
         )
 
     def golden_thompson(rng):
-        dim = int(rng.integers(2, max_m * max_n + 1))
+        dim = _draw_dim(rng, max_m * max_n)
         a = bipartite.random_hermitian(dim, rng)
         b = bipartite.random_hermitian(dim, rng)
         return [a + b, a, b], lambda d: [inequalities._golden_thompson_sides(*d)], ()
 
     def sliced_gt(rng):
-        m = int(rng.integers(2, max_m + 1))
+        m = _draw_dim(rng, max_m)
         n = int(rng.integers(1, max_n + 1))
         t_op = bipartite.random_hermitian(m, rng)
         blocks = [bipartite.random_hermitian(n, rng) for _ in range(m)]
@@ -202,7 +207,7 @@ def cmd_ineq(args) -> int:
         )
 
     def gibbs(rng):
-        dim = int(rng.integers(2, max_m + 1))
+        dim = _draw_dim(rng, max_m)
         op = bipartite.random_hermitian(dim, rng)
         rho = bipartite.random_density(dim, int(rng.integers(1, dim + 1)), rng)
         return [op], lambda d: [inequalities._gibbs_sides(rho, op, d[0].eigenvalues)], ()
@@ -286,13 +291,13 @@ def cmd_weyl(args) -> int:
             box = schrodinger.counting_box(pot, max(scales))
         points = int(args.points[0]) if args.points else schrodinger.points_for_spacing(box, 0.01)
         op = schrodinger.build_hamiltonian(pot, box, points)
-        for s in scales:
-            if heat_mode:
-                value = schrodinger.heat_trace(op, s, method=args.method)
-                pred = asymptotics.heat_weyl_prediction(pot, s)
-            else:
-                value = float(schrodinger.counting_function(op, s))
-                pred = asymptotics.weyl_prediction(pot, s)
+        if heat_mode:
+            values = schrodinger.heat_trace(op, scales, method=args.method)
+            preds = [asymptotics.heat_weyl_prediction(pot, s) for s in scales]
+        else:
+            values = schrodinger.counting_function(op, scales).astype(float)
+            preds = [asymptotics.weyl_prediction(pot, s) for s in scales]
+        for s, value, pred in zip(scales, values.tolist(), preds):
             if math.isinf(pred):
                 lines.append(f"{s:g},{_fmt(value)},inf,")
             else:
@@ -355,8 +360,7 @@ def cmd_simon(args) -> int:
                 schrodinger.points_for_spacing(box[1], 0.12),
             )
         op = schrodinger.build_hamiltonian(pot, box, points)
-        for lam in lams:
-            count = schrodinger.counting_function(op, lam)
+        for lam, count in zip(lams, schrodinger.counting_function(op, lams).tolist()):
             pred = law.at(lam)
             if math.isinf(pred):
                 lines.append(f"{lam:g},{count},inf,")

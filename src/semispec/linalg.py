@@ -49,7 +49,7 @@ class HermitianOperator:
     The constructor averages the input with its conjugate transpose, which
     removes round-off level asymmetry from composed operations.  Asymmetry
     beyond ``1e-8 * (1 + max|entry|)`` is an error rather than something to
-    silently repair.
+    silently repair, and so is a NaN or infinite entry.
     """
 
     mat: np.ndarray
@@ -61,8 +61,11 @@ class HermitianOperator:
         if a.shape[0] < 1:
             raise ValueError("dimension must be at least 1")
         scale = 1.0 + float(np.abs(a).max(initial=0.0))
+        if not math.isfinite(scale):  # max|entry| is inf or NaN
+            i, j = np.argwhere(~np.isfinite(a))[0]
+            raise ValueError(f"matrix entry ({i}, {j}) is not finite: {complex(a[i, j])}")
         asym = float(np.abs(a - a.conj().T).max(initial=0.0))
-        if asym > HERMITICITY_ATOL * scale:
+        if not asym <= HERMITICITY_ATOL * scale:
             raise ValueError(
                 f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
                 f"{HERMITICITY_ATOL:.0e} * {scale:.3e}"

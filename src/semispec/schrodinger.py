@@ -5,10 +5,14 @@ transverse effective operators, and discrete coherent-state frames.
 Grids are second-order central-difference discretizations on a box with
 Dirichlet walls (tridiagonal in 1d, 5-point banded in 2d, lower-banded
 storage) or on a 1d torus (dense).  Counting is exact for the discrete
-matrix: Sturm sign changes for tridiagonal operators and, in 2d, block-row
-inertia (one Bunch-Kaufman factorization per grid row).  On a pivot
-breakdown the rows are taken in reverse order, then the count is dense up to
+matrix: Sturm sign changes for tridiagonal operators (one pass over the
+nodes for every shift of a sweep) and, in 2d, block-row inertia (one
+Bunch-Kaufman factorization per grid row and shift).  On a pivot breakdown
+the rows are taken in reverse order, then the count is dense up to
 ``DENSE_EIG_CAP`` and refused beyond it; no other shift is ever counted.
+Every dense eigensolver call on a grid operator is refused above that cap.
+Counts and heat traces take arrays of energies or times and share one
+Sturm pass or one spectrum among them.
 
 Coherent-frame bounds use the closed forms of the frame sums: the averaged
 frame projector sum is (sum g^2) I, and on the torus the frame energies are
@@ -333,25 +337,46 @@ def points_for_spacing(length: float, h: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Nodes per block of the 1d Sturm pass; bounds its (nodes, shifts) buffer.
+_STURM_BLOCK = 512
+
+
 class _PivotBreakdown(ArithmeticError):
     """A pivot of the 2d block factorization is numerically zero."""
 
 
-def _sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
-    """Sign changes of the Sturm sequence of (T - shift I): eigenvalues below shift."""
+def _sturm_negcounts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the tridiagonal T below each shift: sign changes of the
+    Sturm sequences of (T - s I) for all shifts s in one pass over the nodes.
+
+    Per shift this is the scalar recursion q_i = (d_i - s) - e_{i-1}^2 / q_{i-1}
+    with a zero q replaced by -1e-300, operation for operation, so every count
+    equals the one-shift count exactly.  Nodes go in blocks; a block is run
+    without the replacement and run again with it only when one of its q is
+    exactly zero.  A ratio that overflows is -+inf: that q counts by its sign
+    and the next ratio is 0.
+    """
     tiny = 1e-300
-    count = 0
-    q = diag[0] - shift
-    if q == 0.0:
-        q = -tiny
-    if q < 0.0:
-        count = 1
-    for i in range(1, diag.size):
-        q = diag[i] - shift - off[i - 1] * off[i - 1] / q
-        if q == 0.0:
-            q = -tiny
-        if q < 0.0:
-            count += 1
+    e2 = off * off
+    count = np.zeros(shifts.size, dtype=np.intp)
+    ratio = np.empty(shifts.size)
+    prev = None  # q at the last node of the previous block
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, diag.size, _STURM_BLOCK):
+            for replace_zeros in (False, True):
+                rows = diag[lo : lo + _STURM_BLOCK, None] - shifts
+                q = prev
+                for i, row in enumerate(rows, start=lo):
+                    if q is not None:
+                        np.divide(e2[i - 1], q, out=ratio)
+                        row -= ratio
+                    if replace_zeros:
+                        row[row == 0.0] = -tiny
+                    q = row
+                if replace_zeros or rows.all():
+                    break
+            prev = q
+            count += np.count_nonzero(rows < 0.0, axis=0)
     return count
 
 
@@ -403,15 +428,9 @@ def _block_negcount(op: GridOperator, shift: float, reverse: bool = False) -> in
     return neg
 
 
-def _count_below(op, shift: float) -> int:
-    """Exact count of eigenvalues strictly below ``shift``; a 2d breakdown is
-    retried in reverse row order, then counted densely or refused."""
-    if isinstance(op, HermitianOperator):
-        return int(np.count_nonzero(np.linalg.eigvalsh(op.mat) < shift))
-    if op.dense_mat is not None:
-        return int(np.count_nonzero(np.linalg.eigvalsh(op.dense_mat) < shift))
-    if op.bandwidth == 1:
-        return _sturm_negcount(op.bands[0], op.bands[1], shift)
+def _block_count(op: GridOperator, shift: float) -> int:
+    """Block-row count of a 2d Dirichlet operator; a breakdown is retried in
+    reverse row order, then counted densely or refused."""
     for reverse in (False, True):
         try:
             return _block_negcount(op, shift, reverse)
@@ -425,25 +444,49 @@ def _count_below(op, shift: float) -> int:
     return int(np.count_nonzero(np.linalg.eigvalsh(op.dense()) < shift))
 
 
-def counting_function(op, lam: float, boundary_check: bool = True) -> int:
+def _count_below(op, shifts: np.ndarray) -> np.ndarray:
+    """Exact counts of eigenvalues strictly below each of ``shifts`` (1d array).
+
+    Tridiagonal operators take one Sturm pass for all shifts, dense ones one
+    spectrum; 2d operators are counted shift by shift.
+    """
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    if isinstance(op, HermitianOperator) or op.dense_mat is not None:
+        return np.searchsorted(spectrum(op), shifts, side="left")
+    if op.bandwidth == 1:
+        return _sturm_negcounts(op.bands[0], op.bands[1, :-1], shifts)
+    return np.array([_block_count(op, float(s)) for s in shifts], dtype=np.intp)
+
+
+def counting_function(op, lam: float | np.ndarray, boundary_check: bool = True) -> int | np.ndarray:
     """Exact number of eigenvalues of the discrete operator strictly below lam.
 
-    When lam sits within 1e-12 (relative) of an eigenvalue the strict count
-    is ambiguous at working precision; a :class:`BoundaryWarning` is emitted
-    and the lower of the two bracketing counts is returned.
+    ``lam`` is a number or an array; an array is counted in one sweep (one
+    Sturm pass or one spectrum) and returns an integer array of its shape,
+    a number returns an ``int``.  When a lam sits within 1e-12 (relative) of
+    an eigenvalue the strict count is ambiguous at working precision; a
+    :class:`BoundaryWarning` is emitted for that lam and the lower of the two
+    bracketing counts is returned.  ``boundary_check=False`` counts only
+    below lam - 1e-12 (1 + |lam|) and emits no warning.
     """
-    delta = 1e-12 * (1.0 + abs(lam))
-    low = _count_below(op, lam - delta)
+    lams = np.asarray(lam, dtype=float)
+    flat = lams.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
+    delta = 1e-12 * (1.0 + np.abs(flat))
+    shifts = np.concatenate([flat - delta, flat + delta]) if boundary_check else flat - delta
+    counts = _count_below(op, shifts)
+    low = counts[: flat.size]
     if boundary_check:
-        high = _count_below(op, lam + delta)
-        if high != low:
+        high = counts[flat.size :]
+        for i in np.flatnonzero(high != low):
             warnings.warn(
-                f"lambda={lam!r} is within {delta:.1e} of an eigenvalue "
-                f"(count jumps {low} -> {high})",
+                f"lambda={float(flat[i])!r} is within {delta[i]:.1e} of an eigenvalue "
+                f"(count jumps {int(low[i])} -> {int(high[i])})",
                 BoundaryWarning,
                 stacklevel=2,
             )
-    return low
+    return int(low[0]) if lams.ndim == 0 else low.reshape(lams.shape)
 
 
 def gershgorin_bounds(op) -> tuple[float, float]:
@@ -478,9 +521,7 @@ def spectrum(op, upto: float | None = None) -> np.ndarray:
     """
     if isinstance(op, HermitianOperator):
         vals = np.linalg.eigvalsh(op.mat)
-    elif op.dense_mat is not None:
-        vals = np.linalg.eigvalsh(op.dense_mat)
-    elif op.bandwidth == 1:
+    elif op.dense_mat is None and op.bandwidth == 1:
         diag, off = op.bands[0], op.bands[1, :-1]
         if upto is not None:
             lo = gershgorin_bounds(op)[0] - 1.0
@@ -493,9 +534,12 @@ def spectrum(op, upto: float | None = None) -> np.ndarray:
         if op.n > DENSE_EIG_CAP:
             raise RuntimeError(
                 f"{op.n} nodes exceed the dense spectrum cap {DENSE_EIG_CAP}; "
-                "use counting_function for large 2d operators"
+                "counting_function counts 2d Dirichlet operators without it"
             )
-        vals = eig_banded(op.bands, lower=True, eigvals_only=True)
+        if op.dense_mat is not None:
+            vals = np.linalg.eigvalsh(op.dense_mat)
+        else:
+            vals = eig_banded(op.bands, lower=True, eigvals_only=True)
     vals = np.sort(vals)
     if upto is not None:
         vals = vals[vals <= upto]
@@ -512,22 +556,30 @@ def ground_energy(op) -> float:
     return float(spectrum(op)[0])
 
 
-def heat_trace(op, t: float, method: str = "dense") -> float:
+def heat_trace(op, t: float | np.ndarray, method: str = "dense") -> float | np.ndarray:
     """Tr exp(-t H) of the discrete operator.
 
-    ``dense`` sums over the full spectrum; ``truncated`` keeps eigenvalues
-    below 40/t, discarding a remainder bounded by
-    :func:`heat_truncation_bound`.
+    ``t`` is a number or an array of them; an array shares one spectrum and
+    returns a float array of its shape, a number returns a ``float``.
+    ``dense`` sums over the full spectrum; ``truncated`` takes one window up
+    to 40 / min(t) and, for each t, keeps the eigenvalues below 40/t,
+    discarding a remainder bounded by :func:`heat_truncation_bound`.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    ts = np.asarray(t, dtype=float)
+    flat = ts.ravel()
+    bad = flat[~(flat > 0)]
+    if bad.size or not flat.size:
+        raise ValueError(f"t must be positive, got {float(bad[0]) if bad.size else t}")
     if method == "dense":
         vals = spectrum(op)
+        keep = np.full(flat.size, vals.size)
     elif method == "truncated":
-        vals = spectrum(op, upto=HEAT_CUT / t)
+        vals = spectrum(op, upto=HEAT_CUT / flat.min())
+        keep = np.searchsorted(vals, HEAT_CUT / flat, side="right")
     else:
         raise ValueError(f"unknown method {method!r}")
-    return float(np.sum(np.exp(-t * vals)))
+    traces = np.array([np.sum(np.exp(-s * vals[:k])) for s, k in zip(flat, keep)])
+    return float(traces[0]) if ts.ndim == 0 else traces.reshape(ts.shape)
 
 
 def heat_truncation_bound(op, t: float) -> float:

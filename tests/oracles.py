@@ -5,12 +5,13 @@ being cross-checked: the characteristic polynomial is built by the
 Faddeev-LeVerrier recursion and bisected directly, and the double-Jensen
 chain below re-derives the partial-trace inequality one basis vector at a
 time, sharing nothing with the library beyond raw eigendecompositions.
-The 2d count is checked against a node-by-node scalar LDL^T of the banded
-matrix, independent of the library's block-row factorization, and the
-closed-form coherent-frame bounds against literal sums over all M^2 frame
-states.  ``semispec ineq``, which evaluates its trials in blocks on stacked
-eigendecompositions, is checked against a trial-by-trial loop over the
-public ``*_sides`` functions.
+The 1d count is checked against the scalar Sturm recursion, one shift at a
+time, and the 2d count against a node-by-node scalar LDL^T of the banded
+matrix, independent of the library's block-row factorization.  The
+closed-form coherent-frame bounds are checked against literal sums over all
+M^2 frame states.  ``semispec ineq``, which evaluates its trials in blocks
+on stacked eigendecompositions, is checked against a trial-by-trial loop
+over the public ``*_sides`` functions.
 """
 
 from __future__ import annotations
@@ -147,6 +148,28 @@ def partial_jensen_sides_by_matrices(h_mat, rho_mat, dim1: int, dim2: int, fmat)
     reduced = np.einsum("anqn->aq", fmat(h_mat).reshape(dim1, dim2, dim1, dim2))
     rhs = float(np.real(np.trace(rho_mat @ reduced)))
     return lhs, rhs
+
+
+def sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
+    """Sign changes of the Sturm sequence of (T - shift I): eigenvalues below shift.
+
+    One shift at a time, scalar by scalar; the library runs the same
+    recursion for all shifts at once.
+    """
+    tiny = 1e-300
+    count = 0
+    q = diag[0] - shift
+    if q == 0.0:
+        q = -tiny
+    if q < 0.0:
+        count = 1
+    for i in range(1, diag.size):
+        q = diag[i] - shift - off[i - 1] * off[i - 1] / q
+        if q == 0.0:
+            q = -tiny
+        if q < 0.0:
+            count += 1
+    return count
 
 
 def banded_negcount(bands: np.ndarray, shift: float, pivot_rtol: float = 1e-12) -> int:
@@ -292,6 +315,7 @@ def ineq_by_trials(args) -> tuple[str, str | None]:
     normalized gap.  Raises what the library raises.
     """
     max_m, max_n = args.dims
+    top = max_m * max_n  # largest dimension of the unsplit suites
     functions = args.functions
     summaries = []
     worst = (math.inf, None, None)  # smallest normalized gap, operator, dims
@@ -314,7 +338,7 @@ def ineq_by_trials(args) -> tuple[str, str | None]:
         for trial in range(args.trials):
             rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(suite_idx, trial)))
             if suite == "jensen_scalar":
-                dim = loaded.dim if loaded is not None else int(rng.integers(2, max_m * max_n + 1))
+                dim = loaded.dim if loaded is not None else int(rng.integers(min(2, top), top + 1))
                 op = loaded if loaded is not None else bipartite.random_hermitian(dim, rng)
                 psi = bipartite.random_unit_vector(op.dim, rng)
                 for f in functions:
@@ -333,20 +357,20 @@ def ineq_by_trials(args) -> tuple[str, str | None]:
                     lhs, rhs = inequalities.jensen_partial_trace_sides(op, rho, dims, f)
                     record(rows, rhs - lhs, rhs, op, dims)
             elif suite == "golden_thompson":
-                dim = int(rng.integers(2, max_m * max_n + 1))
+                dim = int(rng.integers(min(2, top), top + 1))
                 a = bipartite.random_hermitian(dim, rng)
                 b = bipartite.random_hermitian(dim, rng)
                 lhs, rhs = inequalities.golden_thompson_sides(a, b)
                 record(rows, rhs - lhs, rhs)
             elif suite == "sliced_gt":
-                m = int(rng.integers(2, max_m + 1))
+                m = int(rng.integers(min(2, max_m), max_m + 1))
                 n = int(rng.integers(1, max_n + 1))
                 t_op = bipartite.random_hermitian(m, rng)
                 blocks = [bipartite.random_hermitian(n, rng) for _ in range(m)]
                 lhs, rhs = inequalities.sliced_gt_sides(t_op, blocks, 0.5)
                 record(rows, rhs - lhs, rhs)
             else:  # gibbs
-                dim = int(rng.integers(2, max_m + 1))
+                dim = int(rng.integers(min(2, max_m), max_m + 1))
                 op = bipartite.random_hermitian(dim, rng)
                 rho = bipartite.random_density(dim, int(rng.integers(1, dim + 1)), rng)
                 lhs, rhs = inequalities.gibbs_sides(rho, op)

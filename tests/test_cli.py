@@ -72,23 +72,14 @@ def test_ineq_dump_and_load_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("functions", ["expneg,square,pospart", "affine,pospart"])
-@pytest.mark.parametrize("dims", ["6x6", "3x4", "1x5"])
+@pytest.mark.parametrize("dims", ["6x6", "3x4", "1x5", "1x1"])
 @pytest.mark.parametrize("seed", [1, 7, 11])
 def test_ineq_blocks_match_trial_by_trial_oracle(tmp_path, capsys, seed, dims, functions):
     trials = str(2 * cli.TRIAL_BLOCK + 3)  # two full trial blocks and a partial one
     dump = tmp_path / "worst.op"
     argv = ["ineq", "--trials", trials, "--seed", str(seed), "--dims", dims, "--functions", functions,
             "--dump", str(dump)]
-    try:
-        expected, expected_dump = ineq_by_trials(cli.build_parser().parse_args(argv))
-    except ValueError as exc:
-        # --dims 1xN: the sliced_gt and gibbs suites draw dimensions from 2..M
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        captured = capsys.readouterr()
-        assert err.value.code == 2 and captured.out == ""
-        assert captured.err.strip() == f"error: {exc}"
-        return
+    expected, expected_dump = ineq_by_trials(cli.build_parser().parse_args(argv))
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == expected
@@ -98,6 +89,16 @@ def test_ineq_blocks_match_trial_by_trial_oracle(tmp_path, capsys, seed, dims, f
     code, out = run_cli(capsys, *load_argv)
     assert code == 0
     assert out == expected_load
+
+
+def test_ineq_load_non_finite_entry_is_input_error(tmp_path, capsys):
+    dump = tmp_path / "nan.op"
+    dump.write_text("dims 1 2\ndim 2\n1.0 0.0\n0.5 0.0\n0.5 0.0\nnan 0.0\n")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["ineq", "--trials", "1", "--load", str(dump)])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err == "error: matrix entry (1, 1) is not finite: (nan+0j)\n"
 
 
 def test_ineq_dump_keeps_the_first_of_tied_gaps(tmp_path, capsys):

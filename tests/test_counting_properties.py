@@ -1,16 +1,22 @@
-"""Property tests for exact 2d eigenvalue counting against dense spectra."""
+"""Property tests for exact eigenvalue counting: 1d Sturm counts against the
+one-shift oracle and dense spectra, 2d counts against dense spectra."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from semispec import schrodinger
 from semispec.schrodinger import (
+    Homogeneous,
     QuadrantProfile,
     SeparatelyHomogeneous,
     build_hamiltonian,
     counting_function,
 )
+
+from oracles import sturm_negcount
 
 profiles = st.builds(QuadrantProfile, *[st.floats(0.0, 4.0)] * 4)
 potentials = st.builds(
@@ -47,6 +53,64 @@ def test_counts_monotone_and_match_dense(grid, fractions, data):
             assert low <= counting_function(op, mu) <= high
 
     assert counts == sorted(counts)
+    for lam, count in zip(lams, counts):
+        low, high = _bracket(vals, lam, slack)
+        assert low <= count <= high
+
+
+# 1d ----------------------------------------------------------------------------
+
+# small integers and halves make exact zeros in the Sturm recursion likely
+entries = st.one_of(st.integers(-4, 4).map(lambda k: k / 2.0), st.floats(-8.0, 8.0))
+
+
+@st.composite
+def tridiagonals(draw):
+    n = draw(st.integers(1, 40))
+    diag = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    off = np.array(draw(st.lists(entries, min_size=n - 1, max_size=n - 1)))
+    return diag, off
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(tridiagonals(), st.lists(st.floats(-20.0, 20.0), max_size=6), st.integers(1, 8), st.data())
+def test_sturm_counts_match_oracle_monotone_and_in_dense_bracket(tri, free, block, data):
+    diag, off = tri
+    mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    vals = np.linalg.eigvalsh(mat)
+    # shifts on diagonal entries hit q == 0 at the first node or after a zero coupling
+    on_diag = data.draw(st.lists(st.sampled_from(diag.tolist()), max_size=4))
+    on_eig = data.draw(st.lists(st.sampled_from(vals.tolist()), max_size=4))
+    shifts = np.array(sorted(free + on_diag + on_eig), dtype=float)
+
+    counts = schrodinger._sturm_negcounts(diag, off, shifts)
+    with mock.patch.object(schrodinger, "_STURM_BLOCK", block):  # many blocks, each maybe rerun
+        assert np.array_equal(schrodinger._sturm_negcounts(diag, off, shifts), counts)
+    with np.errstate(over="ignore"):  # a q near underflow makes the next ratio inf
+        assert counts.tolist() == [sturm_negcount(diag, off, s) for s in shifts]
+    assert np.all(np.diff(counts) >= 0)
+    slack = 1e-9 * (1.0 + np.abs(mat).sum(axis=1).max())
+    assert np.all(np.searchsorted(vals, shifts - slack, side="left") <= counts)
+    assert np.all(counts <= np.searchsorted(vals, shifts + slack, side="right"))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.floats(0.5, 4.0),
+    st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+    st.floats(1.0, 8.0),
+    st.integers(3, 40),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_counting_function_1d_array_matches_scalar_and_dense(gamma, profile, box, points, fractions):
+    op = build_hamiltonian(Homogeneous(gamma, 1, profile), box, points)
+    vals = np.linalg.eigvalsh(op.dense())
+    lams = [vals[0] - 1.0 + f * (vals[-1] - vals[0] + 2.0) for f in fractions]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        counts = counting_function(op, lams)
+        assert counts.tolist() == [counting_function(op, lam) for lam in lams]
+    slack = 1e-9 * (1.0 + np.abs(vals).max())
     for lam, count in zip(lams, counts):
         low, high = _bracket(vals, lam, slack)
         assert low <= count <= high

@@ -36,6 +36,14 @@ def test_construction_rejects_gross_asymmetry():
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_construction_rejects_non_finite_entries(bad):
+    a = np.zeros((3, 3), dtype=complex)
+    a[2, 1] = a[1, 2] = bad
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
+        HermitianOperator(a)
+
+
 def test_construction_rejects_nonsquare():
     with pytest.raises(ValueError):
         HermitianOperator(np.zeros((2, 3)))
@@ -100,8 +108,9 @@ def test_eig_stack_names_the_matrix_out_of_contract():
     with pytest.raises(ValueError, match=r"\(k, d, d\) stack"):
         eig_hermitian_stack(stack[0])
     # a NaN residual fails the contract rather than passing the comparisons
+    # (HermitianOperator refuses a NaN entry, so the raw stack carries it here)
     with pytest.raises(RuntimeError, match="stack index 0"):
-        eig_hermitian(HermitianOperator(np.array([[math.nan, 0.0], [0.0, 1.0]])))
+        eig_hermitian_stack(np.array([[[math.nan, 0.0], [0.0, 1.0]]]))
 
 
 def test_apply_exp_on_diagonal():

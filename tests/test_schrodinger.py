@@ -200,9 +200,37 @@ def test_counting_sturm_multiplicity():
 
 def test_counting_warns_on_boundary_hit():
     op = build_hamiltonian(None, 1.0, 31)
-    mu = float(spectrum(op)[4])
+    vals = spectrum(op)
+    mu = float(vals[4])
     with pytest.warns(BoundaryWarning):
         counting_function(op, mu)
+    # in an array, only the ambiguous lambda warns, and it warns once
+    lams = [float(vals[1] + vals[2]) / 2, mu, float(vals[9] + vals[10]) / 2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        counts = counting_function(op, lams)
+    assert [w.category for w in caught] == [BoundaryWarning]
+    assert str(caught[0].message).startswith(f"lambda={mu!r} is within")
+    assert counts.tolist() == [2, 4, 10]
+
+
+def test_counting_array_matches_scalar_calls():
+    for op in (
+        build_hamiltonian(OSCILLATOR, 8.0, 301),
+        build_hamiltonian(SIMON, (5.0, 4.0), (13, 9)),
+        build_hamiltonian(OSCILLATOR, 6.0, 48, boundary="periodic"),
+        random_hermitian(9, seed=77),
+    ):
+        lo, hi = gershgorin_bounds(op)
+        lams = np.linspace(lo - 1.0, hi + 1.0, 12).reshape(3, 4)
+        counts = counting_function(op, lams)
+        assert counts.shape == (3, 4) and counts.dtype.kind == "i"
+        scalar = [counting_function(op, float(lam)) for lam in lams.ravel()]
+        assert all(type(c) is int for c in scalar)
+        assert counts.ravel().tolist() == scalar
+        assert counting_function(op, lams, boundary_check=False).tolist() == counts.tolist()
+    with pytest.raises(ValueError, match="finite"):
+        counting_function(op, [1.0, math.nan])
 
 
 def test_counting_2d_matches_dense():
@@ -281,6 +309,21 @@ def test_counting_periodic_dense_path():
     assert counting_function(op, 10.0) == int(np.count_nonzero(vals < 10.0))
 
 
+def test_dense_torus_paths_refuse_above_cap(monkeypatch):
+    op = build_hamiltonian(OSCILLATOR, 6.0, 48, boundary="periodic")
+    monkeypatch.setattr(schrodinger, "DENSE_EIG_CAP", 47)
+    for call in (
+        lambda: spectrum(op),
+        lambda: counting_function(op, 10.0),
+        lambda: heat_trace(op, [0.1, 1.0]),
+        lambda: ground_energy(op),
+    ):
+        with pytest.raises(RuntimeError, match="48 nodes exceed the dense spectrum cap 47"):
+            call()
+    monkeypatch.setattr(schrodinger, "DENSE_EIG_CAP", 48)
+    assert counting_function(op, 10.0) == int(np.count_nonzero(np.linalg.eigvalsh(op.dense()) < 10.0))
+
+
 # heat traces -----------------------------------------------------------------
 
 
@@ -320,6 +363,25 @@ def test_heat_trace_rejects_bad_inputs():
         heat_trace(op, -1.0)
     with pytest.raises(ValueError, match="method"):
         heat_trace(op, 1.0, method="other")
+    for ts in ([0.5, 0.0], [0.5, math.nan], []):
+        with pytest.raises(ValueError, match="t must be positive"):
+            heat_trace(op, ts, method="truncated")
+
+
+def test_heat_trace_array_matches_scalar_calls():
+    box = heat_box(OSCILLATOR, 0.05)
+    op = build_hamiltonian(OSCILLATOR, box, points_for_spacing(box, 0.05))
+    ts = np.array([[0.2, 0.05], [1.0, 0.1]])
+    # bisection places each window eigenvalue to within about eps * ||H|| of the
+    # exact one, and windows of different widths may land apart by that much,
+    # so a truncated trace moves by up to t * eps * ||H|| (relative)
+    wobble = 4.0 * np.finfo(float).eps * gershgorin_bounds(op)[1] * ts.ravel()
+    for method, rtol in (("truncated", wobble), ("dense", 0.0)):
+        traces = heat_trace(op, ts, method=method)
+        assert traces.shape == (2, 2)
+        scalar = [heat_trace(op, float(t), method=method) for t in ts.ravel()]
+        assert all(type(x) is float for x in scalar)
+        assert np.all(np.abs(traces.ravel() - scalar) <= rtol * np.array(scalar))
 
 
 # zeta traces -----------------------------------------------------------------
