@@ -120,6 +120,13 @@ def _usage_error(message: str) -> None:
     raise SystemExit(2)
 
 
+def _check_scales(flag: str, values) -> None:
+    """Energies and times size the box, so each must be finite and positive."""
+    bad = [v for v in values if not (math.isfinite(v) and v > 0)]
+    if bad:
+        _usage_error(f"{flag} values must be finite and positive, got {bad[0]!r}")
+
+
 # ---------------------------------------------------------------------------
 # ineq
 # ---------------------------------------------------------------------------
@@ -275,6 +282,7 @@ def cmd_weyl(args) -> int:
         _usage_error("pass either --lambda or --t, not both")
     heat_mode = bool(ts)
     scales = ts if heat_mode else lams
+    _check_scales("--t" if heat_mode else "--lambda", scales)
 
     lines = []
     samples = []
@@ -322,9 +330,13 @@ def _separately_from_args(args) -> schrodinger.SeparatelyHomogeneous:
 
 
 def _zeta_per_direction(pot, box: float, points: int, p: float) -> dict[int, float]:
+    """Transverse zeta trace at omega = +1 and -1; one spectrum when both directions see one potential."""
     q = schrodinger.transverse_growth_exponent(pot.beta)
     out = {}
     for omega in (1, -1):
+        if omega == -1 and schrodinger.transverse_potential(pot, -1) == schrodinger.transverse_potential(pot, 1):
+            out[-1] = out[1]
+            continue
         op = schrodinger.effective_operator(omega, pot, box, points)
         e_cut = min(100.0, 0.8 * float(schrodinger.gershgorin_bounds(op)[1]))
         out[omega] = schrodinger.zeta_trace(op, p, e_cut=e_cut, growth_exponent=q).value
@@ -339,12 +351,13 @@ def cmd_simon(args) -> int:
             "requires beta > alpha (1/alpha > 1/beta); otherwise exchange the "
             "roles of the two variables and apply the symmetric statement"
         )
+    lams = args.lam or []
+    _check_scales("--lambda", lams)
     pot = _separately_from_args(args)
     p = asymptotics.zeta_power(pot)
     zetas = _zeta_per_direction(pot, args.zeta_box, args.zeta_points, p)
     law = asymptotics.partial_counting_law(pot, zetas)
 
-    lams = args.lam or []
     lines = ["lambda,N_discrete,prediction,ratio"]
     samples = []
     if lams:

@@ -380,6 +380,31 @@ def _sturm_negcounts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> n
     return count
 
 
+def _pivot_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, float]:
+    """Negative eigenvalues of a ``dsytrf`` (lower) factored symmetric matrix,
+    and the smallest pivot eigenvalue magnitude.
+
+    By Sylvester's law the inertia is that of the block-diagonal pivot
+    matrix.  ``ipiv > 0`` marks a 1x1 pivot; a 2x2 pivot holds two entries
+    ``ipiv < 0`` and has det < 0 (Bunch-Kaufman), so exactly one negative
+    eigenvalue.  The count is read off the signs alone; the 2x2 blocks are
+    located (runs of ``ipiv < 0`` pair up from their start) only to find
+    their smaller eigenvalue magnitude, and only when there are any.
+    """
+    d = ldu.diagonal()
+    if ipiv.min() > 0:
+        return int(np.count_nonzero(d < 0.0)), float(np.abs(d).min())
+    two = ipiv < 0
+    idx = np.arange(d.size)
+    run_start = np.maximum.accumulate(np.where(two & ~np.r_[False, two[:-1]], idx, 0))
+    first = np.flatnonzero(two & ((idx - run_start) % 2 == 0))
+    a, b, c = d[first], ldu[first + 1, first], d[first + 1]
+    # the smaller eigenvalue magnitude of [[a, b], [b, c]] is |det| / the larger one
+    small2 = np.abs(a * c - b * b) / (0.5 * np.abs(a + c) + np.hypot(0.5 * (a - c), b))
+    smallest = min(float(np.abs(d[~two]).min(initial=np.inf)), float(small2.min()))
+    return int(np.count_nonzero(d[~two] < 0.0)) + int(np.count_nonzero(two)) // 2, smallest
+
+
 def _block_negcount(op: GridOperator, shift: float, reverse: bool = False) -> int:
     """Eigenvalues of a 2d Dirichlet operator below ``shift``, by block-row inertia.
 
@@ -387,7 +412,7 @@ def _block_negcount(op: GridOperator, shift: float, reverse: bool = False) -> in
     -(1/hx^2) I, so Haynsworth's inertia additivity gives
     nu_-(A - s) = sum_i nu_-(D_i), D_i = A_ii - s - hx^-4 D_{i-1}^-1.  Each
     D_i is factorized by Bunch-Kaufman (``dsytrf``), its inertia read off
-    the pivots by Sylvester's law, and inverted from the factors
+    the pivots (:func:`_pivot_inertia`), and inverted from the factors
     (``dsytri``).  Blocks run along the shorter axis; ``reverse`` takes the
     rows in opposite order, changing the leading blocks but not the inertia.
     A pivot eigenvalue within 1e-12 (relative) of zero raises
@@ -412,18 +437,10 @@ def _block_negcount(op: GridOperator, shift: float, reverse: bool = False) -> in
         block += fixed
         block.flat[:: m + 1] += vals
         ldu, ipiv, _ = lapack.dsytrf(block, lower=1, overwrite_a=1)
-        # ipiv > 0 marks a 1x1 pivot; runs of ipiv < 0 hold 2x2 pivots, each with
-        # det < 0 (Bunch-Kaufman) and so exactly one negative eigenvalue
-        d, two = ldu.diagonal(), ipiv < 0
-        run_start = np.maximum.accumulate(np.where(two & ~np.r_[False, two[:-1]], idx, 0))
-        first = np.flatnonzero(two & ((idx - run_start) % 2 == 0))
-        a, b, c = d[first], ldu[first + 1, first], d[first + 1]
-        # the smaller eigenvalue magnitude of [[a, b], [b, c]] is |det| / the larger one
-        small2 = np.abs(a * c - b * b) / (0.5 * np.abs(a + c) + np.hypot(0.5 * (a - c), b))
-        smallest = min(np.abs(d[~two]).min(initial=np.inf), small2.min(initial=np.inf))
+        row_neg, smallest = _pivot_inertia(ldu, ipiv)
         if smallest <= ptol:
             raise _PivotBreakdown(f"pivot eigenvalue {smallest:.3e} in block row {row}")
-        neg += int(np.count_nonzero(d[~two] < 0.0)) + first.size
+        neg += row_neg
         inv, _ = lapack.dsytri(ldu, ipiv, lower=1, overwrite_a=1)
     return neg
 
@@ -609,16 +626,21 @@ def zeta_trace(op, p: float, e_cut: float = math.inf, growth_exponent: float | N
     2 beta / (n (beta + 2))), otherwise fitted; c is always fitted on the
     top half of the computed spectrum.  The modeled tail converges only for
     p q > 1; otherwise the sum is flagged divergent and the value is inf.
+
+    A finite cutoff computes only the eigenvalues <= max(e_cut, 0) (a
+    bisection window on tridiagonal operators), which still holds every
+    nonpositive eigenvalue the positivity check must see.
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    vals = spectrum(op)
-    if float(vals[0]) <= 0.0:
+    n = op.dim if isinstance(op, HermitianOperator) else op.n
+    vals = spectrum(op, upto=None if math.isinf(e_cut) else max(e_cut, 0.0))
+    if vals.size and float(vals[0]) <= 0.0:
         raise ValueError(f"zeta trace requires a positive spectrum; smallest is {vals[0]:.6e}")
     used = vals[vals <= e_cut]
     k = used.size
     partial = float(np.sum(used ** (-p)))
-    if k == vals.size:
+    if k == n:
         # nothing was cut: the finite matrix is summed completely
         return ZetaTrace(partial, partial, 0.0, True, k)
     if k < 4:

@@ -7,7 +7,10 @@ chain below re-derives the partial-trace inequality one basis vector at a
 time, sharing nothing with the library beyond raw eigendecompositions.
 The 1d count is checked against the scalar Sturm recursion, one shift at a
 time, and the 2d count against a node-by-node scalar LDL^T of the banded
-matrix, independent of the library's block-row factorization.  The
+matrix, independent of the library's block-row factorization; the
+library's pivot-sign read of a Bunch-Kaufman factorization is checked
+against locating every 2x2 pivot block.  Windowed zeta traces are checked
+against sums over the full spectrum.  The
 closed-form coherent-frame bounds are checked against literal sums over all
 M^2 frame states.  ``semispec ineq``, which evaluates its trials in blocks
 on stacked eigendecompositions, is checked against a trial-by-trial loop
@@ -21,6 +24,8 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+from scipy.linalg import eigvalsh_tridiagonal
 
 from semispec import bipartite, inequalities
 from semispec.inequalities import sliced_hamiltonian
@@ -221,6 +226,44 @@ def banded_negcount(bands: np.ndarray, shift: float, pivot_rtol: float = 1e-12) 
         spare[bw, bw] = padded[0, j + m]
         window, spare = spare, window
     return neg
+
+
+def bunch_kaufman_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, float, np.ndarray]:
+    """Negative eigenvalues of a ``dsytrf`` (lower) factored symmetric matrix
+    with every 2x2 pivot block located, whatever the pivots.
+
+    Returns the count, the smallest pivot eigenvalue magnitude and the
+    smaller eigenvalue magnitude of each 2x2 block.  ``ipiv > 0`` marks a
+    1x1 pivot; runs of ``ipiv < 0`` hold 2x2 pivots, paired from the start of
+    each run, each with det < 0 (Bunch-Kaufman) and so exactly one negative
+    eigenvalue.
+    """
+    d, two = ldu.diagonal(), ipiv < 0
+    idx = np.arange(d.size)
+    run_start = np.maximum.accumulate(np.where(two & ~np.r_[False, two[:-1]], idx, 0))
+    first = np.flatnonzero(two & ((idx - run_start) % 2 == 0))
+    a, b, c = d[first], ldu[first + 1, first], d[first + 1]
+    # the smaller eigenvalue magnitude of [[a, b], [b, c]] is |det| / the larger one
+    small2 = np.abs(a * c - b * b) / (0.5 * np.abs(a + c) + np.hypot(0.5 * (a - c), b))
+    smallest = min(np.abs(d[~two]).min(initial=np.inf), small2.min(initial=np.inf))
+    return int(np.count_nonzero(d[~two] < 0.0)) + first.size, float(smallest), small2
+
+
+def zeta_by_full_spectrum(diag: np.ndarray, off: np.ndarray, p: float, e_cut: float, q: float):
+    """(value, partial sum, tail, count) of the tridiagonal's zeta trace from
+    its whole spectrum, cut at e_cut, with the growth-law tail c k^q fitted
+    on the top half of the kept eigenvalues."""
+    vals = np.sort(eigvalsh_tridiagonal(diag, off))
+    used = vals[vals <= e_cut]
+    k = used.size
+    partial = float(np.sum(used ** (-p)))
+    if k == vals.size:
+        return partial, partial, 0.0, k
+    ks = np.arange(1, k + 1, dtype=float)
+    top = slice(k // 2, k)
+    c = math.exp(float(np.mean(np.log(used[top]) - q * np.log(ks[top]))))
+    tail = c ** (-p) * (k + 0.5) ** (1.0 - p * q) / (p * q - 1.0)
+    return partial + tail, partial, tail, k
 
 
 def _phase_matrix(m: int) -> np.ndarray:

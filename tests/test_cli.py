@@ -213,6 +213,46 @@ def test_simon_wrong_regime_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag, bad",
+    [
+        (["weyl", "--t", "0"], "--t", "0.0"),
+        (["weyl", "--t", "0.1,0"], "--t", "0.0"),
+        (["weyl", "--t", "-1"], "--t", "-1.0"),
+        (["weyl", "--t", "0.1,-1", "--box", "10"], "--t", "-1.0"),
+        (["weyl", "--lambda", "-5"], "--lambda", "-5.0"),
+        (["weyl", "--lambda", "nan"], "--lambda", "nan"),
+        (["simon", "--alpha", "1", "--beta", "2", "--lambda", "inf"], "--lambda", "inf"),
+        (["simon", "--alpha", "1", "--beta", "2", "--lambda", "0.5,-2"], "--lambda", "-2.0"),
+        (["simon", "--alpha", "1", "--beta", "2", "--lambda", "nan"], "--lambda", "nan"),
+    ],
+)
+def test_non_positive_or_non_finite_scale_is_usage_error(capsys, argv, flag, bad):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err == f"error: {flag} values must be finite and positive, got {bad}\n"
+
+
+@pytest.mark.parametrize("profile, spectra", [("1", 1), ("1,2,1,2", 1), ("1,2,3,4", 2)])
+def test_zeta_per_direction_one_spectrum_per_distinct_direction(monkeypatch, profile, spectra):
+    calls = []
+    full = schrodinger.spectrum
+
+    def counted(op, upto=None):
+        calls.append(upto)
+        return full(op, upto)
+
+    monkeypatch.setattr(schrodinger, "spectrum", counted)
+    pot = schrodinger.SeparatelyHomogeneous(1.0, 2.0, cli._parse_quadrants(profile))
+    zetas = cli._zeta_per_direction(pot, 12.0, 399, 2.0)
+    assert len(calls) == spectra and all(upto is not None for upto in calls)
+    assert (zetas[1] == zetas[-1]) == (spectra == 1)
+
+
 def test_zeta_oscillator_transverse(capsys):
     code, out = run_cli(capsys, "zeta", "--alpha", "1", "--beta", "2")
     assert code == 0

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from semispec import schrodinger
 from semispec.linalg import HermitianOperator
@@ -42,10 +43,12 @@ from semispec.schrodinger import (
 
 from oracles import (
     banded_negcount,
+    bunch_kaufman_inertia,
     coherent_frame_defect_by_sum,
     coherent_lower_bound_by_sum,
     coherent_partial_lower_bound_by_sum,
     dirichlet_laplacian_eigenvalues,
+    zeta_by_full_spectrum,
 )
 
 OSCILLATOR = Homogeneous(2.0, 1, (1.0, 1.0))
@@ -296,6 +299,53 @@ def test_block_count_on_eigenvalue_past_dense_cap_raises(monkeypatch):
         schrodinger._count_below(op, mu)
 
 
+def test_pivot_sign_read_matches_block_oracle():
+    # zero-scaled diagonals make Bunch-Kaufman choose 2x2 pivots, often in runs
+    rng = np.random.default_rng(2024)
+    consecutive = on_two_by_two = 0
+    for k in range(300):
+        n = int(rng.integers(2, 14))
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        a[np.diag_indices(n)] *= (0.0, 0.05, 1.0)[k % 3]
+        ldu, ipiv, info = lapack.dsytrf(a, lower=1)
+        assert info == 0
+        got = schrodinger._pivot_inertia(ldu, ipiv)
+        neg, smallest, small2 = bunch_kaufman_inertia(ldu, ipiv)
+        assert got == (neg, smallest)
+        assert neg == int(np.count_nonzero(np.linalg.eigvalsh(a) < 0.0))
+        consecutive += "1111" in "".join("1" if t else "0" for t in ipiv < 0)
+        if small2.size and small2.min() == smallest:
+            # a ptol on a 2x2 block's small eigenvalue: both reads break down
+            # there and neither does just below it
+            on_two_by_two += 1
+            assert got[1] <= smallest and not got[1] <= np.nextafter(smallest, 0.0)
+    assert consecutive >= 10 and on_two_by_two >= 10
+
+
+def _block_outcomes(op, shifts):
+    out = []
+    for shift in shifts:
+        for reverse in (False, True):
+            try:
+                out.append(schrodinger._block_negcount(op, shift, reverse))
+            except schrodinger._PivotBreakdown as exc:
+                out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("points", [(40, 30), (23, 7), (14, 9)])
+def test_block_count_identical_under_block_oracle_read(monkeypatch, points):
+    op = build_hamiltonian(ASYMMETRIC, (5.0, 4.0), points)
+    lo, hi = gershgorin_bounds(op)
+    shifts = list(np.random.default_rng(7).uniform(lo - 1.0, 0.5 * hi, 12))
+    shifts.append(float(np.linalg.eigvalsh(_first_row_block(op))[0]))  # breaks down forward
+    fast = _block_outcomes(op, shifts)
+    assert any(isinstance(x, str) for x in fast)
+    monkeypatch.setattr(schrodinger, "_pivot_inertia", lambda ldu, ipiv: bunch_kaufman_inertia(ldu, ipiv)[:2])
+    assert _block_outcomes(op, shifts) == fast
+
+
 def test_counting_dense_fallback_on_hermitian_input():
     op = random_hermitian(9, seed=77)
     vals = np.linalg.eigvalsh(op.mat)
@@ -408,6 +458,38 @@ def test_zeta_divergence_threshold_flag():
     z = zeta_trace(op, threshold, e_cut=100.0, growth_exponent=q)
     assert not z.converged
     assert math.isinf(z.value)
+
+
+@pytest.mark.parametrize("profile", [(1.0,) * 4, (1.0, 2.0, 3.0, 4.0)])
+def test_windowed_zeta_matches_full_spectrum_oracle(profile):
+    pot = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(*profile))
+    q = transverse_growth_exponent(2.0)
+    p = 2.0
+    for omega in (1, -1):
+        op = effective_operator(omega, pot, 12.0, 2399)
+        top = gershgorin_bounds(op)[1]
+        e_cut = min(100.0, 0.8 * top)
+        z = zeta_trace(op, p, e_cut=e_cut, growth_exponent=q)
+        value, partial, tail, k = zeta_by_full_spectrum(op.bands[0], op.bands[1, :-1], p, e_cut, q)
+        assert z.count == k and z.converged and tail > 0.0
+        # each windowed eigenvalue sits within about eps * ||H|| of the full
+        # spectrum's, moving mu^-p by p eps ||H|| / mu relative
+        mu_min = float(spectrum(op, upto=e_cut)[0])
+        rtol = 4.0 * p * np.finfo(float).eps * top / mu_min
+        for got, want in ((z.value, value), (z.partial_sum, partial), (z.tail, tail)):
+            assert abs(got - want) <= rtol * want
+
+
+def test_windowed_zeta_nothing_cut_sums_whole_spectrum():
+    op = build_hamiltonian(OSCILLATOR, 6.0, 199)
+    top = gershgorin_bounds(op)[1]
+    z = zeta_trace(op, 2.0, e_cut=top + 1.0, growth_exponent=1.0)
+    value, partial, tail, k = zeta_by_full_spectrum(op.bands[0], op.bands[1, :-1], 2.0, top + 1.0, 1.0)
+    assert z.count == k == op.n and z.tail == tail == 0.0 and z.converged
+    rtol = 4.0 * 2.0 * np.finfo(float).eps * top / float(spectrum(op)[0])
+    assert abs(z.value - value) <= rtol * value
+    full = zeta_trace(op, 2.0)
+    assert abs(full.value - value) <= rtol * value and full.count == op.n
 
 
 def test_zeta_requires_positive_spectrum():
