@@ -90,6 +90,23 @@ def _parse_pair(text: str) -> tuple[float, ...]:
     return tuple(vals)
 
 
+def _parse_values(count: int, kind: type):
+    """Parser for exactly ``count`` (one or two) comma-separated values of ``kind`` (float or int)."""
+    what = "number" if kind is float else "integer"
+    expected = f"one {what}" if count == 1 else f"two comma-separated {what}s"
+
+    def parse(text: str) -> tuple:
+        try:
+            vals = tuple(kind(p) for p in text.split(","))
+        except ValueError:
+            vals = ()
+        if len(vals) != count:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return vals
+
+    return parse
+
+
 def _parse_quadrants(text: str) -> schrodinger.QuadrantProfile:
     """One value for all four quadrants, or four in pp,pm,mp,mm order."""
     vals = _parse_floats(text)
@@ -107,6 +124,11 @@ def _emit(out_path: str | None, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_line(record: dict) -> str:
+    """One line of strict JSON: RFC 8259 has no infinity or NaN."""
+    return json.dumps(record, allow_nan=False) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -249,7 +271,7 @@ def cmd_ineq(args) -> int:
             }
         )
 
-    text = "".join(json.dumps(s) + "\n" for s in summaries)
+    text = "".join(_json_line(s) for s in summaries)
     _emit(args.out, text)
     if args.dump and worst[1] is not None:
         with open(args.dump, "w") as fh:
@@ -297,7 +319,7 @@ def cmd_weyl(args) -> int:
             box = schrodinger.heat_box(pot, min(scales))
         else:
             box = schrodinger.counting_box(pot, max(scales))
-        points = int(args.points[0]) if args.points else schrodinger.points_for_spacing(box, 0.01)
+        points = args.points[0] if args.points else schrodinger.points_for_spacing(box, 0.01)
         op = schrodinger.build_hamiltonian(pot, box, points)
         if heat_mode:
             values = schrodinger.heat_trace(op, scales, method=args.method)
@@ -361,17 +383,11 @@ def cmd_simon(args) -> int:
     lines = ["lambda,N_discrete,prediction,ratio"]
     samples = []
     if lams:
-        if args.box is not None and len(args.box) == 2:
-            box = args.box
-        else:
-            box = schrodinger.channel_boxes(pot, max(lams), margin=1.1)
-        if args.points is not None and len(args.points) == 2:
-            points = tuple(int(p_) for p_ in args.points)
-        else:
-            points = (
-                schrodinger.points_for_spacing(box[0], 0.2),
-                schrodinger.points_for_spacing(box[1], 0.12),
-            )
+        box = args.box or schrodinger.channel_boxes(pot, max(lams), margin=1.1)
+        points = args.points or (
+            schrodinger.points_for_spacing(box[0], 0.2),
+            schrodinger.points_for_spacing(box[1], 0.12),
+        )
         op = schrodinger.build_hamiltonian(pot, box, points)
         for lam, count in zip(lams, schrodinger.counting_function(op, lams).tolist()):
             pred = law.at(lam)
@@ -398,8 +414,10 @@ def cmd_zeta(args) -> int:
     pot = _separately_from_args(args)
     p = args.p if args.p is not None else asymptotics.zeta_power(pot)
     zetas = _zeta_per_direction(pot, args.zeta_box, args.zeta_points, p)
+    # a divergent trace has no finite value: null
     text = "".join(
-        json.dumps({"omega": omega, "p": p, "zeta": zetas[omega]}) + "\n" for omega in (1, -1)
+        _json_line({"omega": omega, "p": p, "zeta": zetas[omega] if math.isfinite(zetas[omega]) else None})
+        for omega in (1, -1)
     )
     _emit(args.out, text)
     return 0
@@ -440,7 +458,7 @@ def cmd_constants(args) -> int:
         }
     else:
         _usage_error("pass --gamma (with --d) or --alpha and --beta")
-    _emit(args.out, json.dumps(payload) + "\n")
+    _emit(args.out, _json_line(payload))
     return 0
 
 
@@ -477,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_weyl.add_argument("--potential-file", default=None)
     p_weyl.add_argument("--lambda", dest="lam", type=_parse_floats, default=None)
     p_weyl.add_argument("--t", type=_parse_floats, default=None)
-    p_weyl.add_argument("--box", type=_parse_pair, default=None)
-    p_weyl.add_argument("--points", type=_parse_pair, default=None)
+    p_weyl.add_argument("--box", type=_parse_values(1, float), default=None)
+    p_weyl.add_argument("--points", type=_parse_values(1, int), default=None)
     p_weyl.add_argument("--method", choices=("dense", "truncated"), default="dense")
     p_weyl.add_argument("--out", default=None)
     p_weyl.set_defaults(func=cmd_weyl)
@@ -488,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_simon.add_argument("--beta", type=float, required=True)
     p_simon.add_argument("--profile", type=_parse_quadrants, default=schrodinger.uniform_quadrants())
     p_simon.add_argument("--lambda", dest="lam", type=_parse_floats, default=None)
-    p_simon.add_argument("--box", type=_parse_pair, default=None)
-    p_simon.add_argument("--points", type=_parse_pair, default=None)
+    p_simon.add_argument("--box", type=_parse_values(2, float), default=None, metavar="LX,LY")
+    p_simon.add_argument("--points", type=_parse_values(2, int), default=None, metavar="PX,PY")
     p_simon.add_argument("--zeta-box", type=float, default=12.0)
     p_simon.add_argument("--zeta-points", type=int, default=2399)
     p_simon.add_argument("--out", default=None)

@@ -28,10 +28,6 @@ HERMITICITY_ATOL = 1e-8
 # Post-conditions on eigendecompositions (relative Frobenius).
 RECONSTRUCTION_RTOL = 1e-10
 
-# When True, `custom` scalar functions declared convex are spot-checked for
-# midpoint convexity on the spectral hull whenever their domain is checked.
-DEBUG_CONVEXITY = False
-
 
 class TraceImagWarning(UserWarning):
     """Diagonal of a nominally Hermitian matrix carried an imaginary residue."""
@@ -192,8 +188,8 @@ class ScalarFunction:
     ``kind`` is one of ``exp_neg``, ``power_neg``, ``affine``,
     ``positive_part``, ``square``, ``custom``.  All built-in kinds are convex
     on their stated domains; a ``custom`` function's convexity is declared by
-    the caller, not verified (enable ``DEBUG_CONVEXITY`` for a midpoint spot
-    check on the spectral hull).
+    the caller, not verified (:meth:`check_midpoint_convexity` spot-checks it
+    on an interval).
     """
 
     kind: str
@@ -205,11 +201,7 @@ class ScalarFunction:
         return self.fn(np.asarray(x, dtype=float))
 
     def check_domain(self, eigenvalues: np.ndarray) -> None:
-        """Raise if any eigenvalue lies outside the function's domain.
-
-        Under ``DEBUG_CONVEXITY`` also spot-check a declared-convex ``custom``
-        function on the spectral hull, unless the hull is a single point.
-        """
+        """Raise if any eigenvalue lies outside the function's domain."""
         if self.kind == "power_neg":
             lo = float(np.min(eigenvalues))
             if lo <= 0.0:
@@ -217,10 +209,6 @@ class ScalarFunction:
                     f"power_neg requires a strictly positive spectrum; "
                     f"smallest eigenvalue is {lo!r}"
                 )
-        if DEBUG_CONVEXITY and self.kind == "custom" and self.convex:
-            lo, hi = float(np.min(eigenvalues)), float(np.max(eigenvalues))
-            if hi > lo:
-                self.check_midpoint_convexity(lo, hi)
 
     def check_midpoint_convexity(self, lo: float, hi: float, samples: int = 33) -> None:
         """Spot-check f((x+y)/2) <= (f(x)+f(y))/2 on a mesh of [lo, hi]."""

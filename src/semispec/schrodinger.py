@@ -3,14 +3,15 @@ potentials: construction, exact eigenvalue counting, heat and zeta traces,
 transverse effective operators, and discrete coherent-state frames.
 
 Grids are second-order central-difference discretizations on a box with
-Dirichlet walls (tridiagonal in 1d, 5-point banded in 2d, lower-banded
-storage) or on a 1d torus (dense).  Counting is exact for the discrete
+Dirichlet walls (tridiagonal in 1d, 5-point in 2d) or on a 1d torus.  A grid
+operator holds only its potential samples and spacings; every matrix is
+built from them on demand, and any dense or banded one only up to
+``DENSE_EIG_CAP`` nodes.  Counting is exact for the discrete
 matrix: Sturm sign changes for tridiagonal operators (one pass over the
 nodes for every shift of a sweep) and, in 2d, block-row inertia (one
 Bunch-Kaufman factorization per grid row and shift).  On a pivot breakdown
 the rows are taken in reverse order, then the count is dense up to
 ``DENSE_EIG_CAP`` and refused beyond it; no other shift is ever counted.
-Every dense eigensolver call on a grid operator is refused above that cap.
 Counts and heat traces take arrays of energies or times and share one
 Sturm pass or one spectrum among them.
 
@@ -187,12 +188,11 @@ def parse_potential_config(text: str):
 
 @dataclass(frozen=True)
 class GridOperator:
-    """Discretized -Laplacian + V on a box.
+    """Discretized -Laplacian + V on a box, held as node samples and spacings.
 
-    Dirichlet operators are stored in symmetric lower-banded form
-    (``bands[r, j] = A[j + r, j]``); the 1d torus variant is stored dense.
     ``potential`` holds the node samples, flattened with the second axis
-    fastest in 2d (flat index ``ix * Py + iy``).
+    fastest in 2d (flat index ``ix * Py + iy``).  No matrix is stored:
+    :meth:`dense` assembles one on demand, up to ``DENSE_EIG_CAP`` nodes.
     """
 
     ndim: int
@@ -201,40 +201,57 @@ class GridOperator:
     points: tuple[int, ...]
     spacing: tuple[float, ...]
     potential: np.ndarray
-    bands: np.ndarray | None
-    dense_mat: np.ndarray | None
 
     @property
     def n(self) -> int:
         return int(np.prod(self.points))
 
-    @property
-    def bandwidth(self) -> int:
-        if self.bands is None:
-            return self.n - 1
-        return self.bands.shape[0] - 1
-
-    def axis_nodes(self, axis: int = 0) -> np.ndarray:
-        length, count = self.box[axis], self.points[axis]
-        h = self.spacing[axis]
-        if self.boundary == "periodic":
-            return -length + h * np.arange(count)
-        return -length + h * (1.0 + np.arange(count))
-
     def dense(self) -> np.ndarray:
-        if self.dense_mat is not None:
-            return self.dense_mat
+        """The matrix, assembled from the samples; refused above ``DENSE_EIG_CAP`` nodes."""
+        _check_dense_cap(self, "matrix")
         n = self.n
         out = np.zeros((n, n))
-        for r in range(self.bands.shape[0]):
-            vals = self.bands[r, : n - r]
+        for r, row in enumerate(_banded(self)):
             idx = np.arange(n - r)
-            out[idx + r, idx] = vals
-            out[idx, idx + r] = vals
+            out[idx + r, idx] = out[idx, idx + r] = row[: n - r]
+        if self.boundary == "periodic":
+            out[0, n - 1] = out[n - 1, 0] = -1.0 / self.spacing[0] ** 2
         return out
 
     def hermitian(self) -> HermitianOperator:
         return HermitianOperator(self.dense().astype(np.complex128))
+
+
+def _diagonal(op: GridOperator) -> np.ndarray:
+    return sum(2.0 / h**2 for h in op.spacing) + op.potential
+
+
+def _tridiagonal(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a 1d operator (on the torus, without its corners)."""
+    return _diagonal(op), np.full(op.n - 1, -1.0 / op.spacing[0] ** 2)
+
+
+def _banded(op: GridOperator) -> np.ndarray:
+    """Symmetric lower-banded storage ``ab[r, j] = A[j + r, j]`` (on the torus, without its corners)."""
+    if op.ndim == 1:
+        diag, off = _tridiagonal(op)
+        return np.stack([diag, np.append(off, 0.0)])
+    hx, hy = op.spacing
+    py = op.points[1]
+    ab = np.zeros((py + 1, op.n))
+    ab[0] = _diagonal(op)
+    ab[1] = -1.0 / hy**2
+    ab[1, py - 1 :: py] = 0.0  # no y-coupling across x-rows
+    ab[py, : op.n - py] = -1.0 / hx**2
+    return ab
+
+
+def _check_dense_cap(op: GridOperator, what: str) -> None:
+    if op.n > DENSE_EIG_CAP:
+        raise RuntimeError(
+            f"{op.n} nodes exceed the dense {what} cap {DENSE_EIG_CAP}; "
+            "counting_function counts Dirichlet operators without it"
+        )
 
 
 def _as_pair(value) -> tuple:
@@ -243,20 +260,14 @@ def _as_pair(value) -> tuple:
     return tuple(value)
 
 
-def build_hamiltonian(
-    potential,
-    box,
-    points,
-    boundary: str = "dirichlet",
-    max_nodes: int = MAX_GRID_NODES,
-) -> GridOperator:
-    """Assemble the finite-difference operator for -Laplacian + V.
+def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> GridOperator:
+    """Sample the potential for the finite-difference operator -Laplacian + V.
 
     ``box`` and ``points`` are scalars in 1d or (x, y) pairs in 2d; the
     spacing per axis is ``h = 2 L / (P + 1)`` with Dirichlet walls (nodes
-    outside the box are implicitly zero).  ``potential`` may be None for the
-    free operator, a :class:`Homogeneous` (d matching the grid) or a
-    :class:`SeparatelyHomogeneous` (2d only).
+    outside the box are implicitly zero), ``h = 2 L / P`` on the torus.
+    ``potential`` may be None for the free operator, a :class:`Homogeneous`
+    (d matching the grid) or a :class:`SeparatelyHomogeneous` (2d only).
     """
     box = tuple(float(b) for b in _as_pair(box))
     points = tuple(int(p) for p in _as_pair(points))
@@ -270,56 +281,25 @@ def build_hamiltonian(
     if any(p < 3 for p in points):
         raise ValueError(f"need at least 3 points per axis, got {points}")
     n_total = int(np.prod(points))
-    if n_total > max_nodes:
-        raise ValueError(f"{n_total} grid nodes exceed the cap {max_nodes}")
+    if n_total > MAX_GRID_NODES:
+        raise ValueError(f"{n_total} grid nodes exceed the cap {MAX_GRID_NODES}")
     if boundary not in ("dirichlet", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
     if boundary == "periodic" and ndim != 1:
         raise ValueError("periodic grids are supported in 1d only")
 
     if boundary == "periodic":
-        length, count = box[0], points[0]
-        h = 2.0 * length / count
-        nodes = -length + h * np.arange(count)
-        v = np.zeros(count) if potential is None else np.asarray(potential.value(nodes), float)
-        _check_samples(v)
-        mat = np.zeros((count, count))
-        np.fill_diagonal(mat, 2.0 / h**2 + v)
-        idx = np.arange(count - 1)
-        mat[idx + 1, idx] = mat[idx, idx + 1] = -1.0 / h**2
-        mat[0, count - 1] += -1.0 / h**2
-        mat[count - 1, 0] += -1.0 / h**2
-        mat.flags.writeable = False
-        return GridOperator(1, boundary, box, points, (h,), v, None, mat)
-
-    spacing = tuple(2.0 * box[i] / (points[i] + 1) for i in range(ndim))
-    if ndim == 1:
-        nodes = -box[0] + spacing[0] * (1.0 + np.arange(points[0]))
-        v = np.zeros(points[0]) if potential is None else np.asarray(potential.value(nodes), float)
-        _check_samples(v)
-        bands = np.zeros((2, points[0]))
-        bands[0] = 2.0 / spacing[0] ** 2 + v
-        bands[1, :-1] = -1.0 / spacing[0] ** 2
-        bands.flags.writeable = False
-        return GridOperator(1, boundary, box, points, spacing, v, bands, None)
-
-    px, py = points
-    hx, hy = spacing
-    xs = -box[0] + hx * (1.0 + np.arange(px))
-    ys = -box[1] + hy * (1.0 + np.arange(py))
+        spacing = (2.0 * box[0] / points[0],)
+        axes = [-box[0] + spacing[0] * np.arange(points[0])]
+    else:
+        spacing = tuple(2.0 * box[i] / (points[i] + 1) for i in range(ndim))
+        axes = [-box[i] + spacing[i] * (1.0 + np.arange(points[i])) for i in range(ndim)]
     if potential is None:
         v = np.zeros(n_total)
     else:
-        v = np.asarray(potential.value(xs[:, None], ys[None, :]), float).ravel()
+        v = np.asarray(potential.value(*np.ix_(*axes)), float).ravel()
     _check_samples(v)
-    bands = np.zeros((py + 1, n_total))
-    bands[0] = 2.0 / hx**2 + 2.0 / hy**2 + v
-    sub = np.full(n_total, -1.0 / hy**2)
-    sub[py - 1 :: py] = 0.0  # no y-coupling across x-rows
-    bands[1] = sub
-    bands[py, : n_total - py] = -1.0 / hx**2
-    bands.flags.writeable = False
-    return GridOperator(2, boundary, box, points, spacing, v, bands, None)
+    return GridOperator(ndim, boundary, box, points, spacing, v)
 
 
 def _check_samples(v: np.ndarray) -> None:
@@ -468,10 +448,10 @@ def _count_below(op, shifts: np.ndarray) -> np.ndarray:
     spectrum; 2d operators are counted shift by shift.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    if isinstance(op, HermitianOperator) or op.dense_mat is not None:
+    if isinstance(op, HermitianOperator) or op.boundary == "periodic":
         return np.searchsorted(spectrum(op), shifts, side="left")
-    if op.bandwidth == 1:
-        return _sturm_negcounts(op.bands[0], op.bands[1, :-1], shifts)
+    if op.ndim == 1:
+        return _sturm_negcounts(*_tridiagonal(op), shifts)
     return np.array([_block_count(op, float(s)) for s in shifts], dtype=np.intp)
 
 
@@ -507,20 +487,24 @@ def counting_function(op, lam: float | np.ndarray, boundary_check: bool = True) 
 
 
 def gershgorin_bounds(op) -> tuple[float, float]:
-    """Interval certainly containing the whole spectrum."""
-    if isinstance(op, HermitianOperator) or op.dense_mat is not None:
-        mat = op.mat if isinstance(op, HermitianOperator) else op.dense_mat
-        diag = np.real(np.diagonal(mat))
-        radius = np.sum(np.abs(mat), axis=1) - np.abs(diag)
+    """Interval certainly containing the whole spectrum.
+
+    On a grid each neighbour along an axis adds 1/h^2 to a node's radius,
+    summed along the last axis first.
+    """
+    if isinstance(op, HermitianOperator):
+        diag = np.real(np.diagonal(op.mat))
+        radius = np.sum(np.abs(op.mat), axis=1) - np.abs(diag)
         return float(np.min(diag - radius)), float(np.max(diag + radius))
-    bands = op.bands
-    n = bands.shape[1]
-    radius = np.zeros(n)
-    for r in range(1, bands.shape[0]):
-        vals = np.abs(bands[r, : n - r])
-        radius[: n - r] += vals  # entry below the diagonal
-        radius[r:] += vals  # its mirror above
-    diag = bands[0]
+    radius = np.zeros(op.points)
+    for axis in reversed(range(op.ndim)):
+        coupling = 1.0 / op.spacing[axis] ** 2
+        both = np.ones(op.points[axis])
+        if op.boundary == "dirichlet":
+            both[[0, -1]] = 0.0  # a wall node has one neighbour along this axis
+        radius += coupling
+        radius += coupling * both.reshape((-1,) + (1,) * (op.ndim - 1 - axis))
+    diag, radius = _diagonal(op), radius.ravel()
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
@@ -538,8 +522,8 @@ def spectrum(op, upto: float | None = None) -> np.ndarray:
     """
     if isinstance(op, HermitianOperator):
         vals = np.linalg.eigvalsh(op.mat)
-    elif op.dense_mat is None and op.bandwidth == 1:
-        diag, off = op.bands[0], op.bands[1, :-1]
+    elif op.ndim == 1 and op.boundary == "dirichlet":
+        diag, off = _tridiagonal(op)
         if upto is not None:
             lo = gershgorin_bounds(op)[0] - 1.0
             vals = eigvalsh_tridiagonal(
@@ -548,15 +532,11 @@ def spectrum(op, upto: float | None = None) -> np.ndarray:
             return np.sort(vals)
         vals = eigvalsh_tridiagonal(diag, off)
     else:
-        if op.n > DENSE_EIG_CAP:
-            raise RuntimeError(
-                f"{op.n} nodes exceed the dense spectrum cap {DENSE_EIG_CAP}; "
-                "counting_function counts 2d Dirichlet operators without it"
-            )
-        if op.dense_mat is not None:
-            vals = np.linalg.eigvalsh(op.dense_mat)
+        _check_dense_cap(op, "spectrum")
+        if op.ndim == 2:
+            vals = eig_banded(_banded(op), lower=True, eigvals_only=True)
         else:
-            vals = eig_banded(op.bands, lower=True, eigvals_only=True)
+            vals = np.linalg.eigvalsh(op.dense())
     vals = np.sort(vals)
     if upto is not None:
         vals = vals[vals <= upto]
@@ -564,12 +544,8 @@ def spectrum(op, upto: float | None = None) -> np.ndarray:
 
 
 def ground_energy(op) -> float:
-    if not isinstance(op, HermitianOperator) and op.dense_mat is None and op.bandwidth == 1:
-        return float(
-            eigvalsh_tridiagonal(
-                op.bands[0], op.bands[1, :-1], select="i", select_range=(0, 0)
-            )[0]
-        )
+    if isinstance(op, GridOperator) and op.ndim == 1 and op.boundary == "dirichlet":
+        return float(eigvalsh_tridiagonal(*_tridiagonal(op), select="i", select_range=(0, 0))[0])
     return float(spectrum(op)[0])
 
 

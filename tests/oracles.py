@@ -7,8 +7,9 @@ chain below re-derives the partial-trace inequality one basis vector at a
 time, sharing nothing with the library beyond raw eigendecompositions.
 The 1d count is checked against the scalar Sturm recursion, one shift at a
 time, and the 2d count against a node-by-node scalar LDL^T of the banded
-matrix, independent of the library's block-row factorization; the
-library's pivot-sign read of a Bunch-Kaufman factorization is checked
+matrix, independent of the library's block-row factorization, and the
+Gershgorin interval against a loop over the lower bands; the library's
+pivot-sign read of a Bunch-Kaufman factorization is checked
 against locating every 2x2 pivot block.  Windowed zeta traces are checked
 against sums over the full spectrum.  The
 closed-form coherent-frame bounds are checked against literal sums over all
@@ -177,6 +178,50 @@ def sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
     return count
 
 
+def dirichlet_bands(op: GridOperator) -> np.ndarray:
+    """Symmetric lower-banded storage (``bands[r, j] = A[j + r, j]``) of a
+    Dirichlet grid operator, assembled from its samples and spacings: two
+    rows in 1d, Py + 1 in 2d."""
+    if op.boundary != "dirichlet":
+        raise ValueError("banded storage is for Dirichlet grids")
+    n = op.n
+    if op.ndim == 1:
+        (h,) = op.spacing
+        bands = np.zeros((2, n))
+        bands[0] = 2.0 / h**2 + op.potential
+        bands[1, :-1] = -1.0 / h**2
+        return bands
+    hx, hy = op.spacing
+    py = op.points[1]
+    bands = np.zeros((py + 1, n))
+    bands[0] = 2.0 / hx**2 + 2.0 / hy**2 + op.potential
+    bands[1] = np.where(np.arange(n) % py < py - 1, -1.0 / hy**2, 0.0)  # no y-coupling across x-rows
+    bands[py, : n - py] = -1.0 / hx**2
+    return bands
+
+
+def lower_bands(mat: np.ndarray) -> np.ndarray:
+    """All n diagonals of a symmetric matrix in lower-banded storage."""
+    n = mat.shape[0]
+    bands = np.zeros((n, n))
+    for r in range(n):
+        bands[r, : n - r] = np.diagonal(mat, -r)
+    return bands
+
+
+def gershgorin_by_bands(bands: np.ndarray) -> tuple[float, float]:
+    """Gershgorin interval by a loop over the lower bands, each entry added
+    to the radius of its row and of its mirror's row."""
+    n = bands.shape[1]
+    radius = np.zeros(n)
+    for r in range(1, bands.shape[0]):
+        vals = np.abs(bands[r, : n - r])
+        radius[: n - r] += vals  # entry below the diagonal
+        radius[r:] += vals  # its mirror above
+    diag = bands[0]
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
 def banded_negcount(bands: np.ndarray, shift: float, pivot_rtol: float = 1e-12) -> int:
     """Negative pivots of the unpivoted scalar LDL^T factorization of (A - shift I).
 
@@ -304,7 +349,7 @@ def coherent_lower_bound_by_sum(op: GridOperator, t: float, window: CoherentWind
     m = g.size
     if m != op.n:
         raise ValueError(f"window size {m} does not match operator size {op.n}")
-    h = op.dense_mat
+    h = op.dense()
     phases = _phase_matrix(m)
     total = 0.0
     for x in range(m):

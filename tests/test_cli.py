@@ -266,6 +266,16 @@ def test_zeta_oscillator_transverse(capsys):
 ZETA_SMALL = ["zeta", "--alpha", "1", "--beta", "2", "--zeta-points", "199"]
 
 
+def test_zeta_divergent_trace_is_strict_json_null(capsys):
+    code, out = run_cli(capsys, *ZETA_SMALL, "--p", "0.5")
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    rows = [json.loads(line, parse_constant=refuse) for line in out.strip().splitlines()]
+    assert code == 0 and [(r["omega"], r["zeta"]) for r in rows] == [(1, None), (-1, None)]
+
+
 def test_zeta_profile_pair_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["zeta", "--alpha", "1", "--beta", "2", "--profile", "1,2"])
@@ -333,11 +343,19 @@ def test_non_finite_profile_is_usage_error(capsys):
         assert len(errors) == 1 and "profile values must be nonnegative" in errors[0], argv
 
 
+SIMON_SMALL = ["simon", "--alpha", "1", "--beta", "2", "--lambda", "3", "--zeta-points", "199"]
+
+
 def test_argument_type_errors_state_the_reason(capsys):
     cases = [
         (["zeta", "--alpha", "1", "--beta", "2", "--profile=-1"], "profile values must be nonnegative"),
         (["weyl", "--lambda", "abc"], "expected comma-separated numbers, got 'abc'"),
         (["ineq", "--functions", "bogus"], "unknown function 'bogus'"),
+        (SIMON_SMALL + ["--box", "16"], "argument --box: expected two comma-separated numbers, got '16'"),
+        (SIMON_SMALL + ["--points", "120"], "argument --points: expected two comma-separated integers, got '120'"),
+        (SIMON_SMALL + ["--points", "120.5,40"], "argument --points: expected two comma-separated integers"),
+        (["weyl", "--lambda", "10", "--box", "10,99"], "argument --box: expected one number, got '10,99'"),
+        (["weyl", "--lambda", "10", "--points", "999.7"], "argument --points: expected one integer, got '999.7'"),
     ]
     for argv, reason in cases:
         with pytest.raises(SystemExit) as err:
@@ -388,7 +406,7 @@ def test_malformed_flags_exit_two(tmp_path, capsys):
         ["ineq", "--trials", "1", "--load", str(bad_dump)],
         ["ineq", "--trials", "1", "--load", str(tmp_path / "missing.op")],
         ["weyl", "--gamma", "-1", "--lambda", "10"],
-        ["weyl", "--lambda", "10", "--points", "1e9"],  # node cap, checked before any allocation
+        ["weyl", "--lambda", "10", "--points", "1000000000"],  # node cap, checked before any allocation
         ["weyl", "--potential-file", str(bad_potential), "--lambda", "10"],
     ]
     for argv in cases:

