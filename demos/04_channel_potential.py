@@ -39,7 +39,7 @@ for omega in (1, -1):
     print(f"transverse zeta at omega={omega:+d}: {z.value:.6f}  (pi^2/8 = {np.pi**2 / 8:.6f})")
 
 lam_top = 6.0
-lx, ly = channel_boxes(pot, lam_top, margin=1.1)
+lx, ly = channel_boxes(pot, lam_top)
 points = (points_for_spacing(lx, 0.22), points_for_spacing(ly, 0.13))
 op = build_hamiltonian(pot, (lx, ly), points)
 print(f"\nbox ({lx:.1f}, {ly:.1f}), {points[0]} x {points[1]} nodes")

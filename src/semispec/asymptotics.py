@@ -170,37 +170,35 @@ def reduced_degree(pot: SeparatelyHomogeneous) -> float:
     return 2.0 * pot.alpha / (pot.beta + 2.0)
 
 
-def _check_partial_regime(pot: SeparatelyHomogeneous, m: int, n: int) -> None:
-    if m / pot.alpha <= n / pot.beta:
+def _check_partial_regime(pot: SeparatelyHomogeneous) -> None:
+    if 1.0 / pot.alpha <= 1.0 / pot.beta:
         raise ValueError(
             "partial law needs m/alpha > n/beta; for the opposite regime "
             "exchange the roles of the two variable groups (the symmetric statement)"
         )
 
 
-def partial_counting_law(
-    pot: SeparatelyHomogeneous, zetas: Mapping[int, float], m: int = 1, n: int = 1
-) -> Prediction:
-    """Counting law constant * lam^(m(alpha+beta+2)/(2 alpha)) with the
-    angular sum of transverse zeta traces as the constant's second factor."""
-    _check_partial_regime(pot, m, n)
+def partial_counting_law(pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
+    """Counting law constant * lam^((alpha+beta+2)/(2 alpha)) with the
+    angular sum of transverse zeta traces as the constant's second factor
+    (m = n = 1, the case :class:`SeparatelyHomogeneous` covers)."""
+    _check_partial_regime(pot)
     total = float(sum(zetas.values()))
     return Prediction(
         "partial_counting",
-        m * (pot.alpha + pot.beta + 2.0) / (2.0 * pot.alpha),
-        counting_constant(reduced_degree(pot), m) * total,
+        (pot.alpha + pot.beta + 2.0) / (2.0 * pot.alpha),
+        counting_constant(reduced_degree(pot), 1) * total,
     )
 
 
-def partial_heat_law(
-    pot: SeparatelyHomogeneous, zetas: Mapping[int, float], m: int = 1, n: int = 1
-) -> Prediction:
-    _check_partial_regime(pot, m, n)
+def partial_heat_law(pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
+    """Heat-trace partner of :func:`partial_counting_law` (m = n = 1)."""
+    _check_partial_regime(pot)
     total = float(sum(zetas.values()))
     return Prediction(
         "partial_heat",
-        m * (pot.alpha + pot.beta + 2.0) / (2.0 * pot.alpha),
-        heat_constant(reduced_degree(pot), m) * total,
+        (pot.alpha + pot.beta + 2.0) / (2.0 * pot.alpha),
+        heat_constant(reduced_degree(pot), 1) * total,
     )
 
 

@@ -1,5 +1,6 @@
 """Tensor-product structure on H1 (x) H2: Kronecker products, partial traces,
-density matrices and the compressed operator Tr_1[(rho (x) 1) H].
+density matrices, the compressed operator Tr_1[(rho (x) 1) H], and the
+operator text dump.
 
 Index convention (fixed everywhere): the basis vector of H1 (x) H2 with flat
 index ``i = m * N + n`` is ``e_m (x) v_n``, i.e. the first factor is major.
@@ -90,14 +91,15 @@ class DensityMatrix:
         return float(np.sum(pos * np.log(pos)))
 
 
-def kron(a: HermitianOperator, b: HermitianOperator, max_dim: int = MAX_TENSOR_DIM) -> HermitianOperator:
+def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product under the first-factor-major convention.
 
-    ``(A kron B)[(m N + n), (m' N + n')] = A[m, m'] B[n, n']``.
+    ``(A kron B)[(m N + n), (m' N + n')] = A[m, m'] B[n, n']``; refused
+    above ``MAX_TENSOR_DIM``.
     """
     total = a.dim * b.dim
-    if total > max_dim:
-        raise ValueError(f"tensor dimension {total} exceeds the cap {max_dim}")
+    if total > MAX_TENSOR_DIM:
+        raise ValueError(f"tensor dimension {total} exceeds the cap {MAX_TENSOR_DIM}")
     return HermitianOperator(np.kron(a.mat, b.mat))
 
 
@@ -131,14 +133,14 @@ def compress(op: HermitianOperator, rho: DensityMatrix, dims: BipartiteDims) -> 
     return HermitianOperator(np.einsum("ba,anbq->nq", rho.op.mat, four))
 
 
-def random_hermitian(dim: int, seed: int | np.random.Generator, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(dim: int, seed: int | np.random.Generator) -> HermitianOperator:
     """Seeded GUE-style Hermitian matrix (complex Gaussian entries, symmetrized).
 
     ``seed`` is an int or a Generator; a Generator's stream is continued.
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator(scale * (g + g.conj().T) / 2.0)
+    return HermitianOperator((g + g.conj().T) / 2.0)
 
 
 def random_density(dim: int, rank: int, seed: int | np.random.Generator) -> DensityMatrix:
@@ -162,26 +164,41 @@ def random_unit_vector(dim: int, seed: int | np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# text dump with a dims header
+# operator text dump
 # ---------------------------------------------------------------------------
 
 
 def format_bipartite_operator(op: HermitianOperator, dims: BipartiteDims) -> str:
-    """linalg dump format preceded by a ``dims M N`` header line."""
-    from .linalg import format_operator
-
+    """Text dump: a ``dims M N`` line, a ``dim M*N`` line, then one ``re im``
+    line per entry, row-major, each float written by ``repr`` (exact round trip)."""
     dims.check(op)
-    return f"dims {dims.dim1} {dims.dim2}\n" + format_operator(op)
+    lines = [f"dims {dims.dim1} {dims.dim2}", f"dim {op.dim}"]
+    lines.extend(f"{float(z.real)!r} {float(z.imag)!r}" for z in op.mat.ravel())
+    return "\n".join(lines) + "\n"
 
 
 def parse_bipartite_operator(text: str) -> tuple[HermitianOperator, BipartiteDims]:
-    from .linalg import parse_operator
+    """Inverse of :func:`format_bipartite_operator`; blank lines after the first are skipped.
 
+    Every part is checked: both headers, positive dims, the entry-line count,
+    finite (Hermitian) entries, and that the dims factor the dimension.
+    """
     first, _, rest = text.partition("\n")
     head = first.split()
     if len(head) != 3 or head[0] != "dims":
         raise ValueError(f"expected 'dims M N' header, got {first!r}")
     dims = BipartiteDims(int(head[1]), int(head[2]))
-    op = parse_operator(rest)
+    lines = [ln for ln in rest.splitlines() if ln.strip()] or [""]
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != "dim":
+        raise ValueError(f"expected 'dim N' header, got {lines[0]!r}")
+    n = int(head[1])
+    if len(lines) - 1 != n * n:
+        raise ValueError(f"expected {n * n} entry lines, got {len(lines) - 1}")
+    entries = np.empty(n * n, dtype=np.complex128)
+    for i, ln in enumerate(lines[1:]):
+        re_s, im_s = ln.split()
+        entries[i] = complex(float(re_s), float(im_s))
+    op = HermitianOperator(entries.reshape(n, n))
     dims.check(op)
     return op, dims

@@ -9,7 +9,8 @@ zeta        transverse zeta traces per direction; JSON lines
 constants   growth-law constants, exponents and divergence classification; JSON
 
 Exit codes: 0 success, 1 an inequality violation was detected, 2 usage or
-input error (bad flag, invalid parameter, unreadable or malformed file), 3 a
+input error (bad flag, invalid parameter, a parameter whose result
+overflows, unreadable or malformed file), 3 a
 numerical contract not met (eigendecomposition residual, refused count, size cap).
 Every command is deterministic given its flags; per-trial seeds are derived
 from --seed with numpy's SeedSequence spawning, so output files are
@@ -383,7 +384,7 @@ def cmd_simon(args) -> int:
     lines = ["lambda,N_discrete,prediction,ratio"]
     samples = []
     if lams:
-        box = args.box or schrodinger.channel_boxes(pot, max(lams), margin=1.1)
+        box = args.box or schrodinger.channel_boxes(pot, max(lams))
         points = args.points or (
             schrodinger.points_for_spacing(box[0], 0.2),
             schrodinger.points_for_spacing(box[1], 0.12),
@@ -453,7 +454,7 @@ def cmd_constants(args) -> int:
             "C": asymptotics.counting_constant(reduced, m),
             "Cprime": asymptotics.heat_constant(reduced, m),
             "exponent": m * (args.alpha + args.beta + 2.0) / (2.0 * args.alpha),
-            "zeta_power": m * (args.beta + 2.0) / (2.0 * args.alpha),
+            "zeta_power": asymptotics.zeta_power(pot, m),
             "divergence": divergence.removeprefix("diverges_at_").removeprefix("diverges_"),
         }
     else:
@@ -540,7 +541,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         _usage_error(str(exc))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

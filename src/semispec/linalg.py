@@ -93,9 +93,6 @@ class HermitianOperator:
 
     __rmul__ = __mul__
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -282,42 +279,3 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-# ---------------------------------------------------------------------------
-# text dump format
-# ---------------------------------------------------------------------------
-
-
-def format_operator(op: HermitianOperator) -> str:
-    """Text dump: first line ``dim N``, then N*N lines ``re im`` row-major."""
-    lines = [f"dim {op.dim}"]
-    flat = op.mat.ravel()
-    lines.extend(f"{float(z.real)!r} {float(z.imag)!r}" for z in flat)
-    return "\n".join(lines) + "\n"
-
-
-def parse_operator(text: str) -> HermitianOperator:
-    """Inverse of :func:`format_operator`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "dim":
-        raise ValueError(f"expected 'dim N' header, got {lines[0]!r}")
-    n = int(head[1])
-    if len(lines) - 1 != n * n:
-        raise ValueError(f"expected {n * n} entry lines, got {len(lines) - 1}")
-    entries = np.empty(n * n, dtype=np.complex128)
-    for i, ln in enumerate(lines[1:]):
-        re_s, im_s = ln.split()
-        entries[i] = complex(float(re_s), float(im_s))
-    return HermitianOperator(entries.reshape(n, n))
-
-
-def save_operator(path, op: HermitianOperator) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_operator(op))
-
-
-def load_operator(path) -> HermitianOperator:
-    with open(path) as fh:
-        return parse_operator(fh.read())

@@ -41,6 +41,15 @@ DENSE_EIG_CAP = 4_096
 # bounded by dim * exp(-40).
 HEAT_CUT = 40.0
 
+# Box rules.  A homogeneous potential's walls reach 4 lam_max for counts and
+# 80 / t for heat traces; a channel's walls sit where its transverse ground
+# energy, taken on a 1400-node probe grid of half-width 14, reaches 1.1 lam_max.
+COUNTING_WALL = 4.0
+HEAT_WALL = 80.0
+CHANNEL_MARGIN = 1.1
+PROBE_BOX = 14.0
+PROBE_POINTS = 1400
+
 
 class BoundaryWarning(UserWarning):
     """The shift sits within 1e-12 of a discrete eigenvalue; a strict count is ambiguous."""
@@ -81,7 +90,10 @@ class Homogeneous:
         if self.d == 1:
             x = np.asarray(x, dtype=float)
             fp, fm = self.profile
-            return np.abs(x) ** self.gamma * np.where(x > 0, fp, fm)
+            # V(0) = 0 even behind a hard wall (F = inf), where the product is 0 * inf
+            out = np.zeros(x.shape)
+            np.multiply(np.abs(x) ** self.gamma, np.where(x > 0, fp, fm), out=out, where=x != 0)
+            return out
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         r = np.hypot(x, y)
@@ -303,8 +315,9 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
 
 
 def _check_samples(v: np.ndarray) -> None:
-    if v.size and float(v.min()) < 0.0:
-        raise ValueError(f"potential samples must be nonnegative, min is {v.min():.3e}")
+    lo = float(v.min())  # NaN if any sample is NaN, which fails the test below
+    if not lo >= 0.0:
+        raise ValueError(f"potential samples must be nonnegative and not NaN, min is {lo!r}")
 
 
 def points_for_spacing(length: float, h: float) -> int:
@@ -441,21 +454,23 @@ def _block_count(op: GridOperator, shift: float) -> int:
     return int(np.count_nonzero(np.linalg.eigvalsh(op.dense()) < shift))
 
 
-def _count_below(op, shifts: np.ndarray) -> np.ndarray:
+def _count_below(op: GridOperator, shifts: np.ndarray) -> np.ndarray:
     """Exact counts of eigenvalues strictly below each of ``shifts`` (1d array).
 
-    Tridiagonal operators take one Sturm pass for all shifts, dense ones one
+    Tridiagonal operators take one Sturm pass for all shifts, the torus one
     spectrum; 2d operators are counted shift by shift.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    if isinstance(op, HermitianOperator) or op.boundary == "periodic":
+    if op.boundary == "periodic":
         return np.searchsorted(spectrum(op), shifts, side="left")
     if op.ndim == 1:
         return _sturm_negcounts(*_tridiagonal(op), shifts)
     return np.array([_block_count(op, float(s)) for s in shifts], dtype=np.intp)
 
 
-def counting_function(op, lam: float | np.ndarray, boundary_check: bool = True) -> int | np.ndarray:
+def counting_function(
+    op: GridOperator, lam: float | np.ndarray, boundary_check: bool = True
+) -> int | np.ndarray:
     """Exact number of eigenvalues of the discrete operator strictly below lam.
 
     ``lam`` is a number or an array; an array is counted in one sweep (one
@@ -486,16 +501,12 @@ def counting_function(op, lam: float | np.ndarray, boundary_check: bool = True) 
     return int(low[0]) if lams.ndim == 0 else low.reshape(lams.shape)
 
 
-def gershgorin_bounds(op) -> tuple[float, float]:
+def gershgorin_bounds(op: GridOperator) -> tuple[float, float]:
     """Interval certainly containing the whole spectrum.
 
-    On a grid each neighbour along an axis adds 1/h^2 to a node's radius,
-    summed along the last axis first.
+    Each neighbour along an axis adds 1/h^2 to a node's radius, summed along
+    the last axis first.
     """
-    if isinstance(op, HermitianOperator):
-        diag = np.real(np.diagonal(op.mat))
-        radius = np.sum(np.abs(op.mat), axis=1) - np.abs(diag)
-        return float(np.min(diag - radius)), float(np.max(diag + radius))
     radius = np.zeros(op.points)
     for axis in reversed(range(op.ndim)):
         coupling = 1.0 / op.spacing[axis] ** 2
@@ -513,16 +524,14 @@ def gershgorin_bounds(op) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def spectrum(op, upto: float | None = None) -> np.ndarray:
+def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
     """Eigenvalues of the discrete operator, ascending; optionally only those <= upto.
 
     Tridiagonal operators use LAPACK bisection for the windowed form; other
     shapes go through a dense or banded solver, guarded by
     ``DENSE_EIG_CAP``.
     """
-    if isinstance(op, HermitianOperator):
-        vals = np.linalg.eigvalsh(op.mat)
-    elif op.ndim == 1 and op.boundary == "dirichlet":
+    if op.ndim == 1 and op.boundary == "dirichlet":
         diag, off = _tridiagonal(op)
         if upto is not None:
             lo = gershgorin_bounds(op)[0] - 1.0
@@ -543,13 +552,13 @@ def spectrum(op, upto: float | None = None) -> np.ndarray:
     return vals
 
 
-def ground_energy(op) -> float:
-    if isinstance(op, GridOperator) and op.ndim == 1 and op.boundary == "dirichlet":
+def ground_energy(op: GridOperator) -> float:
+    if op.ndim == 1 and op.boundary == "dirichlet":
         return float(eigvalsh_tridiagonal(*_tridiagonal(op), select="i", select_range=(0, 0))[0])
     return float(spectrum(op)[0])
 
 
-def heat_trace(op, t: float | np.ndarray, method: str = "dense") -> float | np.ndarray:
+def heat_trace(op: GridOperator, t: float | np.ndarray, method: str = "dense") -> float | np.ndarray:
     """Tr exp(-t H) of the discrete operator.
 
     ``t`` is a number or an array of them; an array shares one spectrum and
@@ -575,10 +584,9 @@ def heat_trace(op, t: float | np.ndarray, method: str = "dense") -> float | np.n
     return float(traces[0]) if ts.ndim == 0 else traces.reshape(ts.shape)
 
 
-def heat_truncation_bound(op, t: float) -> float:
+def heat_truncation_bound(op: GridOperator, t: float) -> float:
     """Upper bound on the part of the heat trace discarded by ``truncated``."""
-    n = op.dim if isinstance(op, HermitianOperator) else op.n
-    return n * math.exp(-HEAT_CUT)
+    return op.n * math.exp(-HEAT_CUT)
 
 
 @dataclass(frozen=True)
@@ -593,13 +601,15 @@ class ZetaTrace:
     count: int
 
 
-def zeta_trace(op, p: float, e_cut: float = math.inf, growth_exponent: float | None = None) -> ZetaTrace:
+def zeta_trace(
+    op: GridOperator, p: float, e_cut: float = math.inf, growth_exponent: float | None = None
+) -> ZetaTrace:
     """Sum of eigenvalue powers mu_k^(-p) over eigenvalues <= e_cut.
 
     Eigenvalues beyond the cutoff are extrapolated with the growth law
     mu_k ~ c k^q: q is ``growth_exponent`` when given (for a transverse
-    operator with potential of degree beta in n variables it is
-    2 beta / (n (beta + 2))), otherwise fitted; c is always fitted on the
+    operator with potential of degree beta in one variable it is
+    2 beta / (beta + 2)), otherwise fitted; c is always fitted on the
     top half of the computed spectrum.  The modeled tail converges only for
     p q > 1; otherwise the sum is flagged divergent and the value is inf.
 
@@ -609,14 +619,13 @@ def zeta_trace(op, p: float, e_cut: float = math.inf, growth_exponent: float | N
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    n = op.dim if isinstance(op, HermitianOperator) else op.n
     vals = spectrum(op, upto=None if math.isinf(e_cut) else max(e_cut, 0.0))
     if vals.size and float(vals[0]) <= 0.0:
         raise ValueError(f"zeta trace requires a positive spectrum; smallest is {vals[0]:.6e}")
     used = vals[vals <= e_cut]
     k = used.size
     partial = float(np.sum(used ** (-p)))
-    if k == n:
+    if k == op.n:
         # nothing was cut: the finite matrix is summed completely
         return ZetaTrace(partial, partial, 0.0, True, k)
     if k < 4:
@@ -635,9 +644,9 @@ def zeta_trace(op, p: float, e_cut: float = math.inf, growth_exponent: float | N
     return ZetaTrace(partial + tail, partial, tail, True, k)
 
 
-def transverse_growth_exponent(beta: float, n: int = 1) -> float:
-    """Growth law exponent q in mu_k ~ c k^q for -Laplacian + |y|^beta F."""
-    return 2.0 * beta / (n * (beta + 2.0))
+def transverse_growth_exponent(beta: float) -> float:
+    """Growth law exponent q in mu_k ~ c k^q for -d^2/dy^2 + |y|^beta F (one variable)."""
+    return 2.0 * beta / (beta + 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +678,23 @@ def longitudinal_potential(pot: SeparatelyHomogeneous, omega_y: int) -> Homogene
     )
 
 
-def counting_box(pot: Homogeneous, lam_max: float, factor: float = 4.0) -> float:
-    """Half-width making min V on the boundary at least factor * lam_max."""
+def counting_box(pot: Homogeneous, lam_max: float) -> float:
+    """Half-width making min V on the boundary at least COUNTING_WALL * lam_max."""
+    return _wall_box(pot, COUNTING_WALL * lam_max)
+
+
+def heat_box(pot: Homogeneous, t: float) -> float:
+    """Half-width making min V on the boundary at least HEAT_WALL / t."""
+    # 80 * (1/t), not 80/t: the two round differently, and the heat box is defined by this one
+    return _wall_box(pot, HEAT_WALL * (1.0 / t))
+
+
+def _wall_box(pot: Homogeneous, height: float) -> float:
+    """Half-width making min V on the boundary at least ``height``."""
     fmin = _profile_min(pot)
     if fmin <= 0.0:
         raise ValueError("profile vanishes somewhere; the boundary rule is vacuous")
-    return (factor * lam_max / fmin) ** (1.0 / pot.gamma)
-
-
-def heat_box(pot: Homogeneous, t: float, factor: float = 80.0) -> float:
-    """Half-width making min V on the boundary at least factor / t."""
-    return counting_box(pot, 1.0 / t, factor=factor)
+    return (height / fmin) ** (1.0 / pot.gamma)
 
 
 def _profile_min(pot: Homogeneous) -> float:
@@ -689,35 +704,31 @@ def _profile_min(pot: Homogeneous) -> float:
     return float(np.min(np.asarray(pot.profile(theta), dtype=float)))
 
 
-def channel_boxes(
-    pot: SeparatelyHomogeneous,
-    lam_max: float,
-    margin: float = 1.1,
-    probe_box: float = 14.0,
-    probe_points: int = 1400,
-) -> tuple[float, float]:
+def channel_boxes(pot: SeparatelyHomogeneous, lam_max: float) -> tuple[float, float]:
     """Box half-widths closing both potential channels at energy lam_max.
 
     The boundary-value rule used for fully homogeneous potentials is vacuous
     here (V vanishes on the axes), so instead the walls are placed where the
-    transverse zero-point energy of each channel reaches margin * lam_max:
-    with mu0 the smallest transverse ground energy, scaling gives
-    Lx = (margin lam_max / mu0)^((beta+2)/(2 alpha)) and symmetrically for
-    Ly.  States below lam_max are then classically confined to the box.
+    transverse zero-point energy of each channel reaches
+    CHANNEL_MARGIN * lam_max: with mu0 the smallest transverse ground energy
+    (on the probe grid), scaling gives
+    Lx = (CHANNEL_MARGIN lam_max / mu0)^((beta+2)/(2 alpha)) and
+    symmetrically for Ly.  States below lam_max are then classically
+    confined to the box.
     """
     mu0 = min(
-        ground_energy(effective_operator(o, pot, probe_box, probe_points)) for o in (1, -1)
+        ground_energy(effective_operator(o, pot, PROBE_BOX, PROBE_POINTS)) for o in (1, -1)
     )
     if mu0 <= 1e-8:
         raise ValueError("transverse channel does not close; box rule inapplicable")
     nu0 = min(
-        ground_energy(build_hamiltonian(longitudinal_potential(pot, o), probe_box, probe_points))
+        ground_energy(build_hamiltonian(longitudinal_potential(pot, o), PROBE_BOX, PROBE_POINTS))
         for o in (1, -1)
     )
     if nu0 <= 1e-8:
         raise ValueError("longitudinal channel does not close; box rule inapplicable")
-    lx = (margin * lam_max / mu0) ** ((pot.beta + 2.0) / (2.0 * pot.alpha))
-    ly = (margin * lam_max / nu0) ** ((pot.alpha + 2.0) / (2.0 * pot.beta))
+    lx = (CHANNEL_MARGIN * lam_max / mu0) ** ((pot.beta + 2.0) / (2.0 * pot.alpha))
+    ly = (CHANNEL_MARGIN * lam_max / nu0) ** ((pot.alpha + 2.0) / (2.0 * pot.beta))
     return lx, ly
 
 
@@ -869,27 +880,3 @@ def coherent_partial_lower_bound(
     wbar = _window_average(window, np.stack([w.mat for w in blocks]))
     traces = np.exp(-t * np.linalg.eigvalsh(wbar)).sum(axis=1)
     return float(bx @ traces * bk.sum()) / m
-
-
-# ---------------------------------------------------------------------------
-# spectrum dump
-# ---------------------------------------------------------------------------
-
-
-def format_spectrum(values) -> str:
-    lines = ["k,eigenvalue"]
-    lines.extend(f"{k},{float(v)!r}" for k, v in enumerate(values))
-    return "\n".join(lines) + "\n"
-
-
-def save_spectrum(path, values) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_spectrum(values))
-
-
-def load_spectrum(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "k,eigenvalue":
-        raise ValueError("expected a 'k,eigenvalue' header")
-    return np.array([float(ln.split(",")[1]) for ln in lines[1:]])

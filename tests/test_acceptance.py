@@ -276,7 +276,7 @@ def test_criterion_07_partially_semiclassical_law():
         zeta_ok &= abs(z.value - math.pi**2 / 8.0) <= 0.01 * (math.pi**2 / 8.0)
 
     # grid by the channel-closing rule; spacings fixed by this module
-    lx, ly = ss.channel_boxes(pot, lam_top, margin=1.1)
+    lx, ly = ss.channel_boxes(pot, lam_top)
     law = partial_counting_law(pot, zetas)
     lams = [4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 

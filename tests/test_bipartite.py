@@ -40,11 +40,12 @@ def test_kron_index_convention():
     assert k[1 * 2 + 0, 1 * 2 + 1] == pytest.approx(-1.0)
 
 
-def test_kron_dimension_guard():
+def test_kron_dimension_guard(monkeypatch):
     a = random_hermitian(3, seed=1)
     b = random_hermitian(4, seed=2)
-    with pytest.raises(ValueError, match="cap"):
-        kron(a, b, max_dim=10)
+    monkeypatch.setattr(bipartite, "MAX_TENSOR_DIM", 10)
+    with pytest.raises(ValueError, match="exceeds the cap 10"):
+        kron(a, b)
 
 
 def test_partial_trace_of_product():
@@ -197,3 +198,17 @@ def test_bipartite_dump_roundtrip():
     back, back_dims = parse_bipartite_operator(text)
     assert back_dims == dims
     assert np.array_equal(back.mat, op.mat)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("dims 0 2\ndim 0\n", "dimensions must be positive"),
+        ("dims 1 2\ndim 2\n0 0\n0 0\n0 0\n", "expected 4 entry lines, got 3"),
+        ("dims 1 2\ndim 2\n0 0\n0 0\n0 0\nnan 0\n", "is not finite"),
+        ("dims 1 3\ndim 2\n0 0\n0 0\n0 0\n0 0\n", "does not match 1 x 3 = 3"),
+    ],
+)
+def test_bipartite_dump_rejects_malformed_text(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        parse_bipartite_operator(text)

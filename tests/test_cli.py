@@ -408,12 +408,87 @@ def test_malformed_flags_exit_two(tmp_path, capsys):
         ["weyl", "--gamma", "-1", "--lambda", "10"],
         ["weyl", "--lambda", "10", "--points", "1000000000"],  # node cap, checked before any allocation
         ["weyl", "--potential-file", str(bad_potential), "--lambda", "10"],
+        # overflowing results: input errors, not inequality violations
+        ["constants", "--gamma", "0.01", "--d", "2"],
+        ["constants", "--alpha", "0.1", "--beta", "100", "--m", "3"],
+        ["weyl", "--gamma", "1e-3", "--lambda", "10"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+
+
+# Edge arguments: tiny and huge exponents, vanishing and infinite profile
+# entries, non-finite and extreme scales, a zeta grid too small to fit.
+WEYL_SCALES = (
+    ["--lambda", "1e-300,10"],
+    ["--lambda", "1e300"],
+    ["--lambda", "10,1e300", "--box", "6", "--points", "601"],
+    ["--t", "1e-300"],
+    ["--t", "1,1e300", "--method", "truncated"],
+    ["--t", "nan"],
+)
+EDGE_ARGV = (
+    [
+        ["weyl", "--gamma", gamma, "--profile", profile, *scales]
+        for gamma in ("1e-300", "1e-3", "2", "1e300")
+        for profile in ("1", "0,1", "1,inf", "inf")
+        for scales in WEYL_SCALES
+    ]
+    + [
+        [cmd, "--alpha", alpha, "--beta", beta, "--profile", profile, *extra]
+        for alpha, beta in (("1e-300", "2"), ("1", "1e300"), ("1", "inf"), ("nan", "2"))
+        for profile in ("1", "0", "1,0,1,1")
+        for cmd, extra in (
+            ("simon", ["--zeta-points", "5"]),
+            ("simon", ["--lambda", "3", "--zeta-points", "199"]),
+            ("zeta", ["--zeta-points", "199"]),
+        )
+    ]
+    + [
+        ["simon", "--alpha", "1", "--beta", "2", "--lambda", lam, "--zeta-points", "199"]
+        for lam in ("1e-300", "1e300", "inf", "nan")
+    ]
+    + [
+        ["zeta", "--alpha", "1", "--beta", "2", "--p", p, "--zeta-points", points]
+        for p in ("1e-300", "1e300", "inf", "nan")
+        for points in ("5", "199")
+    ]
+    + [
+        ["constants", "--gamma", gamma, "--d", d]
+        for gamma in ("1e-300", "0.01", "1e300", "inf", "nan")
+        for d in ("1", "2")
+    ]
+    + [
+        ["constants", "--alpha", alpha, "--beta", beta, "--m", m]
+        for alpha, beta in (
+            ("0.1", "100"), ("1e-300", "1e300"), ("1e300", "1e-300"), ("inf", "inf"), ("nan", "2")
+        )
+        for m in ("1", "3")
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV, ids=" ".join)
+def test_edge_arguments_exit_without_traceback(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert code == 0 or err.count("error:") == 1
+
+
+def test_weyl_hard_wall_profile_counts(capsys):
+    # the default grid has a node at x = 0; V(0) = 0 there, not 0 * inf
+    code, out = run_cli(capsys, "weyl", "--gamma", "2", "--profile", "1,inf", "--lambda", "10,20,40")
+    assert code == 0
+    # the half oscillator's eigenvalues are 3, 7, 11, ...
+    assert [line.split(",")[1] for line in out.splitlines()[1:4]] == ["2", "5", "10"]
 
 
 def test_numerical_contract_error_exit_three(monkeypatch, capsys):

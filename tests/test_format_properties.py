@@ -4,14 +4,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from semispec.bipartite import BipartiteDims, format_bipartite_operator, parse_bipartite_operator
-from semispec.linalg import HermitianOperator, format_operator, parse_operator
+from semispec.linalg import HermitianOperator
 from semispec.schrodinger import (
     Homogeneous,
     QuadrantProfile,
     SeparatelyHomogeneous,
     format_potential_config,
-    format_spectrum,
-    load_spectrum,
     parse_potential_config,
 )
 
@@ -43,7 +41,8 @@ potentials = st.one_of(
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(1, 5).flatmap(hermitian))
 def test_operator_dump_roundtrip_property(op):
-    assert np.array_equal(parse_operator(format_operator(op)).mat, op.mat)
+    back, _ = parse_bipartite_operator(format_bipartite_operator(op, BipartiteDims(1, op.dim)))
+    assert np.array_equal(back.mat, op.mat)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -59,11 +58,3 @@ def test_bipartite_dump_roundtrip_property(case):
 @given(potentials)
 def test_potential_config_roundtrip_property(pot):
     assert parse_potential_config(format_potential_config(pot)) == pot
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.lists(st.floats(allow_nan=False), max_size=20))
-def test_spectrum_dump_roundtrip_property(tmp_path_factory, values):
-    path = tmp_path_factory.mktemp("spectrum") / "spec.csv"
-    path.write_text(format_spectrum(values))
-    assert np.array_equal(load_spectrum(path), np.array(values, dtype=float))

@@ -11,15 +11,19 @@ from semispec.linalg import (
     eig_hermitian,
     eig_hermitian_stack,
     exp_neg,
-    format_operator,
     log_gamma,
-    parse_operator,
     positive_part,
     power_neg,
     square,
     trace,
 )
-from semispec.bipartite import random_hermitian, random_unit_vector
+from semispec.bipartite import (
+    BipartiteDims,
+    format_bipartite_operator,
+    parse_bipartite_operator,
+    random_hermitian,
+    random_unit_vector,
+)
 
 from oracles import eigenvalues_by_bisection
 
@@ -233,19 +237,23 @@ def test_log_gamma_domain():
         log_gamma(-3.0)
 
 
-# dump format ----------------------------------------------------------------
+# dump format (written and read by bipartite) ---------------------------------
 
 
-def test_operator_dump_roundtrip(tmp_path):
+def test_operator_dump_roundtrip():
     op = random_hermitian(4, seed=31)
-    text = format_operator(op)
+    text = format_bipartite_operator(op, BipartiteDims(4, 1))
     lines = text.splitlines()
-    assert lines[0] == "dim 4"
-    assert len(lines) == 1 + 16
-    back = parse_operator(text)
+    assert lines[:2] == ["dims 4 1", "dim 4"]
+    assert len(lines) == 2 + 16
+    back, dims = parse_bipartite_operator(text)
+    assert dims == BipartiteDims(4, 1)
     assert np.array_equal(back.mat, op.mat)
 
 
 def test_operator_dump_rejects_bad_header():
-    with pytest.raises(ValueError, match="dim"):
-        parse_operator("size 2\n0 0\n0 0\n0 0\n0 0\n")
+    entries = "0 0\n" * 4
+    with pytest.raises(ValueError, match="'dims M N' header"):
+        parse_bipartite_operator("size 2\n" + entries)
+    with pytest.raises(ValueError, match="'dim N' header"):
+        parse_bipartite_operator("dims 2 1\nsize 2\n" + entries)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from semispec.bipartite import random_hermitian
 from semispec.schrodinger import (
     BoundaryWarning,
     CoherentWindow,
+    GridOperator,
     Homogeneous,
     QuadrantProfile,
     SeparatelyHomogeneous,
@@ -34,10 +36,8 @@ from semispec.schrodinger import (
     heat_box,
     heat_trace,
     heat_truncation_bound,
-    load_spectrum,
     parse_potential_config,
     points_for_spacing,
-    save_spectrum,
     spectrum,
     transverse_growth_exponent,
     zeta_trace,
@@ -156,6 +156,9 @@ def test_grid_refinement_is_second_order():
 def test_build_validation():
     with pytest.raises(ValueError, match="at least 3"):
         build_hamiltonian(None, 1.0, 2)
+    nan_right = SimpleNamespace(value=lambda x: np.where(x > 0, math.nan, x * x))
+    with pytest.raises(ValueError, match="not NaN, min is nan"):
+        build_hamiltonian(nan_right, 1.0, 5)
     with pytest.raises(ValueError, match="cap"):
         build_hamiltonian(None, (1.0, 1.0), (600, 600))
     with pytest.raises(ValueError, match="1d"):
@@ -198,6 +201,19 @@ def test_counting_oscillator_exact():
     assert counting_function(op, 100.0) == 50
 
 
+@pytest.mark.parametrize("profile", [(1.0, math.inf), (math.inf, 1.0)])
+def test_counting_behind_a_hard_wall(profile):
+    # 601 nodes put one at x = 0, where V is 0 (not 0 * inf); the infinite
+    # samples decouple, leaving the finite sub-tridiagonal on the open side
+    op = build_hamiltonian(Homogeneous(2.0, 1, profile), 6.0, 601)
+    finite = np.isfinite(op.potential)
+    assert np.count_nonzero(finite) == 301 and op.potential[300] == 0.0
+    sub = np.linalg.eigvalsh(op.dense()[np.ix_(finite, finite)])
+    lams = np.array([10.0, 20.0, 40.0])
+    expected = [int(np.count_nonzero(sub < lam)) for lam in lams]
+    assert counting_function(op, lams).tolist() == expected and min(expected) > 0
+
+
 def test_counting_sturm_multiplicity():
     # count jumps across an eigenvalue by exactly its multiplicity
     op = build_hamiltonian(None, 1.0, 64)
@@ -229,7 +245,7 @@ def test_counting_array_matches_scalar_calls():
         build_hamiltonian(OSCILLATOR, 8.0, 301),
         build_hamiltonian(SIMON, (5.0, 4.0), (13, 9)),
         build_hamiltonian(OSCILLATOR, 6.0, 48, boundary="periodic"),
-        random_hermitian(9, seed=77),
+        build_hamiltonian(None, 3.0, 9),
     ):
         lo, hi = gershgorin_bounds(op)
         lams = np.linspace(lo - 1.0, hi + 1.0, 12).reshape(3, 4)
@@ -353,13 +369,6 @@ def test_block_count_identical_under_block_oracle_read(monkeypatch, points):
     assert _block_outcomes(op, shifts) == fast
 
 
-def test_counting_dense_fallback_on_hermitian_input():
-    op = random_hermitian(9, seed=77)
-    vals = np.linalg.eigvalsh(op.mat)
-    lam = float((vals[3] + vals[4]) / 2)
-    assert counting_function(op, lam) == 4
-
-
 def test_counting_periodic_dense_path():
     op = build_hamiltonian(OSCILLATOR, 6.0, 48, boundary="periodic")
     vals = np.linalg.eigvalsh(op.dense())
@@ -443,9 +452,9 @@ def test_grids_past_the_dense_cap_hold_samples_only():
 
 
 def test_heat_trace_diagonal_case():
-    op = HermitianOperator.from_diag([0.5, 1.5, 4.0])
+    op = build_hamiltonian(None, 2.0, 3)
     t = 0.3
-    expected = sum(math.exp(-t * a) for a in (0.5, 1.5, 4.0))
+    expected = sum(math.exp(-t * a) for a in dirichlet_laplacian_eigenvalues(3, op.spacing[0]))
     assert heat_trace(op, t) == pytest.approx(expected, rel=1e-12)
 
 
@@ -510,10 +519,11 @@ def test_zeta_oscillator_inverse_square_sum():
 
 
 def test_zeta_small_diagonal_full_sum():
-    op = HermitianOperator.from_diag([1.0, 2.0, 4.0])
+    op = build_hamiltonian(None, 2.0, 3)
     z = zeta_trace(op, 1.0)
-    assert z.value == pytest.approx(1.75, abs=1e-12)
-    assert z.tail == 0.0 and z.converged
+    expected = float(np.sum(1.0 / dirichlet_laplacian_eigenvalues(3, op.spacing[0])))
+    assert z.value == pytest.approx(expected, abs=1e-12)
+    assert z.tail == 0.0 and z.converged and z.count == 3
 
 
 def test_zeta_divergence_threshold_flag():
@@ -560,7 +570,8 @@ def test_windowed_zeta_nothing_cut_sums_whole_spectrum():
 
 
 def test_zeta_requires_positive_spectrum():
-    op = HermitianOperator.from_diag([-1.0, 2.0])
+    # build_hamiltonian refuses negative samples, so the operator is assembled directly
+    op = GridOperator(1, "dirichlet", (2.0,), (3,), (1.0,), np.array([-10.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="positive spectrum"):
         zeta_trace(op, 2.0)
 
@@ -619,7 +630,7 @@ def test_box_doubling_audit_oscillator():
 
 
 def test_channel_boxes_close_the_channels():
-    lx, ly = channel_boxes(SIMON, 8.0, margin=1.1)
+    lx, ly = channel_boxes(SIMON, 8.0)
     # transverse ground energy at the wall exceeds the target energy
     assert math.sqrt(lx) >= 8.0
     assert 1.018 * ly ** (4.0 / 3.0) >= 8.0
@@ -628,7 +639,7 @@ def test_channel_boxes_close_the_channels():
 def test_channel_boxes_doubling_audit():
     # the rule-chosen box changes the count at lam well below lam_max by < 0.1%
     lam = 4.0
-    lx, ly = channel_boxes(SIMON, lam, margin=1.1)
+    lx, ly = channel_boxes(SIMON, lam)
     points = (points_for_spacing(lx, 0.25), points_for_spacing(ly, 0.15))
     assert box_doubling_change(SIMON, lam, (lx, ly), points) < 1e-3
 
@@ -770,15 +781,3 @@ def test_sandwich_lower_trace_upper(seed, t):
     tol = 1e-10 * (1.0 + trace_val)
     assert lower <= trace_val + tol
     assert trace_val <= upper + tol
-
-
-# spectrum dump ---------------------------------------------------------------
-
-
-def test_spectrum_dump_roundtrip(tmp_path):
-    vals = np.array([0.5, 1.25, 7.0])
-    path = tmp_path / "spec.csv"
-    save_spectrum(path, vals)
-    text = path.read_text().splitlines()
-    assert text[0] == "k,eigenvalue"
-    assert np.array_equal(load_spectrum(path), vals)
