@@ -16,27 +16,21 @@ from semispec import (
     build_hamiltonian,
     channel_boxes,
     counting_function,
-    effective_operator,
     exponent_fit,
     partial_weyl_prediction,
     points_for_spacing,
+    transverse_zetas,
     zeta_power,
-    zeta_trace,
 )
 from semispec.asymptotics import divergence_classifier
-from semispec.schrodinger import transverse_growth_exponent
 
 pot = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
 
 print("naive phase-space volume:", divergence_classifier(1, 1, pot.alpha, pot.beta))
 
-power = zeta_power(pot)
-zetas = {}
-for omega in (1, -1):
-    k_op = effective_operator(omega, pot, 12.0, 2399)
-    z = zeta_trace(k_op, power, e_cut=100.0, growth_exponent=transverse_growth_exponent(pot.beta))
-    zetas[omega] = z.value
-    print(f"transverse zeta at omega={omega:+d}: {z.value:.6f}  (pi^2/8 = {np.pi**2 / 8:.6f})")
+zetas = transverse_zetas(pot, zeta_power(pot), 12.0, 2399)
+for omega, z in zetas.items():
+    print(f"transverse zeta at omega={omega:+d}: {z:.6f}  (pi^2/8 = {np.pi**2 / 8:.6f})")
 
 lam_top = 6.0
 lx, ly = channel_boxes(pot, lam_top)

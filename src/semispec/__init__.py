@@ -61,6 +61,7 @@ from .schrodinger import (
     heat_truncation_bound,
     points_for_spacing,
     spectrum,
+    transverse_zetas,
     zeta_trace,
 )
 from .asymptotics import (

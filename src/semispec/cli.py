@@ -10,8 +10,9 @@ constants   growth-law constants, exponents and divergence classification; JSON
 
 Exit codes: 0 success, 1 an inequality violation was detected, 2 usage or
 input error (bad flag, invalid parameter, a parameter whose result
-overflows, unreadable or malformed file), 3 a
-numerical contract not met (eigendecomposition residual, refused count, size cap).
+overflows, unreadable or malformed file), 3 a numerical contract not met
+(eigendecomposition residual, LAPACK non-convergence, refused count, size
+cap).
 Every command is deterministic given its flags; per-trial seeds are derived
 from --seed with numpy's SeedSequence spawning, so output files are
 byte-identical across runs and independent of how trials are grouped for
@@ -84,24 +85,18 @@ def _parse_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _parse_pair(text: str) -> tuple[float, ...]:
-    vals = _parse_floats(text)
-    if len(vals) not in (1, 2):
-        raise argparse.ArgumentTypeError(f"expected one or two comma values, got {text!r}")
-    return tuple(vals)
-
-
-def _parse_values(count: int, kind: type):
-    """Parser for exactly ``count`` (one or two) comma-separated values of ``kind`` (float or int)."""
+def _parse_values(counts: tuple[int, ...], kind: type):
+    """Parser for comma-separated values of ``kind`` (float or int), as many as one of ``counts`` (1 to 4)."""
     what = "number" if kind is float else "integer"
-    expected = f"one {what}" if count == 1 else f"two comma-separated {what}s"
+    words = " or ".join(("one", "two", "three", "four")[c - 1] for c in counts)
+    expected = f"{words} {what}" if counts == (1,) else f"{words} comma-separated {what}s"
 
     def parse(text: str) -> tuple:
         try:
             vals = tuple(kind(p) for p in text.split(","))
         except ValueError:
             vals = ()
-        if len(vals) != count:
+        if len(vals) not in counts:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return vals
 
@@ -110,9 +105,7 @@ def _parse_values(count: int, kind: type):
 
 def _parse_quadrants(text: str) -> schrodinger.QuadrantProfile:
     """One value for all four quadrants, or four in pp,pm,mp,mm order."""
-    vals = _parse_floats(text)
-    if len(vals) not in (1, 4):
-        raise argparse.ArgumentTypeError(f"expected one or four comma values, got {text!r}")
+    vals = _parse_values((1, 4), float)(text)
     try:
         return schrodinger.QuadrantProfile(*(vals * 4)[:4])
     except ValueError as exc:
@@ -148,6 +141,27 @@ def _check_scales(flag: str, values) -> None:
     bad = [v for v in values if not (math.isfinite(v) and v > 0)]
     if bad:
         _usage_error(f"{flag} values must be finite and positive, got {bad[0]!r}")
+
+
+def _law_table(header: str, scales, values, law: asymptotics.Prediction | None, target: float | None) -> str:
+    """CSV rows ``scale,value,prediction,ratio`` against a growth law, and an
+    ``exponent`` row fitted once three values are positive (with the law's
+    ``target`` exponent when given)."""
+    lines = [header]
+    samples = []
+    for s, value in zip(scales, values):
+        pred = law.at(s)
+        if math.isinf(pred):
+            lines.append(f"{s:g},{_fmt(value)},inf,")
+        else:
+            ratio = value / pred if pred else math.inf
+            lines.append(f"{s:g},{_fmt(value)},{_fmt(pred)},{ratio:.6f}")
+        if value > 0:
+            samples.append((s, value))
+    if len(samples) >= 3:
+        slope = asymptotics.exponent_fit(samples).slope
+        lines.append(f"exponent,{slope:.6f}," + ("," if target is None else f"target,{target:.6f}"))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +307,7 @@ def _homogeneous_from_args(args) -> schrodinger.Homogeneous:
         if not isinstance(pot, schrodinger.Homogeneous):
             _usage_error("weyl needs a homogeneous potential config")
         return pot
-    profile = tuple(args.profile) if len(args.profile) == 2 else (args.profile[0],) * 2
-    return schrodinger.Homogeneous(args.gamma, 1, profile)
+    return schrodinger.Homogeneous(args.gamma, 1, (args.profile * 2)[:2])
 
 
 def cmd_weyl(args) -> int:
@@ -307,12 +320,7 @@ def cmd_weyl(args) -> int:
     scales = ts if heat_mode else lams
     _check_scales("--t" if heat_mode else "--lambda", scales)
 
-    lines = []
-    samples = []
-    if heat_mode:
-        lines.append("t,trace_discrete,prediction,ratio")
-    else:
-        lines.append("lambda,N_discrete,prediction,ratio")
+    values, law = [], None
     if scales:
         if args.box is not None:
             box = args.box[0]
@@ -323,23 +331,13 @@ def cmd_weyl(args) -> int:
         points = args.points[0] if args.points else schrodinger.points_for_spacing(box, 0.01)
         op = schrodinger.build_hamiltonian(pot, box, points)
         if heat_mode:
-            values = schrodinger.heat_trace(op, scales, method=args.method)
-            preds = [asymptotics.heat_weyl_prediction(pot, s) for s in scales]
+            values = schrodinger.heat_trace(op, scales, method=args.method).tolist()
+            law = asymptotics.heat_law(pot)
         else:
-            values = schrodinger.counting_function(op, scales).astype(float)
-            preds = [asymptotics.weyl_prediction(pot, s) for s in scales]
-        for s, value, pred in zip(scales, values.tolist(), preds):
-            if math.isinf(pred):
-                lines.append(f"{s:g},{_fmt(value)},inf,")
-            else:
-                ratio = value / pred if pred else math.inf
-                lines.append(f"{s:g},{_fmt(value)},{_fmt(pred)},{ratio:.6f}")
-            if value > 0:
-                samples.append((s, value))
-    if len(samples) >= 3:
-        fit = asymptotics.exponent_fit(samples)
-        lines.append(f"exponent,{fit.slope:.6f},,")
-    _emit(args.out, "\n".join(lines) + "\n")
+            values = schrodinger.counting_function(op, scales).astype(float).tolist()
+            law = asymptotics.counting_law(pot)
+    header = "t,trace_discrete,prediction,ratio" if heat_mode else "lambda,N_discrete,prediction,ratio"
+    _emit(args.out, _law_table(header, scales, values, law, None))
     return 0
 
 
@@ -349,24 +347,6 @@ def cmd_weyl(args) -> int:
 
 
 def _separately_from_args(args) -> schrodinger.SeparatelyHomogeneous:
-    return schrodinger.SeparatelyHomogeneous(args.alpha, args.beta, args.profile)
-
-
-def _zeta_per_direction(pot, box: float, points: int, p: float) -> dict[int, float]:
-    """Transverse zeta trace at omega = +1 and -1; one spectrum when both directions see one potential."""
-    q = schrodinger.transverse_growth_exponent(pot.beta)
-    out = {}
-    for omega in (1, -1):
-        if omega == -1 and schrodinger.transverse_potential(pot, -1) == schrodinger.transverse_potential(pot, 1):
-            out[-1] = out[1]
-            continue
-        op = schrodinger.effective_operator(omega, pot, box, points)
-        e_cut = min(100.0, 0.8 * float(schrodinger.gershgorin_bounds(op)[1]))
-        out[omega] = schrodinger.zeta_trace(op, p, e_cut=e_cut, growth_exponent=q).value
-    return out
-
-
-def cmd_simon(args) -> int:
     if args.beta <= args.alpha:
         # the m/alpha > n/beta hypothesis fails; the roles of x and y must be
         # exchanged (the symmetric form of the law)
@@ -374,15 +354,16 @@ def cmd_simon(args) -> int:
             "requires beta > alpha (1/alpha > 1/beta); otherwise exchange the "
             "roles of the two variables and apply the symmetric statement"
         )
+    return schrodinger.SeparatelyHomogeneous(args.alpha, args.beta, args.profile)
+
+
+def cmd_simon(args) -> int:
+    pot = _separately_from_args(args)
     lams = args.lam or []
     _check_scales("--lambda", lams)
-    pot = _separately_from_args(args)
-    p = asymptotics.zeta_power(pot)
-    zetas = _zeta_per_direction(pot, args.zeta_box, args.zeta_points, p)
+    zetas = schrodinger.transverse_zetas(pot, asymptotics.zeta_power(pot), args.zeta_box, args.zeta_points)
     law = asymptotics.partial_counting_law(pot, zetas)
-
-    lines = ["lambda,N_discrete,prediction,ratio"]
-    samples = []
+    counts = []
     if lams:
         box = args.box or schrodinger.channel_boxes(pot, max(lams))
         points = args.points or (
@@ -390,37 +371,18 @@ def cmd_simon(args) -> int:
             schrodinger.points_for_spacing(box[1], 0.12),
         )
         op = schrodinger.build_hamiltonian(pot, box, points)
-        for lam, count in zip(lams, schrodinger.counting_function(op, lams).tolist()):
-            pred = law.at(lam)
-            if math.isinf(pred):
-                lines.append(f"{lam:g},{count},inf,")
-            else:
-                lines.append(f"{lam:g},{count},{_fmt(pred)},{count / pred:.6f}")
-            if count > 0:
-                samples.append((lam, count))
-    if len(samples) >= 3:
-        fit = asymptotics.exponent_fit(samples)
-        target = law.exponent
-        lines.append(f"exponent,{fit.slope:.6f},target,{target:.6f}")
-    _emit(args.out, "\n".join(lines) + "\n")
+        counts = schrodinger.counting_function(op, lams).tolist()
+    _emit(args.out, _law_table("lambda,N_discrete,prediction,ratio", lams, counts, law, law.exponent))
     return 0
 
 
 def cmd_zeta(args) -> int:
-    if args.beta <= args.alpha:
-        _usage_error(
-            "requires beta > alpha; otherwise exchange the roles of the two "
-            "variables and apply the symmetric statement"
-        )
     pot = _separately_from_args(args)
     p = args.p if args.p is not None else asymptotics.zeta_power(pot)
-    zetas = _zeta_per_direction(pot, args.zeta_box, args.zeta_points, p)
+    zetas = schrodinger.transverse_zetas(pot, p, args.zeta_box, args.zeta_points)
     # a divergent trace has no finite value: null
-    text = "".join(
-        _json_line({"omega": omega, "p": p, "zeta": zetas[omega] if math.isfinite(zetas[omega]) else None})
-        for omega in (1, -1)
-    )
-    _emit(args.out, text)
+    rows = ({"omega": omega, "p": p, "zeta": z if math.isfinite(z) else None} for omega, z in zetas.items())
+    _emit(args.out, "".join(map(_json_line, rows)))
     return 0
 
 
@@ -492,12 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_weyl = sub.add_parser("weyl", help="counting or heat law for a homogeneous potential")
     p_weyl.add_argument("--gamma", type=float, default=2.0)
-    p_weyl.add_argument("--profile", type=_parse_pair, default=(1.0,))
+    p_weyl.add_argument("--profile", type=_parse_values((1, 2), float), default=(1.0,))
     p_weyl.add_argument("--potential-file", default=None)
     p_weyl.add_argument("--lambda", dest="lam", type=_parse_floats, default=None)
     p_weyl.add_argument("--t", type=_parse_floats, default=None)
-    p_weyl.add_argument("--box", type=_parse_values(1, float), default=None)
-    p_weyl.add_argument("--points", type=_parse_values(1, int), default=None)
+    p_weyl.add_argument("--box", type=_parse_values((1,), float), default=None)
+    p_weyl.add_argument("--points", type=_parse_values((1,), int), default=None)
     p_weyl.add_argument("--method", choices=("dense", "truncated"), default="dense")
     p_weyl.add_argument("--out", default=None)
     p_weyl.set_defaults(func=cmd_weyl)
@@ -507,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_simon.add_argument("--beta", type=float, required=True)
     p_simon.add_argument("--profile", type=_parse_quadrants, default=schrodinger.uniform_quadrants())
     p_simon.add_argument("--lambda", dest="lam", type=_parse_floats, default=None)
-    p_simon.add_argument("--box", type=_parse_values(2, float), default=None, metavar="LX,LY")
-    p_simon.add_argument("--points", type=_parse_values(2, int), default=None, metavar="PX,PY")
+    p_simon.add_argument("--box", type=_parse_values((2,), float), default=None, metavar="LX,LY")
+    p_simon.add_argument("--points", type=_parse_values((2,), int), default=None, metavar="PX,PY")
     p_simon.add_argument("--zeta-box", type=float, default=12.0)
     p_simon.add_argument("--zeta-points", type=int, default=2399)
     p_simon.add_argument("--out", default=None)
@@ -541,11 +503,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
-        _usage_error(str(exc))
-    except RuntimeError as exc:
+    # ahead of ValueError: LAPACK's LinAlgError subclasses it, but is no input error
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OverflowError, OSError) as exc:
+        _usage_error(str(exc))
 
 
 if __name__ == "__main__":

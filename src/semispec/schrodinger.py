@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eig_banded, eigvalsh_tridiagonal, lapack
 
-from .linalg import HermitianOperator
+from .linalg import HermitianOperator, eig_hermitian_stack
 
 # Memory guards: total grid nodes, and the largest matrix we will hand to a
 # dense eigensolver (counting fallback, full spectra of 2d operators).
@@ -306,6 +305,9 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
     else:
         spacing = tuple(2.0 * box[i] / (points[i] + 1) for i in range(ndim))
         axes = [-box[i] + spacing[i] * (1.0 + np.arange(points[i])) for i in range(ndim)]
+    for h in spacing:  # the stencil's coupling 1/h^2 must be a finite number
+        if h**2 == 0.0 or not math.isfinite(1.0 / h**2):
+            raise ValueError(f"box {box} on {points} points gives spacing {h!r}, too fine for the 1/h^2 stencil")
     if potential is None:
         v = np.zeros(n_total)
     else:
@@ -411,6 +413,8 @@ def _block_negcount(op: GridOperator, shift: float, reverse: bool = False) -> in
     A pivot eigenvalue within 1e-12 (relative) of zero raises
     :class:`_PivotBreakdown`.
     """
+    from scipy.linalg import lapack
+
     hx, hy = op.spacing
     v = op.potential.reshape(op.points)
     if v.shape[1] > v.shape[0]:
@@ -451,7 +455,7 @@ def _block_count(op: GridOperator, shift: float) -> int:
             f"block factorization at shift {shift!r} broke down in both row orders "
             f"({breakdown}) and {op.n} nodes exceed the dense fallback cap {DENSE_EIG_CAP}"
         )
-    return int(np.count_nonzero(np.linalg.eigvalsh(op.dense()) < shift))
+    return int(np.searchsorted(spectrum(op), shift, side="left"))
 
 
 def _count_below(op: GridOperator, shifts: np.ndarray) -> np.ndarray:
@@ -524,15 +528,29 @@ def gershgorin_bounds(op: GridOperator) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _finite_tridiagonal(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal of a 1d Dirichlet operator less its +inf (hard-wall) nodes: each
+    is decoupled with eigenvalue +inf, adding exactly 0 to heat and zeta sums."""
+    diag, off = _tridiagonal(op)
+    idx = np.flatnonzero(np.isfinite(diag))
+    # kept neighbours stay coupled only where no deleted node lies between them
+    return diag[idx], np.where(np.diff(idx) == 1, off[idx[:-1]], 0.0)
+
+
 def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
     """Eigenvalues of the discrete operator, ascending; optionally only those <= upto.
 
     Tridiagonal operators use LAPACK bisection for the windowed form; other
     shapes go through a dense or banded solver, guarded by
-    ``DENSE_EIG_CAP``.
+    ``DENSE_EIG_CAP``.  The infinite eigenvalues of hard-wall nodes are left
+    out.
     """
+    from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+
     if op.ndim == 1 and op.boundary == "dirichlet":
-        diag, off = _tridiagonal(op)
+        diag, off = _finite_tridiagonal(op)
+        if not diag.size:
+            return diag
         if upto is not None:
             lo = gershgorin_bounds(op)[0] - 1.0
             vals = eigvalsh_tridiagonal(
@@ -554,7 +572,9 @@ def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
 
 def ground_energy(op: GridOperator) -> float:
     if op.ndim == 1 and op.boundary == "dirichlet":
-        return float(eigvalsh_tridiagonal(*_tridiagonal(op), select="i", select_range=(0, 0))[0])
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        return float(eigvalsh_tridiagonal(*_finite_tridiagonal(op), select="i", select_range=(0, 0))[0])
     return float(spectrum(op)[0])
 
 
@@ -607,11 +627,12 @@ def zeta_trace(
     """Sum of eigenvalue powers mu_k^(-p) over eigenvalues <= e_cut.
 
     Eigenvalues beyond the cutoff are extrapolated with the growth law
-    mu_k ~ c k^q: q is ``growth_exponent`` when given (for a transverse
-    operator with potential of degree beta in one variable it is
-    2 beta / (beta + 2)), otherwise fitted; c is always fitted on the
-    top half of the computed spectrum.  The modeled tail converges only for
-    p q > 1; otherwise the sum is flagged divergent and the value is inf.
+    mu_k ~ c k^q: q is ``growth_exponent``, which a cut needs (for a
+    transverse operator with potential of degree beta in one variable it is
+    2 beta / (beta + 2)); c is fitted on the top half of the computed
+    spectrum.  The modeled tail converges only for p q > 1; otherwise the
+    sum is flagged divergent and the value is inf.  The infinite eigenvalues
+    of hard-wall nodes add 0 and are never cut.
 
     A finite cutoff computes only the eigenvalues <= max(e_cut, 0) (a
     bisection window on tridiagonal operators), which still holds every
@@ -625,18 +646,15 @@ def zeta_trace(
     used = vals[vals <= e_cut]
     k = used.size
     partial = float(np.sum(used ** (-p)))
-    if k == op.n:
+    if k == np.count_nonzero(np.isfinite(op.potential)):
         # nothing was cut: the finite matrix is summed completely
         return ZetaTrace(partial, partial, 0.0, True, k)
+    if growth_exponent is None:
+        raise ValueError(f"e_cut={e_cut} cuts the spectrum; extrapolating needs a growth_exponent")
     if k < 4:
         raise ValueError(f"only {k} eigenvalues below e_cut={e_cut}; cannot extrapolate")
-    ks = np.arange(1, k + 1, dtype=float)
-    top = slice(k // 2, k)
-    if growth_exponent is None:
-        q = float(np.polyfit(np.log(ks[top]), np.log(used[top]), 1)[0])
-    else:
-        q = float(growth_exponent)
-    log_c = float(np.mean(np.log(used[top]) - q * np.log(ks[top])))
+    q = growth_exponent  # c is fitted on the top half, k // 2 + 1 .. k
+    log_c = float(np.mean(np.log(used[k // 2 :]) - q * np.log(np.arange(k // 2 + 1, k + 1.0))))
     if p * q <= 1.0:
         return ZetaTrace(math.inf, partial, math.inf, False, k)
     c = math.exp(log_c)
@@ -667,6 +685,23 @@ def transverse_potential(pot: SeparatelyHomogeneous, omega: int) -> Homogeneous:
 def effective_operator(omega: int, pot: SeparatelyHomogeneous, box: float, points: int) -> GridOperator:
     """Transverse operator -d^2/dy^2 + |y|^beta F(omega, sign y) on a 1d grid."""
     return build_hamiltonian(transverse_potential(pot, omega), box, points)
+
+
+def transverse_zetas(pot: SeparatelyHomogeneous, p: float, box: float, points: int) -> dict[int, float]:
+    """Zeta traces of the effective operators at omega = +1 and -1, the factors
+    of the partial laws: eigenvalues up to min(100, 0.8 x the Gershgorin top),
+    the rest extrapolated with q = 2 beta / (beta + 2); one spectrum when
+    both directions see the same potential."""
+    q = transverse_growth_exponent(pot.beta)
+    out = {}
+    for omega in (1, -1):
+        if omega == -1 and transverse_potential(pot, -1) == transverse_potential(pot, 1):
+            out[-1] = out[1]
+            continue
+        op = effective_operator(omega, pot, box, points)
+        e_cut = min(100.0, 0.8 * gershgorin_bounds(op)[1])
+        out[omega] = zeta_trace(op, p, e_cut=e_cut, growth_exponent=q).value
+    return out
 
 
 def longitudinal_potential(pot: SeparatelyHomogeneous, omega_y: int) -> Homogeneous:
@@ -878,5 +913,5 @@ def coherent_partial_lower_bound(
     if len({w.dim for w in blocks}) != 1:
         raise ValueError("all blocks must share one dimension")
     wbar = _window_average(window, np.stack([w.mat for w in blocks]))
-    traces = np.exp(-t * np.linalg.eigvalsh(wbar)).sum(axis=1)
+    traces = np.exp(-t * eig_hermitian_stack(wbar)[0]).sum(axis=1)
     return float(bx @ traces * bk.sum()) / m

@@ -22,7 +22,6 @@ from semispec.inequalities import (
     sliced_gt_sides,
 )
 from semispec.linalg import HermitianOperator, affine, exp_neg, positive_part, square
-from semispec.schrodinger import transverse_growth_exponent
 
 from oracles import double_jensen_chain
 
@@ -266,14 +265,8 @@ def test_criterion_07_partially_semiclassical_law():
     lam_top = 10.0
 
     # transverse zeta traces per direction
-    power = ss.zeta_power(pot)
-    zeta_ok = True
-    zetas = {}
-    for omega in (1, -1):
-        k_op = ss.effective_operator(omega, pot, 12.0, 2399)
-        z = ss.zeta_trace(k_op, power, e_cut=100.0, growth_exponent=transverse_growth_exponent(pot.beta))
-        zetas[omega] = z.value
-        zeta_ok &= abs(z.value - math.pi**2 / 8.0) <= 0.01 * (math.pi**2 / 8.0)
+    zetas = ss.transverse_zetas(pot, ss.zeta_power(pot), 12.0, 2399)
+    zeta_ok = all(abs(z - math.pi**2 / 8.0) <= 0.01 * (math.pi**2 / 8.0) for z in zetas.values())
 
     # grid by the channel-closing rule; spacings fixed by this module
     lx, ly = ss.channel_boxes(pot, lam_top)

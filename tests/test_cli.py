@@ -237,22 +237,6 @@ def test_non_positive_or_non_finite_scale_is_usage_error(capsys, argv, flag, bad
     assert captured.err == f"error: {flag} values must be finite and positive, got {bad}\n"
 
 
-@pytest.mark.parametrize("profile, spectra", [("1", 1), ("1,2,1,2", 1), ("1,2,3,4", 2)])
-def test_zeta_per_direction_one_spectrum_per_distinct_direction(monkeypatch, profile, spectra):
-    calls = []
-    full = schrodinger.spectrum
-
-    def counted(op, upto=None):
-        calls.append(upto)
-        return full(op, upto)
-
-    monkeypatch.setattr(schrodinger, "spectrum", counted)
-    pot = schrodinger.SeparatelyHomogeneous(1.0, 2.0, cli._parse_quadrants(profile))
-    zetas = cli._zeta_per_direction(pot, 12.0, 399, 2.0)
-    assert len(calls) == spectra and all(upto is not None for upto in calls)
-    assert (zetas[1] == zetas[-1]) == (spectra == 1)
-
-
 def test_zeta_oscillator_transverse(capsys):
     code, out = run_cli(capsys, "zeta", "--alpha", "1", "--beta", "2")
     assert code == 0
@@ -412,12 +396,21 @@ def test_malformed_flags_exit_two(tmp_path, capsys):
         ["constants", "--gamma", "0.01", "--d", "2"],
         ["constants", "--alpha", "0.1", "--beta", "100", "--m", "3"],
         ["weyl", "--gamma", "1e-3", "--lambda", "10"],
+        *TINY_BOXES,
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+
+
+# boxes so small that the stencil's 1/h^2 is not a finite number
+TINY_BOXES = [
+    ["weyl", "--lambda", "10", "--box", "1e-300", "--points", "601"],
+    ["simon", "--alpha", "1", "--beta", "2", "--zeta-box", "1e-300", "--zeta-points", "199"],
+    ["simon", "--alpha", "1", "--beta", "2", "--lambda", "3", "--box", "1e-300,5", "--zeta-points", "199"],
+]
 
 
 # Edge arguments: tiny and huge exponents, vanishing and infinite profile
@@ -451,6 +444,7 @@ EDGE_ARGV = (
         ["simon", "--alpha", "1", "--beta", "2", "--lambda", lam, "--zeta-points", "199"]
         for lam in ("1e-300", "1e300", "inf", "nan")
     ]
+    + TINY_BOXES
     + [
         ["zeta", "--alpha", "1", "--beta", "2", "--p", p, "--zeta-points", points]
         for p in ("1e-300", "1e300", "inf", "nan")
@@ -489,6 +483,16 @@ def test_weyl_hard_wall_profile_counts(capsys):
     assert code == 0
     # the half oscillator's eigenvalues are 3, 7, 11, ...
     assert [line.split(",")[1] for line in out.splitlines()[1:4]] == ["2", "5", "10"]
+
+
+def test_lapack_non_convergence_exit_three(capsys):
+    # heat_box makes the box about 1e-149 wide, so the eigenvalues sit near
+    # 1e299 and the bisection window ends at 40 / t = 4e-299
+    code = cli.main(["weyl", "--t", "1e300", "--method", "truncated"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("error:") == 1 and "did not converge" in captured.err
 
 
 def test_numerical_contract_error_exit_three(monkeypatch, capsys):

@@ -47,3 +47,11 @@ def test_dense_spectra_only_through_eig_hermitian():
     assert stray == [], f"raw eigensolver calls outside eig_hermitian_stack: {stray}"
     # the scan does see the one sanctioned call
     assert [func for func, _ in sites["linalg.py"]] == ["eig_hermitian_stack"]
+
+
+def test_grid_spectra_only_through_spectrum_and_ground_energy():
+    # schrodinger's dense and banded Hermitian stacks go through eig_hermitian_stack too
+    sites = _raw_eig_sites(SRC / "schrodinger.py")
+    stray = [(func, line) for func, line in sites if func not in ("spectrum", "ground_energy")]
+    assert stray == [], f"raw eigensolver calls outside spectrum and ground_energy: {stray}"
+    assert {func for func, _ in sites} == {"spectrum", "ground_energy"}

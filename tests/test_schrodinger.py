@@ -40,6 +40,7 @@ from semispec.schrodinger import (
     points_for_spacing,
     spectrum,
     transverse_growth_exponent,
+    transverse_zetas,
     zeta_trace,
 )
 
@@ -163,6 +164,10 @@ def test_build_validation():
         build_hamiltonian(None, (1.0, 1.0), (600, 600))
     with pytest.raises(ValueError, match="1d"):
         build_hamiltonian(None, (1.0, 1.0), (5, 5), boundary="periodic")
+    # h^2 underflows to 0, or to a subnormal whose inverse overflows
+    for box in (1e-300, 1e-158):
+        with pytest.raises(ValueError, match=r"box \(1e-\d+,\) on \(601,\) points .* too fine"):
+            build_hamiltonian(OSCILLATOR, box, 601)
 
 
 def test_homogeneity_survives_discretization():
@@ -212,6 +217,26 @@ def test_counting_behind_a_hard_wall(profile):
     lams = np.array([10.0, 20.0, 40.0])
     expected = [int(np.count_nonzero(sub < lam)) for lam in lams]
     assert counting_function(op, lams).tolist() == expected and min(expected) > 0
+
+
+@pytest.mark.parametrize("profile", [(1.0, math.inf), (math.inf, 1.0)])
+def test_heat_and_zeta_behind_a_hard_wall(profile):
+    # the infinite samples decouple with eigenvalue +inf, adding 0 to heat and
+    # zeta sums: both equal those of the finite sub-tridiagonal
+    op = build_hamiltonian(Homogeneous(2.0, 1, profile), 6.0, 601)
+    finite = np.isfinite(op.potential)
+    sub = np.linalg.eigvalsh(op.dense()[np.ix_(finite, finite)])
+    ts = np.array([0.1, 1.0])
+    expected = np.array([np.sum(np.exp(-t * sub)) for t in ts])
+    for method in ("dense", "truncated"):
+        assert np.allclose(heat_trace(op, ts, method=method), expected, rtol=1e-10, atol=0.0), method
+    assert np.allclose(spectrum(op), sub, rtol=1e-10, atol=0.0)
+    assert ground_energy(op) == pytest.approx(sub[0], rel=1e-10)
+    whole = zeta_trace(op, 2.0)
+    assert whole.count == sub.size and whole.tail == 0.0
+    assert whole.value == pytest.approx(np.sum(sub**-2.0), rel=1e-10)
+    cut = zeta_trace(op, 2.0, e_cut=100.0, growth_exponent=1.0)
+    assert cut.count == np.count_nonzero(sub <= 100.0) and cut.tail > 0.0
 
 
 def test_counting_sturm_multiplicity():
@@ -312,6 +337,18 @@ def test_block_count_forward_breakdown_resolved_in_reverse_order():
     assert schrodinger._block_negcount(op, shift, reverse=True) == expected
     assert schrodinger._count_below(op, shift) == expected
     assert counting_function(op, shift) == expected
+
+
+def test_block_count_breakdown_in_both_orders_counts_by_spectrum(monkeypatch):
+    op = build_hamiltonian(ASYMMETRIC, (5.0, 4.0), (14, 9))
+    vals = np.linalg.eigvalsh(op.dense())
+
+    def breakdown(op, shift, reverse=False):
+        raise schrodinger._PivotBreakdown("forced")
+
+    monkeypatch.setattr(schrodinger, "_block_negcount", breakdown)
+    shifts = [float(vals[0]) - 1.0, 0.5 * float(vals[3] + vals[4]), float(vals[-1]) + 1.0]
+    assert schrodinger._count_below(op, shifts).tolist() == [0, 4, op.n]
 
 
 def test_block_count_on_eigenvalue_past_dense_cap_raises(monkeypatch):
@@ -538,22 +575,43 @@ def test_zeta_divergence_threshold_flag():
 @pytest.mark.parametrize("profile", [(1.0,) * 4, (1.0, 2.0, 3.0, 4.0)])
 def test_windowed_zeta_matches_full_spectrum_oracle(profile):
     pot = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(*profile))
-    q = transverse_growth_exponent(2.0)
     p = 2.0
+    zetas = transverse_zetas(pot, p, 12.0, 2399)
     for omega in (1, -1):
         op = effective_operator(omega, pot, 12.0, 2399)
+        # the oracle sums the full spectrum up to the same cut, min(100, 0.8 x
+        # the Gershgorin top), and extrapolates with q = 2 beta / (beta + 2) = 1
         top = gershgorin_bounds(op)[1]
         e_cut = min(100.0, 0.8 * top)
-        z = zeta_trace(op, p, e_cut=e_cut, growth_exponent=q)
         bands = dirichlet_bands(op)
-        value, partial, tail, k = zeta_by_full_spectrum(bands[0], bands[1, :-1], p, e_cut, q)
-        assert z.count == k and z.converged and tail > 0.0
+        value, _, tail, k = zeta_by_full_spectrum(bands[0], bands[1, :-1], p, e_cut, 1.0)
+        assert 4 <= k < op.n and tail > 0.0
         # each windowed eigenvalue sits within about eps * ||H|| of the full
         # spectrum's, moving mu^-p by p eps ||H|| / mu relative
         mu_min = float(spectrum(op, upto=e_cut)[0])
         rtol = 4.0 * p * np.finfo(float).eps * top / mu_min
-        for got, want in ((z.value, value), (z.partial_sum, partial), (z.tail, tail)):
-            assert abs(got - want) <= rtol * want
+        assert abs(zetas[omega] - value) <= rtol * value
+
+
+@pytest.mark.parametrize("profile, spectra", [((1.0,) * 4, 1), ((1.0, 2.0, 1.0, 2.0), 1), ((1.0, 2.0, 3.0, 4.0), 2)])
+def test_transverse_zetas_one_spectrum_per_distinct_direction(monkeypatch, profile, spectra):
+    calls = []
+    full = schrodinger.spectrum
+
+    def counted(op, upto=None):
+        calls.append(upto)
+        return full(op, upto)
+
+    monkeypatch.setattr(schrodinger, "spectrum", counted)
+    zetas = transverse_zetas(SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(*profile)), 2.0, 12.0, 399)
+    assert len(calls) == spectra and all(upto is not None for upto in calls)
+    assert (zetas[1] == zetas[-1]) == (spectra == 1)
+
+
+def test_zeta_cut_needs_growth_exponent():
+    op = build_hamiltonian(OSCILLATOR, 6.0, 199)
+    with pytest.raises(ValueError, match="needs a growth_exponent"):
+        zeta_trace(op, 2.0, e_cut=50.0)
 
 
 def test_windowed_zeta_nothing_cut_sums_whole_spectrum():
