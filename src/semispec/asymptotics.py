@@ -170,36 +170,27 @@ def reduced_degree(pot: SeparatelyHomogeneous) -> float:
     return 2.0 * pot.alpha / (pot.beta + 2.0)
 
 
-def _check_partial_regime(pot: SeparatelyHomogeneous) -> None:
+def partial_counting_law(pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
+    """Counting law constant * lam^((alpha+beta+2)/(2 alpha)) with the
+    angular sum of transverse zeta traces as the constant's second factor
+    (m = n = 1, the case :class:`SeparatelyHomogeneous` covers)."""
+    return _partial_law("partial_counting", counting_constant, pot, zetas)
+
+
+def partial_heat_law(pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
+    """Heat-trace partner of :func:`partial_counting_law` (m = n = 1)."""
+    return _partial_law("partial_heat", heat_constant, pot, zetas)
+
+
+def _partial_law(kind: str, constant, pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
     if 1.0 / pot.alpha <= 1.0 / pot.beta:
         raise ValueError(
             "partial law needs m/alpha > n/beta; for the opposite regime "
             "exchange the roles of the two variable groups (the symmetric statement)"
         )
-
-
-def partial_counting_law(pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
-    """Counting law constant * lam^((alpha+beta+2)/(2 alpha)) with the
-    angular sum of transverse zeta traces as the constant's second factor
-    (m = n = 1, the case :class:`SeparatelyHomogeneous` covers)."""
-    _check_partial_regime(pot)
     total = float(sum(zetas.values()))
-    return Prediction(
-        "partial_counting",
-        (pot.alpha + pot.beta + 2.0) / (2.0 * pot.alpha),
-        counting_constant(reduced_degree(pot), 1) * total,
-    )
-
-
-def partial_heat_law(pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
-    """Heat-trace partner of :func:`partial_counting_law` (m = n = 1)."""
-    _check_partial_regime(pot)
-    total = float(sum(zetas.values()))
-    return Prediction(
-        "partial_heat",
-        (pot.alpha + pot.beta + 2.0) / (2.0 * pot.alpha),
-        heat_constant(reduced_degree(pot), 1) * total,
-    )
+    exponent = (pot.alpha + pot.beta + 2.0) / (2.0 * pot.alpha)
+    return Prediction(kind, exponent, constant(reduced_degree(pot), 1) * total)
 
 
 def partial_weyl_prediction(pot: SeparatelyHomogeneous, lam: float, zetas: Mapping[int, float]) -> float:

@@ -305,9 +305,9 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
     else:
         spacing = tuple(2.0 * box[i] / (points[i] + 1) for i in range(ndim))
         axes = [-box[i] + spacing[i] * (1.0 + np.arange(points[i])) for i in range(ndim)]
-    for h in spacing:  # the stencil's coupling 1/h^2 must be a finite number
-        if h**2 == 0.0 or not math.isfinite(1.0 / h**2):
-            raise ValueError(f"box {box} on {points} points gives spacing {h!r}, too fine for the 1/h^2 stencil")
+    # the stencil's diagonal offset sum(2/h^2), and with it each coupling 1/h^2, must be finite
+    if any(h**2 == 0.0 for h in spacing) or not math.isfinite(sum(2.0 / h**2 for h in spacing)):
+        raise ValueError(f"box {box} on {points} points gives spacing {spacing}, too fine for the 2/h^2 stencil")
     if potential is None:
         v = np.zeros(n_total)
     else:
@@ -528,11 +528,15 @@ def gershgorin_bounds(op: GridOperator) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _finite_nodes(op: GridOperator) -> np.ndarray:
+    """Nodes with a finite sample; the others are hard walls, decoupled with eigenvalue +inf."""
+    return np.flatnonzero(np.isfinite(op.potential))
+
+
 def _finite_tridiagonal(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal of a 1d Dirichlet operator less its +inf (hard-wall) nodes: each
-    is decoupled with eigenvalue +inf, adding exactly 0 to heat and zeta sums."""
+    """Tridiagonal of a 1d Dirichlet operator less its hard-wall nodes, which add exactly 0 to heat and zeta sums."""
     diag, off = _tridiagonal(op)
-    idx = np.flatnonzero(np.isfinite(diag))
+    idx = _finite_nodes(op)
     # kept neighbours stay coupled only where no deleted node lies between them
     return diag[idx], np.where(np.diff(idx) == 1, off[idx[:-1]], 0.0)
 
@@ -646,7 +650,7 @@ def zeta_trace(
     used = vals[vals <= e_cut]
     k = used.size
     partial = float(np.sum(used ** (-p)))
-    if k == np.count_nonzero(np.isfinite(op.potential)):
+    if k == _finite_nodes(op).size:
         # nothing was cut: the finite matrix is summed completely
         return ZetaTrace(partial, partial, 0.0, True, k)
     if growth_exponent is None:

@@ -405,9 +405,11 @@ def test_malformed_flags_exit_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err, argv
 
 
-# boxes so small that the stencil's 1/h^2 is not a finite number
+# boxes so small that the stencil's diagonal offset 2/h^2 is not a finite number
 TINY_BOXES = [
     ["weyl", "--lambda", "10", "--box", "1e-300", "--points", "601"],
+    ["weyl", "--lambda", "10", "--box", "3e-152", "--points", "601"],
+    ["weyl", "--t", "0.1,1", "--box", "3e-152", "--points", "601"],
     ["simon", "--alpha", "1", "--beta", "2", "--zeta-box", "1e-300", "--zeta-points", "199"],
     ["simon", "--alpha", "1", "--beta", "2", "--lambda", "3", "--box", "1e-300,5", "--zeta-points", "199"],
 ]

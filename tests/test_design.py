@@ -1,7 +1,12 @@
 """Design guards on the library source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import semispec
 
@@ -50,8 +55,26 @@ def test_dense_spectra_only_through_eig_hermitian():
 
 
 def test_grid_spectra_only_through_spectrum_and_ground_energy():
-    # schrodinger's dense and banded Hermitian stacks go through eig_hermitian_stack too
+    # raw grid eigensolvers are confined to spectrum and ground_energy
     sites = _raw_eig_sites(SRC / "schrodinger.py")
     stray = [(func, line) for func, line in sites if func not in ("spectrum", "ground_energy")]
     assert stray == [], f"raw eigensolver calls outside spectrum and ground_energy: {stray}"
     assert {func for func, _ in sites} == {"spectrum", "ground_energy"}
+
+
+@pytest.mark.parametrize("argv", [["constants", "--gamma", "2"], ["ineq", "--trials", "1", "--dims", "2x2"]])
+def test_scipy_free_commands_never_load_scipy(argv):
+    # only schrodinger uses scipy, importing scipy.linalg inside its functions
+    script = (
+        "import sys\n"
+        "from semispec import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "sys.exit(code)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -164,10 +164,14 @@ def test_build_validation():
         build_hamiltonian(None, (1.0, 1.0), (600, 600))
     with pytest.raises(ValueError, match="1d"):
         build_hamiltonian(None, (1.0, 1.0), (5, 5), boundary="periodic")
-    # h^2 underflows to 0, or to a subnormal whose inverse overflows
-    for box in (1e-300, 1e-158):
-        with pytest.raises(ValueError, match=r"box \(1e-\d+,\) on \(601,\) points .* too fine"):
+    # h^2 underflows to 0, to a subnormal whose inverse overflows, or to one
+    # whose 1/h^2 is finite while the diagonal offset 2/h^2 is not
+    for box in (1e-300, 1e-158, 3e-152):
+        with pytest.raises(ValueError, match=r"box \(\d+(\.\d+)?e-\d+,\) on \(601,\) points .* too fine"):
             build_hamiltonian(OSCILLATOR, box, 601)
+    # in 2d each 2/h^2 is finite but their sum is not
+    with pytest.raises(ValueError, match="too fine"):
+        build_hamiltonian(None, (2.5e-154, 2.5e-154), (3, 3))
 
 
 def test_homogeneity_survives_discretization():
@@ -575,6 +579,7 @@ def test_zeta_divergence_threshold_flag():
 @pytest.mark.parametrize("profile", [(1.0,) * 4, (1.0, 2.0, 3.0, 4.0)])
 def test_windowed_zeta_matches_full_spectrum_oracle(profile):
     pot = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(*profile))
+    q = transverse_growth_exponent(2.0)
     p = 2.0
     zetas = transverse_zetas(pot, p, 12.0, 2399)
     for omega in (1, -1):
@@ -584,13 +589,15 @@ def test_windowed_zeta_matches_full_spectrum_oracle(profile):
         top = gershgorin_bounds(op)[1]
         e_cut = min(100.0, 0.8 * top)
         bands = dirichlet_bands(op)
-        value, _, tail, k = zeta_by_full_spectrum(bands[0], bands[1, :-1], p, e_cut, 1.0)
-        assert 4 <= k < op.n and tail > 0.0
+        z = zeta_trace(op, p, e_cut=e_cut, growth_exponent=q)
+        value, partial, tail, k = zeta_by_full_spectrum(bands[0], bands[1, :-1], p, e_cut, q)
+        assert z.count == k and z.converged and tail > 0.0
         # each windowed eigenvalue sits within about eps * ||H|| of the full
         # spectrum's, moving mu^-p by p eps ||H|| / mu relative
         mu_min = float(spectrum(op, upto=e_cut)[0])
         rtol = 4.0 * p * np.finfo(float).eps * top / mu_min
-        assert abs(zetas[omega] - value) <= rtol * value
+        for got, want in ((z.value, value), (z.partial_sum, partial), (z.tail, tail), (zetas[omega], value)):
+            assert abs(got - want) <= rtol * want
 
 
 @pytest.mark.parametrize("profile, spectra", [((1.0,) * 4, 1), ((1.0, 2.0, 1.0, 2.0), 1), ((1.0, 2.0, 3.0, 4.0), 2)])
