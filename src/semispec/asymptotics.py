@@ -51,9 +51,13 @@ class Prediction:
             raise ValueError(f"constant must be nonnegative, got {self.constant}")
 
     def at(self, scale: float) -> float:
-        if self.kind.endswith("heat"):
-            return self.constant * scale ** (-self.exponent)
-        return self.constant * scale**self.exponent
+        name, power = ("t", -self.exponent) if self.kind.endswith("heat") else ("lambda", self.exponent)
+        try:
+            return self.constant * scale**power
+        except OverflowError:
+            raise OverflowError(
+                f"{self.kind} law {self.constant!r} * {name}^{power!r} overflows a float at {name}={scale!r}"
+            ) from None
 
 
 def counting_constant(gamma: float, d: int) -> float:

@@ -8,9 +8,12 @@ simon       counting law for a separately homogeneous potential in 2d; CSV
 zeta        transverse zeta traces per direction; JSON lines
 constants   growth-law constants, exponents and divergence classification; JSON
 
+A potential is given by its exponents and --profile values alone.
+
 Exit codes: 0 success, 1 an inequality violation was detected, 2 usage or
 input error (bad flag, invalid parameter, a parameter whose result
-overflows, unreadable or malformed file), 3 a numerical contract not met
+overflows, a 2d potential that overflows to +inf on the grid, unreadable
+or malformed --load file), 3 a numerical contract not met
 (eigendecomposition residual, LAPACK non-convergence, refused count, size
 cap).
 Every command is deterministic given its flags; per-trial seeds are derived
@@ -300,18 +303,8 @@ def cmd_ineq(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _homogeneous_from_args(args) -> schrodinger.Homogeneous:
-    if args.potential_file:
-        with open(args.potential_file) as fh:
-            pot = schrodinger.parse_potential_config(fh.read().strip())
-        if not isinstance(pot, schrodinger.Homogeneous):
-            _usage_error("weyl needs a homogeneous potential config")
-        return pot
-    return schrodinger.Homogeneous(args.gamma, 1, (args.profile * 2)[:2])
-
-
 def cmd_weyl(args) -> int:
-    pot = _homogeneous_from_args(args)
+    pot = schrodinger.Homogeneous(args.gamma, 1, (args.profile * 2)[:2])
     lams = args.lam or []
     ts = args.t or []
     if lams and ts:
@@ -455,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_weyl = sub.add_parser("weyl", help="counting or heat law for a homogeneous potential")
     p_weyl.add_argument("--gamma", type=float, default=2.0)
     p_weyl.add_argument("--profile", type=_parse_values((1, 2), float), default=(1.0,))
-    p_weyl.add_argument("--potential-file", default=None)
     p_weyl.add_argument("--lambda", dest="lam", type=_parse_floats, default=None)
     p_weyl.add_argument("--t", type=_parse_floats, default=None)
     p_weyl.add_argument("--box", type=_parse_values((1,), float), default=None)

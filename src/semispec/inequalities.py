@@ -37,12 +37,9 @@ from .linalg import (
     eig_hermitian_stack,
 )
 
-NONNEG_TOL = 1e-10
-
-
-def violates(gap: float, rhs: float, tol: float = NONNEG_TOL) -> bool:
+def violates(gap: float, rhs: float) -> bool:
     """True when a gap is negative beyond the scaled tolerance."""
-    return gap < -tol * (1.0 + abs(rhs))
+    return gap < -1e-10 * (1.0 + abs(rhs))
 
 
 # ---------------------------------------------------------------------------

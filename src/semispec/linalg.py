@@ -192,7 +192,6 @@ class ScalarFunction:
     kind: str
     fn: Callable[[np.ndarray], np.ndarray]
     convex: bool
-    params: tuple = ()
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -225,19 +224,19 @@ def exp_neg(t: float) -> ScalarFunction:
     """x -> exp(-t x) for t > 0; convex on all of R."""
     if not t > 0:
         raise ValueError(f"exp_neg requires t > 0, got {t}")
-    return ScalarFunction("exp_neg", lambda x: np.exp(-t * x), True, (float(t),))
+    return ScalarFunction("exp_neg", lambda x: np.exp(-t * x), True)
 
 
 def power_neg(p: float) -> ScalarFunction:
     """x -> x**(-p) for p > 0; convex on x > 0."""
     if not p > 0:
         raise ValueError(f"power_neg requires p > 0, got {p}")
-    return ScalarFunction("power_neg", lambda x: x ** (-p), True, (float(p),))
+    return ScalarFunction("power_neg", lambda x: x ** (-p), True)
 
 
 def affine(a: float, b: float) -> ScalarFunction:
     """x -> a x + b; convex (and concave), the equality case of Jensen."""
-    return ScalarFunction("affine", lambda x: a * x + b, True, (float(a), float(b)))
+    return ScalarFunction("affine", lambda x: a * x + b, True)
 
 
 def positive_part() -> ScalarFunction:

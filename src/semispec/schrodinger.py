@@ -72,8 +72,8 @@ class Homogeneous:
     profile: tuple | Callable
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.d not in (1, 2):
             raise ValueError(f"d must be 1 or 2, got {self.d}")
         if self.d == 1:
@@ -86,18 +86,20 @@ class Homogeneous:
             raise ValueError("d=2 requires a callable angular profile")
 
     def value(self, x, y=None):
-        if self.d == 1:
-            x = np.asarray(x, dtype=float)
-            fp, fm = self.profile
-            # V(0) = 0 even behind a hard wall (F = inf), where the product is 0 * inf
-            out = np.zeros(x.shape)
-            np.multiply(np.abs(x) ** self.gamma, np.where(x > 0, fp, fm), out=out, where=x != 0)
-            return out
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        f = np.asarray(self.profile(np.arctan2(y, x)), dtype=float)
-        return np.where(r > 0, r**self.gamma * f, 0.0)
+        # |x|^gamma may overflow to +inf (a hard wall in 1d) and meet a zero
+        # profile (0 * inf = NaN); build_hamiltonian refuses what it cannot use
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.d == 1:
+                fp, fm = self.profile
+                # V(0) = 0 even behind a hard wall (F = inf), where the product is 0 * inf
+                out = np.zeros(x.shape)
+                np.multiply(np.abs(x) ** self.gamma, np.where(x > 0, fp, fm), out=out, where=x != 0)
+                return out
+            y = np.asarray(y, dtype=float)
+            r = np.hypot(x, y)
+            f = np.asarray(self.profile(np.arctan2(y, x)), dtype=float)
+            return np.where(r > 0, r**self.gamma * f, 0.0)
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,6 @@ class QuadrantProfile:
             return self.pp if sy > 0 else self.pm
         return self.mp if sy > 0 else self.mm
 
-    def values(self) -> tuple[float, float, float, float]:
-        return (self.pp, self.pm, self.mp, self.mm)
-
 
 @dataclass(frozen=True)
 class SeparatelyHomogeneous:
@@ -137,8 +136,8 @@ class SeparatelyHomogeneous:
     profile: QuadrantProfile
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
+        if not all(e > 0 and math.isfinite(e) for e in (self.alpha, self.beta)):
+            raise ValueError(f"alpha and beta must be positive and finite, got {self.alpha}, {self.beta}")
 
     def value(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -148,48 +147,13 @@ class SeparatelyHomogeneous:
             np.where(y > 0, self.profile.pp, self.profile.pm),
             np.where(y > 0, self.profile.mp, self.profile.mm),
         )
-        return np.abs(x) ** self.alpha * np.abs(y) ** self.beta * f
+        # may overflow to +inf and meet a zero factor (NaN); build_hamiltonian refuses both
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(x) ** self.alpha * np.abs(y) ** self.beta * f
 
 
-def uniform_quadrants(value: float = 1.0) -> QuadrantProfile:
-    return QuadrantProfile(value, value, value, value)
-
-
-# config text: "variant key=value ... profile=v1,v2[,v3,v4]"
-
-
-def format_potential_config(pot) -> str:
-    if isinstance(pot, Homogeneous):
-        if pot.d != 1:
-            raise ValueError("config text supports d=1 profiles only")
-        fp, fm = pot.profile
-        return f"homogeneous gamma={pot.gamma!r} d=1 profile={fp!r},{fm!r}"
-    if isinstance(pot, SeparatelyHomogeneous):
-        vals = ",".join(repr(v) for v in pot.profile.values())
-        return f"separately alpha={pot.alpha!r} beta={pot.beta!r} profile={vals}"
-    raise TypeError(f"unsupported potential type {type(pot).__name__}")
-
-
-def parse_potential_config(text: str):
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty potential config")
-    variant, kv = parts[0], dict(p.split("=", 1) for p in parts[1:])
-    profile = tuple(float(v) for v in kv.get("profile", "1").split(","))
-    try:
-        if variant == "homogeneous":
-            if len(profile) == 1:
-                profile = (profile[0], profile[0])
-            return Homogeneous(float(kv["gamma"]), int(kv.get("d", 1)), profile)
-        if variant == "separately":
-            if len(profile) == 1:
-                profile = profile * 4
-            return SeparatelyHomogeneous(
-                float(kv["alpha"]), float(kv["beta"]), QuadrantProfile(*profile)
-            )
-    except KeyError as exc:
-        raise ValueError(f"{variant} potential config lacks {exc.args[0]}=") from None
-    raise ValueError(f"unknown potential variant {variant!r}")
+def uniform_quadrants() -> QuadrantProfile:
+    return QuadrantProfile(1.0, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +172,6 @@ class GridOperator:
 
     ndim: int
     boundary: str
-    box: tuple[float, ...]
     points: tuple[int, ...]
     spacing: tuple[float, ...]
     potential: np.ndarray
@@ -312,14 +275,16 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
         v = np.zeros(n_total)
     else:
         v = np.asarray(potential.value(*np.ix_(*axes)), float).ravel()
-    _check_samples(v)
-    return GridOperator(ndim, boundary, box, points, spacing, v)
-
-
-def _check_samples(v: np.ndarray) -> None:
     lo = float(v.min())  # NaN if any sample is NaN, which fails the test below
     if not lo >= 0.0:
         raise ValueError(f"potential samples must be nonnegative and not NaN, min is {lo!r}")
+    # +inf decouples a node of a tridiagonal operator (a hard wall); the 2d count has no such path
+    if ndim == 2 and math.isinf(v.max()):
+        raise ValueError(
+            f"{potential!r} overflows to +inf at {np.count_nonzero(np.isinf(v))} of {v.size} "
+            "nodes; 2d grids need finite samples"
+        )
+    return GridOperator(ndim, boundary, points, spacing, v)
 
 
 def points_for_spacing(length: float, h: float) -> int:
@@ -472,9 +437,7 @@ def _count_below(op: GridOperator, shifts: np.ndarray) -> np.ndarray:
     return np.array([_block_count(op, float(s)) for s in shifts], dtype=np.intp)
 
 
-def counting_function(
-    op: GridOperator, lam: float | np.ndarray, boundary_check: bool = True
-) -> int | np.ndarray:
+def counting_function(op: GridOperator, lam: float | np.ndarray) -> int | np.ndarray:
     """Exact number of eigenvalues of the discrete operator strictly below lam.
 
     ``lam`` is a number or an array; an array is counted in one sweep (one
@@ -482,26 +445,22 @@ def counting_function(
     a number returns an ``int``.  When a lam sits within 1e-12 (relative) of
     an eigenvalue the strict count is ambiguous at working precision; a
     :class:`BoundaryWarning` is emitted for that lam and the lower of the two
-    bracketing counts is returned.  ``boundary_check=False`` counts only
-    below lam - 1e-12 (1 + |lam|) and emits no warning.
+    bracketing counts is returned.
     """
     lams = np.asarray(lam, dtype=float)
     flat = lams.ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     delta = 1e-12 * (1.0 + np.abs(flat))
-    shifts = np.concatenate([flat - delta, flat + delta]) if boundary_check else flat - delta
-    counts = _count_below(op, shifts)
-    low = counts[: flat.size]
-    if boundary_check:
-        high = counts[flat.size :]
-        for i in np.flatnonzero(high != low):
-            warnings.warn(
-                f"lambda={float(flat[i])!r} is within {delta[i]:.1e} of an eigenvalue "
-                f"(count jumps {int(low[i])} -> {int(high[i])})",
-                BoundaryWarning,
-                stacklevel=2,
-            )
+    counts = _count_below(op, np.concatenate([flat - delta, flat + delta]))
+    low, high = counts[: flat.size], counts[flat.size :]
+    for i in np.flatnonzero(high != low):
+        warnings.warn(
+            f"lambda={float(flat[i])!r} is within {delta[i]:.1e} of an eigenvalue "
+            f"(count jumps {int(low[i])} -> {int(high[i])})",
+            BoundaryWarning,
+            stacklevel=2,
+        )
     return int(low[0]) if lams.ndim == 0 else low.reshape(lams.shape)
 
 
@@ -640,16 +599,20 @@ def zeta_trace(
 
     A finite cutoff computes only the eigenvalues <= max(e_cut, 0) (a
     bisection window on tridiagonal operators), which still holds every
-    nonpositive eigenvalue the positivity check must see.
+    nonpositive eigenvalue the positivity check must see.  A partial sum
+    that overflows a float is refused.
     """
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     vals = spectrum(op, upto=None if math.isinf(e_cut) else max(e_cut, 0.0))
     if vals.size and float(vals[0]) <= 0.0:
         raise ValueError(f"zeta trace requires a positive spectrum; smallest is {vals[0]:.6e}")
     used = vals[vals <= e_cut]
     k = used.size
-    partial = float(np.sum(used ** (-p)))
+    with np.errstate(over="ignore"):
+        partial = float(np.sum(used ** (-p)))
+    if math.isinf(partial):
+        raise ValueError(f"zeta trace at p={p!r} overflows a float")
     if k == _finite_nodes(op).size:
         # nothing was cut: the finite matrix is summed completely
         return ZetaTrace(partial, partial, 0.0, True, k)
@@ -766,20 +729,14 @@ def channel_boxes(pot: SeparatelyHomogeneous, lam_max: float) -> tuple[float, fl
     )
     if nu0 <= 1e-8:
         raise ValueError("longitudinal channel does not close; box rule inapplicable")
-    lx = (CHANNEL_MARGIN * lam_max / mu0) ** ((pot.beta + 2.0) / (2.0 * pot.alpha))
-    ly = (CHANNEL_MARGIN * lam_max / nu0) ** ((pot.alpha + 2.0) / (2.0 * pot.beta))
+    try:
+        lx = (CHANNEL_MARGIN * lam_max / mu0) ** ((pot.beta + 2.0) / (2.0 * pot.alpha))
+        ly = (CHANNEL_MARGIN * lam_max / nu0) ** ((pot.alpha + 2.0) / (2.0 * pot.beta))
+    except OverflowError:
+        raise OverflowError(
+            f"channel box for alpha={pot.alpha!r}, beta={pot.beta!r} at lambda={lam_max!r} overflows a float"
+        ) from None
     return lx, ly
-
-
-def box_doubling_change(pot, lam: float, box, points) -> float:
-    """Self-audit: relative change of N(lam) when the box is doubled at fixed spacing."""
-    base = counting_function(build_hamiltonian(pot, box, points), lam, boundary_check=False)
-    box2 = tuple(2.0 * b for b in _as_pair(box))
-    pts2 = tuple(2 * p + 1 for p in _as_pair(points))
-    doubled = counting_function(build_hamiltonian(pot, box2, pts2), lam, boundary_check=False)
-    if base == 0:
-        return float(doubled != 0)
-    return abs(doubled - base) / base
 
 
 # ---------------------------------------------------------------------------

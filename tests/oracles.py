@@ -15,7 +15,8 @@ against sums over the full spectrum.  The
 closed-form coherent-frame bounds are checked against literal sums over all
 M^2 frame states.  ``semispec ineq``, which evaluates its trials in blocks
 on stacked eigendecompositions, is checked against a trial-by-trial loop
-over the public ``*_sides`` functions.
+over the public ``*_sides`` functions.  The box rules are audited by
+recounting on a doubled box at the same spacing.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from semispec import bipartite, inequalities
 from semispec.inequalities import sliced_hamiltonian
 from semispec.linalg import HermitianOperator
-from semispec.schrodinger import CoherentWindow, GridOperator
+from semispec.schrodinger import CoherentWindow, GridOperator, build_hamiltonian, counting_function
 
 
 def char_poly_coeffs(mat: np.ndarray) -> np.ndarray:
@@ -309,6 +310,16 @@ def zeta_by_full_spectrum(diag: np.ndarray, off: np.ndarray, p: float, e_cut: fl
     c = math.exp(float(np.mean(np.log(used[top]) - q * np.log(ks[top]))))
     tail = c ** (-p) * (k + 0.5) ** (1.0 - p * q) / (p * q - 1.0)
     return partial + tail, partial, tail, k
+
+
+def box_doubling_change(pot, lam: float, box, points) -> float:
+    """Relative change of N(lam) when the box is doubled at fixed spacing."""
+    box, points = np.atleast_1d(box), np.atleast_1d(points)
+    base = counting_function(build_hamiltonian(pot, tuple(box), tuple(points)), lam)
+    doubled = counting_function(build_hamiltonian(pot, tuple(2.0 * box), tuple(2 * points + 1)), lam)
+    if base == 0:
+        return float(doubled != 0)
+    return abs(doubled - base) / base
 
 
 def _phase_matrix(m: int) -> np.ndarray:

@@ -51,7 +51,7 @@ def test_ineq_affine_equality_suite(capsys):
 
 
 def test_ineq_violation_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli.inequalities, "violates", lambda gap, rhs, tol=0.0: True)
+    monkeypatch.setattr(cli.inequalities, "violates", lambda gap, rhs: True)
     code, _ = run_cli(capsys, "ineq", "--trials", "1", "--seed", "0", "--dims", "2x2")
     assert code == 1
 
@@ -380,8 +380,6 @@ def test_constants_requires_a_mode(capsys):
 def test_malformed_flags_exit_two(tmp_path, capsys):
     bad_dump = tmp_path / "bad.op"
     bad_dump.write_text("dims 2 2\n")
-    bad_potential = tmp_path / "bad.pot"
-    bad_potential.write_text("homogeneous d=1\n")
     cases = [
         ["ineq", "--dims", "six-by-six"],
         ["weyl", "--gamma", "two"],
@@ -391,18 +389,35 @@ def test_malformed_flags_exit_two(tmp_path, capsys):
         ["ineq", "--trials", "1", "--load", str(tmp_path / "missing.op")],
         ["weyl", "--gamma", "-1", "--lambda", "10"],
         ["weyl", "--lambda", "10", "--points", "1000000000"],  # node cap, checked before any allocation
-        ["weyl", "--potential-file", str(bad_potential), "--lambda", "10"],
         # overflowing results: input errors, not inequality violations
         ["constants", "--gamma", "0.01", "--d", "2"],
         ["constants", "--alpha", "0.1", "--beta", "100", "--m", "3"],
         ["weyl", "--gamma", "1e-3", "--lambda", "10"],
         *TINY_BOXES,
+        *map(list, OVERFLOWS),
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2, argv
-        assert "error:" in capsys.readouterr().err, argv
+        message = capsys.readouterr().err
+        assert "error:" in message, argv
+        assert all(words in message for words in OVERFLOWS.get(tuple(argv), ())), message
+
+
+# parameters whose potential, box, law or zeta sum overflows, and the words their message must hold
+OVERFLOWS = {
+    # |y|^1e300 is +inf for |y| > 1: the 2d count takes finite samples only
+    ("simon", "--alpha", "1", "--beta", "1e300", "--lambda", "3", "--box", "8,2", "--points", "40,20",
+     "--zeta-points", "199"): ("SeparatelyHomogeneous(alpha=1.0, beta=1e+300", "+inf at 400 of 800 nodes"),
+    ("simon", "--alpha", "1", "--beta", "1e300", "--lambda", "3", "--zeta-points", "199"):
+        ("alpha=1.0, beta=1e+300 at lambda=3.0",),
+    ("simon", "--alpha", "1", "--beta", "2000", "--lambda", "3,6,9,12", "--box", "8,1", "--points", "40,20",
+     "--zeta-points", "199"): ("partial_counting law", "lambda^1001.5", "lambda=3.0"),
+    ("zeta", "--alpha", "1", "--beta", "inf"): ("alpha and beta must be positive and finite",),
+    ("weyl", "--gamma", "inf", "--lambda", "10"): ("gamma must be positive and finite",),
+    ("zeta", "--alpha", "1", "--beta", "2", "--p", "1e300", "--zeta-points", "199"): ("p=1e+300",),
+}
 
 
 # boxes so small that the stencil's diagonal offset 2/h^2 is not a finite number
@@ -467,6 +482,7 @@ EDGE_ARGV = (
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", EDGE_ARGV, ids=" ".join)
 def test_edge_arguments_exit_without_traceback(capsys, argv):
     try:
@@ -510,14 +526,3 @@ def test_numerical_contract_error_exit_three(monkeypatch, capsys):
     assert code == 3
     assert captured.err.strip() == "error: block factorization broke down in both row orders"
     assert captured.out == ""
-
-
-def test_weyl_potential_file(tmp_path, capsys):
-    cfg = tmp_path / "pot.txt"
-    cfg.write_text("homogeneous gamma=2.0 d=1 profile=1.0,1.0\n")
-    code, out = run_cli(
-        capsys,
-        "weyl", "--potential-file", str(cfg), "--lambda", "100", "--box", "24", "--points", "2399",
-    )
-    assert code == 0
-    assert out.splitlines()[1].startswith("100,50,")

@@ -5,17 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from semispec.bipartite import BipartiteDims, format_bipartite_operator, parse_bipartite_operator
 from semispec.linalg import HermitianOperator
-from semispec.schrodinger import (
-    Homogeneous,
-    QuadrantProfile,
-    SeparatelyHomogeneous,
-    format_potential_config,
-    parse_potential_config,
-)
 
 ENTRIES = st.floats(-1e300, 1e300, allow_nan=False)
-POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
-NONNEG = st.floats(0.0, 1e300)
 
 
 @st.composite
@@ -32,12 +23,6 @@ def bipartite(draw):
     return draw(hermitian(dims.total)), dims
 
 
-potentials = st.one_of(
-    st.builds(Homogeneous, POSITIVE, st.just(1), st.tuples(NONNEG, NONNEG)),
-    st.builds(SeparatelyHomogeneous, POSITIVE, POSITIVE, st.builds(QuadrantProfile, *[NONNEG] * 4)),
-)
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(1, 5).flatmap(hermitian))
 def test_operator_dump_roundtrip_property(op):
@@ -52,9 +37,3 @@ def test_bipartite_dump_roundtrip_property(case):
     back, back_dims = parse_bipartite_operator(format_bipartite_operator(op, dims))
     assert back_dims == dims
     assert np.array_equal(back.mat, op.mat)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(potentials)
-def test_potential_config_roundtrip_property(pot):
-    assert parse_potential_config(format_potential_config(pot)) == pot
