@@ -136,6 +136,13 @@ def test_prediction_validation():
     assert Prediction("heat", 2.0, 3.0).at(0.5) == pytest.approx(12.0)
 
 
+def test_prediction_names_an_overflowing_law():
+    with pytest.raises(OverflowError, match=r"partial_counting law 1.0 \* lambda\^1001.5 overflows a float at lambda=3.0"):
+        Prediction("partial_counting", 1001.5, 1.0).at(3.0)
+    with pytest.raises(OverflowError, match=r"heat law 2.0 \* t\^-400.0 overflows a float at t=0.001"):
+        Prediction("heat", 400.0, 2.0).at(1e-3)
+
+
 # phase-space identities ------------------------------------------------------
 
 

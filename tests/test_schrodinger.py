@@ -167,6 +167,26 @@ def test_build_validation():
         build_hamiltonian(None, (2.5e-154, 2.5e-154), (3, 3))
 
 
+def test_infinite_samples_are_refused_on_2d_grids_only():
+    # |y|^1e300 overflows to +inf for |y| > 1: a hard wall in 1d, refused in 2d
+    steep = SeparatelyHomogeneous(1.0, 1e300, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"beta=1e\+300.*\+inf at 400 of 800 nodes; 2d grids need finite"):
+        build_hamiltonian(steep, (8.0, 2.0), (40, 20))
+    wall = Homogeneous(2.0, 1, (1.0, math.inf))
+    op = build_hamiltonian(wall, 2.0, 9)
+    assert np.count_nonzero(np.isinf(op.potential)) == 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_potential_powers_overflow_without_warnings():
+    x = np.array([-1e3, -1.0, 0.0, 1.0, 1e3])
+    assert Homogeneous(400.0, 1, (1.0, 2.0)).value(x).tolist() == [math.inf, 2.0, 0.0, 1.0, math.inf]
+    steep = SeparatelyHomogeneous(1.0, 400.0, QuadrantProfile(1.0, 1.0, 1.0, 3.0))
+    assert steep.value(np.array([[-2.0], [2.0]]), np.array([[-1.0, 1e3]])).tolist() == [
+        [6.0, math.inf], [2.0, math.inf]
+    ]
+
+
 def test_homogeneity_survives_discretization():
     # scaling V -> s^gamma V with the box shrunk by s^(-gamma/(gamma+2))
     # multiplies eigenvalues by s^(2 gamma/(gamma+2)), here within 1%
@@ -708,6 +728,12 @@ def test_channel_boxes_doubling_audit():
     lx, ly = channel_boxes(SIMON, lam)
     points = (points_for_spacing(lx, 0.25), points_for_spacing(ly, 0.15))
     assert box_doubling_change(SIMON, lam, (lx, ly), points) < 1e-3
+
+
+def test_channel_boxes_name_overflowing_parameters():
+    steep = SeparatelyHomogeneous(1.0, 1e300, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(OverflowError, match=r"channel box for alpha=1.0, beta=1e\+300 at lambda=3.0 overflows"):
+        channel_boxes(steep, 3.0)
 
 
 # coherent frames -------------------------------------------------------------
