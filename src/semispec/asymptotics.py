@@ -62,8 +62,10 @@ class Prediction:
 
 def counting_constant(gamma: float, d: int) -> float:
     """(4 pi)^(-d/2) Gamma(d/gamma) / (gamma Gamma(d/gamma + d/2 + 1))."""
-    if not (gamma > 0 and d >= 1):
-        raise ValueError(f"need gamma > 0 and d >= 1, got {gamma}, {d}")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not d >= 1:
+        raise ValueError(f"need d >= 1, got {d}")
     log_val = (
         -0.5 * d * math.log(4.0 * math.pi)
         - math.log(gamma)
@@ -78,8 +80,10 @@ def counting_constant(gamma: float, d: int) -> float:
 def heat_constant(gamma: float, d: int) -> float:
     """(4 pi)^(-d/2) Gamma(d/gamma) / gamma; the Tauberian partner of
     counting_constant (their ratio is Gamma(exponent + 1))."""
-    if not (gamma > 0 and d >= 1):
-        raise ValueError(f"need gamma > 0 and d >= 1, got {gamma}, {d}")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not d >= 1:
+        raise ValueError(f"need d >= 1, got {d}")
     log_val = -0.5 * d * math.log(4.0 * math.pi) - math.log(gamma) + log_gamma(d / gamma)
     if log_val > 700.0:
         raise OverflowError(f"constant overflows for gamma={gamma}, d={d}")
@@ -171,7 +175,11 @@ def zeta_power(pot: SeparatelyHomogeneous, m: int = 1) -> float:
 
 def reduced_degree(pot: SeparatelyHomogeneous) -> float:
     """Effective homogeneity degree 2 alpha / (beta + 2) after slicing."""
-    return 2.0 * pot.alpha / (pot.beta + 2.0)
+    degree = 2.0 * pot.alpha / (pot.beta + 2.0)
+    if not 0.0 < degree < math.inf:
+        fate = "underflows to 0" if degree == 0.0 else "overflows a float"
+        raise ValueError(f"reduced degree 2 alpha / (beta + 2) {fate} for alpha={pot.alpha!r}, beta={pot.beta!r}")
+    return degree
 
 
 def partial_counting_law(pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
@@ -219,16 +227,8 @@ class PhaseSpaceCheck:
 
 
 HEAT_SPAN = 40.0  # integrand support cut for the heat quadrature, exp(-40) ~ 4e-18
-
-
-def _straddle_estimate(mask: np.ndarray, cell: float) -> float:
-    """Upper estimate of the midpoint error of an indicator integral: total
-    volume of cells straddling the level set, counted along every axis."""
-    crossings = 0
-    for axis in range(mask.ndim):
-        a = np.swapaxes(mask, 0, axis)
-        crossings += int(np.count_nonzero(a[1:] != a[:-1]))
-    return crossings * cell
+# Phase-space points per slab of the quadrature sweep; bounds its buffers.
+_PHASE_SLAB = 1 << 14
 
 
 def _phase_space_quadrature(
@@ -238,9 +238,20 @@ def _phase_space_quadrature(
     error estimate.
 
     Counting form: volume of {|xi|^2 + V(x) < lam} / (2 pi)^d, error
-    estimated by the straddling-cell volume.  Heat form: integral of
+    estimated by the straddling-cell volume (cells whose indicator changes
+    to the next node along any axis).  Heat form: integral of
     exp(-t (|xi|^2 + V(x))) / (2 pi)^d, error estimated by node-count
     refinement plus the domain truncation bound.
+
+    The grid (first momentum, second axis, remaining position axes) is swept
+    in slabs along the first momentum axis, carrying the last indicator
+    slice across slab boundaries.  A slab holds at most ``_PHASE_SLAB``
+    points: a row larger than that is split along the second axis, each
+    piece evaluated with one leading column of overlap (a piece never holds
+    less than one 2d position grid).  Memory therefore grows with the
+    per_axis^d position samples only, not with the grid's ``nodes``; the
+    count and the crossings are those of the whole grid, and the heat sum
+    differs from a one-array sum in summation order only.
     """
     d = pot.d
     per_axis = max(8, int(round(nodes ** (1.0 / (2 * d)))))
@@ -262,21 +273,45 @@ def _phase_space_quadrature(
 
     x, hx = axis(r_x)
     xi, hxi = axis(r_xi)
+    kinetic = xi**2
     if d == 1:
-        symbol = xi[:, None] ** 2 + pot.value(x)[None, :]
+        # symbol[a, b] = xi_a^2 + V(x_b)
+        second, rest = pot.value(x), None
         cell = hx * hxi / (2.0 * math.pi)
     else:
-        v = pot.value(x[:, None], x[None, :])
-        kinetic = xi[:, None] ** 2 + xi[None, :] ** 2
-        symbol = kinetic[:, :, None, None] + v[None, None, :, :]
+        # symbol[a, b, c, e] = (xi_a^2 + xi_b^2) + V(x_c, x_e)
+        second, rest = kinetic, pot.value(x[:, None], x[None, :])
         cell = (hx * hxi) ** 2 / (2.0 * math.pi) ** 2
+    n = per_axis
+    row_rest = 1 if rest is None else rest.size
+    width = n if n * row_rest <= _PHASE_SLAB else max(1, _PHASE_SLAB // row_rest)
+    rows = max(1, _PHASE_SLAB // (width * row_rest))
+    count = crossings = 0
+    heat = 0.0
+    for b0 in range(0, n, width):
+        lo, b1 = max(b0 - 1, 0), min(b0 + width, n)
+        carry = None
+        for a0 in range(0, n, rows):
+            symbol = kinetic[a0 : a0 + rows, None] + second[None, lo:b1]
+            if rest is not None:
+                symbol = symbol[:, :, None, None] + rest
+            if lam is None:
+                heat += float(np.sum(np.exp(-t * symbol[:, b0 - lo :])))
+                continue
+            mask = symbol < lam
+            # the overlap column (index 0 when lo < b0) serves the second-axis crossings only
+            crossings += int(np.count_nonzero(np.diff(mask, axis=1)))
+            mask = mask[:, b0 - lo :]
+            count += int(np.count_nonzero(mask))
+            for ax in (0, *range(2, mask.ndim)):
+                crossings += int(np.count_nonzero(np.diff(mask, axis=ax)))
+            if carry is not None:
+                crossings += int(np.count_nonzero(carry != mask[0]))
+            carry = mask[-1].copy()
     if lam is not None:
-        mask = symbol < lam
-        value = float(np.count_nonzero(mask)) * cell
-        return value, _straddle_estimate(mask, cell)
-    value = float(np.sum(np.exp(-t * symbol))) * cell
-    truncation = math.exp(-HEAT_SPAN) * symbol.size * cell
-    return value, truncation
+        return float(count) * cell, crossings * cell
+    truncation = math.exp(-HEAT_SPAN) * n ** (2 * d) * cell
+    return heat * cell, truncation
 
 
 def phase_space_identity_check(

@@ -87,19 +87,25 @@ class Homogeneous:
 
     def value(self, x, y=None):
         x = np.asarray(x, dtype=float)
-        # |x|^gamma may overflow to +inf (a hard wall in 1d) and meet a zero
-        # profile (0 * inf = NaN); build_hamiltonian refuses what it cannot use
+        # |x|^gamma may overflow to +inf (a hard wall in 1d) or underflow to 0;
+        # V is 0 where F = 0, and in 1d +inf where F = inf and x != 0, however
+        # the power rounds.  build_hamiltonian refuses the NaN and the 2d +inf left
         with np.errstate(over="ignore", invalid="ignore"):
             if self.d == 1:
                 fp, fm = self.profile
-                # V(0) = 0 even behind a hard wall (F = inf), where the product is 0 * inf
-                out = np.zeros(x.shape)
-                np.multiply(np.abs(x) ** self.gamma, np.where(x > 0, fp, fm), out=out, where=x != 0)
-                return out
+                f = np.where(x > 0, fp, fm)
+                v = np.asarray(np.abs(x) ** self.gamma)
+                v[np.isinf(f)] = math.inf
+                v *= f
+                # V(0) = 0 even behind a hard wall (F = inf)
+                v[(x == 0) | (f == 0)] = 0.0
+                return v
             y = np.asarray(y, dtype=float)
             r = np.hypot(x, y)
             f = np.asarray(self.profile(np.arctan2(y, x)), dtype=float)
-            return np.where(r > 0, r**self.gamma * f, 0.0)
+            v = np.asarray(r**self.gamma * f)
+            v[(r == 0) | (f == 0)] = 0.0
+            return v
 
 
 @dataclass(frozen=True)
@@ -147,9 +153,12 @@ class SeparatelyHomogeneous:
             np.where(y > 0, self.profile.pp, self.profile.pm),
             np.where(y > 0, self.profile.mp, self.profile.mm),
         )
-        # may overflow to +inf and meet a zero factor (NaN); build_hamiltonian refuses both
+        # V is 0 where F = 0; elsewhere a power may overflow to +inf and meet
+        # the other one at 0 (NaN), and build_hamiltonian refuses both
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.abs(x) ** self.alpha * np.abs(y) ** self.beta * f
+            v = np.asarray(np.abs(x) ** self.alpha * np.abs(y) ** self.beta * f)
+        v[f == 0] = 0.0
+        return v
 
 
 def uniform_quadrants() -> QuadrantProfile:
@@ -275,9 +284,14 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
         v = np.zeros(n_total)
     else:
         v = np.asarray(potential.value(*np.ix_(*axes)), float).ravel()
-    lo = float(v.min())  # NaN if any sample is NaN, which fails the test below
+    lo = float(v.min())  # NaN if any sample is NaN
+    if math.isnan(lo):
+        raise ValueError(
+            f"{potential!r} is NaN at {np.count_nonzero(np.isnan(v))} of {v.size} nodes; "
+            "grids need samples that are numbers"
+        )
     if not lo >= 0.0:
-        raise ValueError(f"potential samples must be nonnegative and not NaN, min is {lo!r}")
+        raise ValueError(f"potential samples must be nonnegative, min is {lo!r}")
     # +inf decouples a node of a tridiagonal operator (a hard wall); the 2d count has no such path
     if ndim == 2 and math.isinf(v.max()):
         raise ValueError(

@@ -16,7 +16,9 @@ closed-form coherent-frame bounds are checked against literal sums over all
 M^2 frame states.  ``semispec ineq``, which evaluates its trials in blocks
 on stacked eigendecompositions, is checked against a trial-by-trial loop
 over the public ``*_sides`` functions.  The box rules are audited by
-recounting on a doubled box at the same spacing.
+recounting on a doubled box at the same spacing.  The slab sweep of the
+phase-space quadrature is checked against the same quadrature on one array
+holding the whole grid.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from semispec import bipartite, inequalities
+from semispec.asymptotics import HEAT_SPAN
 from semispec.inequalities import sliced_hamiltonian
 from semispec.linalg import HermitianOperator
 from semispec.schrodinger import CoherentWindow, GridOperator, build_hamiltonian, counting_function
@@ -320,6 +323,48 @@ def box_doubling_change(pot, lam: float, box, points) -> float:
     if base == 0:
         return float(doubled != 0)
     return abs(doubled - base) / base
+
+
+def phase_space_quadrature_dense(pot, lam: float | None, t: float | None, nodes: int) -> tuple[float, float]:
+    """The phase-space midpoint quadrature on one array holding the whole
+    grid: the counting volume with the straddling-cell estimate, or the heat
+    integral with its truncation bound, as the library's slab sweep returns."""
+    d = pot.d
+    per_axis = max(8, int(round(nodes ** (1.0 / (2 * d)))))
+    if d == 1:
+        fmin = min(pot.profile)
+    else:
+        fmin = float(np.min(np.asarray(pot.profile(np.linspace(0, 2 * math.pi, 257)))))
+    if fmin <= 0.0:
+        return math.inf, math.inf
+    span = lam if lam is not None else HEAT_SPAN / t
+    r_xi = math.sqrt(span)
+    r_x = (span / fmin) ** (1.0 / pot.gamma) if math.isfinite(fmin) else 0.0
+    if r_x == 0.0:
+        return 0.0, 0.0
+
+    def axis(radius):
+        h = 2.0 * radius / per_axis
+        return -radius + h * (np.arange(per_axis) + 0.5), h
+
+    x, hx = axis(r_x)
+    xi, hxi = axis(r_xi)
+    if d == 1:
+        symbol = xi[:, None] ** 2 + pot.value(x)[None, :]
+        cell = hx * hxi / (2.0 * math.pi)
+    else:
+        v = pot.value(x[:, None], x[None, :])
+        kinetic = xi[:, None] ** 2 + xi[None, :] ** 2
+        symbol = kinetic[:, :, None, None] + v[None, None, :, :]
+        cell = (hx * hxi) ** 2 / (2.0 * math.pi) ** 2
+    if lam is None:
+        return float(np.sum(np.exp(-t * symbol))) * cell, math.exp(-HEAT_SPAN) * symbol.size * cell
+    mask = symbol < lam
+    crossings = 0
+    for ax in range(mask.ndim):
+        a = np.swapaxes(mask, 0, ax)
+        crossings += int(np.count_nonzero(a[1:] != a[:-1]))
+    return float(np.count_nonzero(mask)) * cell, crossings * cell
 
 
 def _phase_matrix(m: int) -> np.ndarray:

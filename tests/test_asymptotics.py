@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import phase_space_quadrature_dense
+from semispec import asymptotics
 from semispec.asymptotics import (
     Prediction,
     angular_integral,
@@ -18,6 +21,7 @@ from semispec.asymptotics import (
     partial_heat_prediction,
     partial_weyl_prediction,
     phase_space_identity_check,
+    reduced_degree,
     weyl_prediction,
     zeta_power,
 )
@@ -64,6 +68,19 @@ def test_constants_domain_errors():
         counting_constant(-1.0, 1)
     with pytest.raises(ValueError):
         heat_constant(2.0, 0)
+
+
+def test_constants_refuse_degrees_outside_the_positive_floats():
+    for constant in (counting_constant, heat_constant):
+        with pytest.raises(ValueError, match="gamma must be positive and finite, got inf"):
+            constant(math.inf, 1)
+    tiny = SeparatelyHomogeneous(1e-300, 1e300, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"underflows to 0 for alpha=1e-300, beta=1e\+300"):
+        reduced_degree(tiny)
+    huge = SeparatelyHomogeneous(1e308, 1.0, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"overflows a float for alpha=1e\+308, beta=1.0"):
+        reduced_degree(huge)
+    assert reduced_degree(SIMON) == 0.5
 
 
 # growth laws -----------------------------------------------------------------
@@ -168,6 +185,48 @@ def test_phase_space_identity_2d():
     pot = Homogeneous(2.0, 2, np.vectorize(lambda th: 1.0))
     chk = phase_space_identity_check(pot, t=0.2, nodes=6**4 * 100)
     assert chk.rel_error <= max(0.01, chk.quad_estimate)
+
+
+ISOTROPIC_2D = Homogeneous(2.0, 2, lambda th: np.ones_like(th))
+SLAB_POTENTIALS = [
+    (OSCILLATOR, 50, 10.0, 0.1),
+    (Homogeneous(1.5, 1, (2.0, 0.3)), 50, 7.0, 0.3),
+    (ISOTROPIC_2D, 8, 10.0, 0.2),
+    (Homogeneous(3.0, 2, lambda th: 1.0 + 0.5 * np.cos(th) ** 2), 8, 6.0, 0.4),
+]
+
+
+@pytest.mark.parametrize("pot, per_axis, lam, t", SLAB_POTENTIALS)
+@pytest.mark.parametrize("slab", ["point", "row", "three rows", "three columns", "whole grid"])
+def test_slab_sweep_matches_the_whole_grid_oracle(monkeypatch, pot, per_axis, lam, t, slab):
+    # per_axis is not a multiple of 3, so the three-row and three-column slabs
+    # leave a short last slab; "three columns" splits every row in 2d
+    row = per_axis ** (2 * pot.d - 1)
+    size = {"point": 1, "row": row, "three rows": 3 * row, "three columns": 3 * row // per_axis,
+            "whole grid": row * per_axis}[slab]
+    monkeypatch.setattr(asymptotics, "_PHASE_SLAB", size)
+    nodes = per_axis ** (2 * pot.d)
+    count = asymptotics._phase_space_quadrature(pot, lam, None, nodes)
+    assert count == phase_space_quadrature_dense(pot, lam, None, nodes)
+    assert count[0] > 0.0 and count[1] > 0.0
+    heat, truncation = asymptotics._phase_space_quadrature(pot, None, t, nodes)
+    heat_dense, truncation_dense = phase_space_quadrature_dense(pot, None, t, nodes)
+    assert abs(heat - heat_dense) <= 1e-14 * heat_dense and truncation == truncation_dense
+
+
+@pytest.mark.parametrize("pot, form", [
+    (OSCILLATOR, {"lam": 10.0}), (OSCILLATOR, {"t": 0.1}), (ISOTROPIC_2D, {"lam": 10.0}), (ISOTROPIC_2D, {"t": 0.2}),
+])
+def test_phase_space_quadrature_memory_does_not_grow_with_nodes(pot, form):
+    # the whole 10^7-point grid as one float array would take 76 MiB
+    tracemalloc.start()
+    try:
+        chk = phase_space_identity_check(pot, nodes=10**7, **form)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0
+    assert chk.rel_error <= chk.quad_estimate
 
 
 def test_phase_space_argument_validation():

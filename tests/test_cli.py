@@ -417,6 +417,9 @@ OVERFLOWS = {
     ("zeta", "--alpha", "1", "--beta", "inf"): ("alpha and beta must be positive and finite",),
     ("weyl", "--gamma", "inf", "--lambda", "10"): ("gamma must be positive and finite",),
     ("zeta", "--alpha", "1", "--beta", "2", "--p", "1e300", "--zeta-points", "199"): ("p=1e+300",),
+    ("constants", "--gamma", "inf", "--d", "1"): ("gamma must be positive and finite, got inf",),
+    # 2 alpha / (beta + 2) underflows to 0
+    ("constants", "--alpha", "1e-300", "--beta", "1e300"): ("underflows to 0", "alpha=1e-300, beta=1e+300"),
 }
 
 

@@ -151,8 +151,10 @@ def test_build_validation():
     with pytest.raises(ValueError, match="at least 3"):
         build_hamiltonian(None, 1.0, 2)
     nan_right = SimpleNamespace(value=lambda x: np.where(x > 0, math.nan, x * x))
-    with pytest.raises(ValueError, match="not NaN, min is nan"):
+    with pytest.raises(ValueError, match=r"namespace\(value=.* is NaN at 2 of 5 nodes"):
         build_hamiltonian(nan_right, 1.0, 5)
+    with pytest.raises(ValueError, match="must be nonnegative, min is -1.0"):
+        build_hamiltonian(SimpleNamespace(value=lambda x: -np.ones_like(x)), 1.0, 5)
     with pytest.raises(ValueError, match="cap"):
         build_hamiltonian(None, (1.0, 1.0), (600, 600))
     with pytest.raises(ValueError, match="1d"):
@@ -175,6 +177,26 @@ def test_infinite_samples_are_refused_on_2d_grids_only():
     wall = Homogeneous(2.0, 1, (1.0, math.inf))
     op = build_hamiltonian(wall, 2.0, 9)
     assert np.count_nonzero(np.isinf(op.potential)) == 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_profiles_and_walls_survive_rounded_powers():
+    # |x|^1e300 is +inf for |x| > 1 and 0 for |x| < 1: V is 0 where F = 0, a
+    # 1d hard wall where F = inf and x != 0, and 0 at the origin
+    x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+    assert Homogeneous(1e300, 1, (0.0, math.inf)).value(x).tolist() == [math.inf, math.inf, 0.0, 0.0, 0.0]
+    assert Homogeneous(1e300, 1, (1.0, 0.0)).value(x).tolist() == [0.0, 0.0, 0.0, 0.0, math.inf]
+    flat_arc = Homogeneous(1e300, 2, lambda th: np.where(np.cos(th) > 0, 0.0, 1.0))
+    assert flat_arc.value(x, np.zeros(5)).tolist() == [math.inf, 0.0, 0.0, 0.0, 0.0]
+    half_zero = SeparatelyHomogeneous(1.0, 1e300, QuadrantProfile(1.0, 0.0, 1.0, 1.0))
+    assert half_zero.value(np.array([[2.0], [-2.0]]), np.array([[-2.0, 2.0]])).tolist() == [
+        [0.0, math.inf], [math.inf, math.inf]
+    ]
+    # on the nodes -1.5, 0, 1.5 per axis |x|^1e300 |y|^1e300 is inf * 0 at the four
+    # nodes with one coordinate 0 and the other not
+    both = SeparatelyHomogeneous(1e300, 1e300, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"alpha=1e\+300, beta=1e\+300.* is NaN at 4 of 9 nodes"):
+        build_hamiltonian(both, (3.0, 3.0), (3, 3))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
