@@ -12,16 +12,17 @@ from semispec import (
     build_hamiltonian,
     counting_box,
     counting_function,
+    counting_law,
     exponent_fit,
     heat_box,
+    heat_law,
     heat_trace,
-    heat_weyl_prediction,
     phase_space_identity_check,
     points_for_spacing,
-    weyl_prediction,
 )
 
 pot = Homogeneous(2.0, 1, (1.0, 1.0))
+counting, heat = counting_law(pot), heat_law(pot)
 
 lam_list = [40.0, 80.0, 160.0, 320.0]
 box = counting_box(pot, max(lam_list))
@@ -31,7 +32,7 @@ print("lambda    N(lambda)   lam/2     ratio")
 samples = []
 for lam in lam_list:
     n = counting_function(op, lam)
-    pred = weyl_prediction(pot, lam)
+    pred = counting.at(lam)
     samples.append((lam, n))
     print(f"{lam:6.0f}   {n:6d}     {pred:7.1f}   {n / pred:.4f}")
 fit = exponent_fit(samples)
@@ -42,7 +43,7 @@ for t in (0.5, 0.2, 0.1, 0.05):
     hb = heat_box(pot, t)
     hop = build_hamiltonian(pot, hb, points_for_spacing(hb, 0.01))
     val = heat_trace(hop, t, method="truncated")
-    print(f"{t:5.2f}    {t * val:.6f}       {t * heat_weyl_prediction(pot, t):.6f}")
+    print(f"{t:5.2f}    {t * val:.6f}       {t * heat.at(t):.6f}")
 
 print("\nphase-space identity (closed form vs midpoint quadrature):")
 for kwargs in ({"lam": 10.0}, {"t": 0.1}):

@@ -17,12 +17,11 @@ from semispec import (
     channel_boxes,
     counting_function,
     exponent_fit,
-    partial_weyl_prediction,
     points_for_spacing,
     transverse_zetas,
     zeta_power,
 )
-from semispec.asymptotics import divergence_classifier
+from semispec.asymptotics import divergence_classifier, partial_counting_law
 
 pot = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
 
@@ -31,6 +30,7 @@ print("naive phase-space volume:", divergence_classifier(1, 1, pot.alpha, pot.be
 zetas = transverse_zetas(pot, zeta_power(pot), 12.0, 2399)
 for omega, z in zetas.items():
     print(f"transverse zeta at omega={omega:+d}: {z:.6f}  (pi^2/8 = {np.pi**2 / 8:.6f})")
+law = partial_counting_law(pot, zetas)
 
 lam_top = 6.0
 lx, ly = channel_boxes(pot, lam_top)
@@ -41,8 +41,8 @@ print("\nlambda   N(lambda)   prediction   ratio")
 samples = []
 for lam in (3.0, 4.0, 5.0, 6.0):
     n = counting_function(op, lam)
-    pred = partial_weyl_prediction(pot, lam, zetas)
+    pred = law.at(lam)
     samples.append((lam, n))
     print(f"{lam:5.1f}    {n:6d}     {pred:9.2f}   {n / pred:.3f}")
 fit = exponent_fit(samples)
-print(f"\nfitted exponent {fit.slope:.3f}; the law says {1 * (1 + 2 + 2) / 2:.1f}")
+print(f"\nfitted exponent {fit.slope:.3f}; the law says {law.exponent:.1f}")

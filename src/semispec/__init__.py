@@ -12,7 +12,6 @@ from .linalg import (
     eig_hermitian,
     eig_hermitian_stack,
     exp_neg,
-    log_gamma,
     positive_part,
     power_neg,
     square,
@@ -67,17 +66,15 @@ from .schrodinger import (
 from .asymptotics import (
     ExponentFit,
     Prediction,
+    check_partial_regime,
     counting_constant,
     counting_law,
     divergence_classifier,
     exponent_fit,
     heat_constant,
     heat_law,
-    heat_weyl_prediction,
-    partial_heat_prediction,
-    partial_weyl_prediction,
+    partial_exponent,
     phase_space_identity_check,
-    weyl_prediction,
     zeta_power,
 )
 

@@ -7,9 +7,11 @@ heat trace grow like
     Tr e^(-tH) ~ heat_constant(gamma, d) * t^(-d (gamma+2) / (2 gamma)) * I_F
 
 with I_F the angular integral of F^(-d/gamma).  For separately homogeneous
-V = |x|^alpha |y|^beta F the angular integral is infinite and the leading
-term is instead carried by transverse zeta traces, with gamma replaced by
-2 alpha / (beta + 2) and the lam power m (alpha+beta+2) / (2 alpha).
+V = |x|^alpha |y|^beta F the angular integral is infinite and, when
+m/alpha > n/beta (check_partial_regime), the leading term is instead
+carried by transverse zeta traces, with gamma replaced by
+2 alpha / (beta + 2) and the lam power m (alpha+beta+2) / (2 alpha)
+(partial_exponent).
 
 Both prefactor pairs satisfy heat_constant = Gamma(exponent + 1) *
 counting_constant, the consistency relation between the two growth laws.
@@ -23,7 +25,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import log_gamma
 from .schrodinger import Homogeneous, SeparatelyHomogeneous
 
 # Angular quadrature (d = 2): composite trapezoid doubled until the relative
@@ -60,34 +61,30 @@ class Prediction:
             ) from None
 
 
-def counting_constant(gamma: float, d: int) -> float:
-    """(4 pi)^(-d/2) Gamma(d/gamma) / (gamma Gamma(d/gamma + d/2 + 1))."""
+def _constant(gamma: float, d: int, counting: bool) -> float:
+    """exp of the shared log prefix -d/2 log(4 pi) - log gamma + lgamma(d/gamma),
+    less lgamma(d/gamma + d/2 + 1) for the counting constant."""
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not d >= 1:
         raise ValueError(f"need d >= 1, got {d}")
-    log_val = (
-        -0.5 * d * math.log(4.0 * math.pi)
-        - math.log(gamma)
-        + log_gamma(d / gamma)
-        - log_gamma(d / gamma + 0.5 * d + 1.0)
-    )
+    log_val = -0.5 * d * math.log(4.0 * math.pi) - math.log(gamma) + math.lgamma(d / gamma)
+    if counting:
+        log_val -= math.lgamma(d / gamma + 0.5 * d + 1.0)
     if log_val > 700.0:
         raise OverflowError(f"constant overflows for gamma={gamma}, d={d}")
     return math.exp(log_val)
+
+
+def counting_constant(gamma: float, d: int) -> float:
+    """(4 pi)^(-d/2) Gamma(d/gamma) / (gamma Gamma(d/gamma + d/2 + 1))."""
+    return _constant(gamma, d, counting=True)
 
 
 def heat_constant(gamma: float, d: int) -> float:
     """(4 pi)^(-d/2) Gamma(d/gamma) / gamma; the Tauberian partner of
     counting_constant (their ratio is Gamma(exponent + 1))."""
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if not d >= 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    log_val = -0.5 * d * math.log(4.0 * math.pi) - math.log(gamma) + log_gamma(d / gamma)
-    if log_val > 700.0:
-        raise OverflowError(f"constant overflows for gamma={gamma}, d={d}")
-    return math.exp(log_val)
+    return _constant(gamma, d, counting=False)
 
 
 def counting_exponent(gamma: float, d: int) -> float:
@@ -158,16 +155,6 @@ def heat_law(pot: Homogeneous) -> Prediction:
     )
 
 
-def weyl_prediction(pot: Homogeneous, lam: float) -> float:
-    """Leading-order eigenvalue count below lam (inf if the angular integral diverges)."""
-    return counting_law(pot).at(lam)
-
-
-def heat_weyl_prediction(pot: Homogeneous, t: float) -> float:
-    """Leading-order heat trace at time t."""
-    return heat_law(pot).at(t)
-
-
 def zeta_power(pot: SeparatelyHomogeneous, m: int = 1) -> float:
     """Power for the transverse zeta traces feeding the partial laws."""
     return m * (pot.beta + 2.0) / (2.0 * pot.alpha)
@@ -194,23 +181,24 @@ def partial_heat_law(pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> 
     return _partial_law("partial_heat", heat_constant, pot, zetas)
 
 
-def _partial_law(kind: str, constant, pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
-    if 1.0 / pot.alpha <= 1.0 / pot.beta:
+def check_partial_regime(alpha: float, beta: float, m: int = 1, n: int = 1) -> None:
+    """Refuse exponents outside the partial law's hypothesis m/alpha > n/beta."""
+    if not m / alpha > n / beta:
         raise ValueError(
             "partial law needs m/alpha > n/beta; for the opposite regime "
             "exchange the roles of the two variable groups (the symmetric statement)"
         )
+
+
+def partial_exponent(pot: SeparatelyHomogeneous, m: int = 1) -> float:
+    """Power m (alpha + beta + 2) / (2 alpha) of lam in the partial counting law."""
+    return m * (pot.alpha + pot.beta + 2.0) / (2.0 * pot.alpha)
+
+
+def _partial_law(kind: str, constant, pot: SeparatelyHomogeneous, zetas: Mapping[int, float]) -> Prediction:
+    check_partial_regime(pot.alpha, pot.beta)
     total = float(sum(zetas.values()))
-    exponent = (pot.alpha + pot.beta + 2.0) / (2.0 * pot.alpha)
-    return Prediction(kind, exponent, constant(reduced_degree(pot), 1) * total)
-
-
-def partial_weyl_prediction(pot: SeparatelyHomogeneous, lam: float, zetas: Mapping[int, float]) -> float:
-    return partial_counting_law(pot, zetas).at(lam)
-
-
-def partial_heat_prediction(pot: SeparatelyHomogeneous, t: float, zetas: Mapping[int, float]) -> float:
-    return partial_heat_law(pot, zetas).at(t)
+    return Prediction(kind, partial_exponent(pot), constant(reduced_degree(pot), 1) * total)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +316,7 @@ def phase_space_identity_check(
     """
     if (lam is None) == (t is None):
         raise ValueError("pass exactly one of lam or t")
-    closed = weyl_prediction(pot, lam) if lam is not None else heat_weyl_prediction(pot, t)
+    closed = counting_law(pot).at(lam) if lam is not None else heat_law(pot).at(t)
     quad, own = _phase_space_quadrature(pot, lam, t, nodes)
     if math.isinf(closed) or math.isinf(quad):
         raise ValueError("phase-space check requires a finite prediction")

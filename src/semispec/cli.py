@@ -12,8 +12,10 @@ A potential is given by its exponents and --profile values alone.
 
 Exit codes: 0 success, 1 an inequality violation was detected, 2 usage or
 input error (bad flag, invalid parameter, a parameter whose result
-overflows, a 2d potential that overflows to +inf on the grid, unreadable
-or malformed --load file), 3 a numerical contract not met
+overflows, a 2d potential that overflows to +inf on the grid, exponents
+outside the partial law's regime m/alpha > n/beta, a lambda whose count
+is every finite-sample node of the grid, unreadable or malformed --load
+file), 3 a numerical contract not met
 (eigendecomposition residual, LAPACK non-convergence, refused count, size
 cap).
 Every command is deterministic given its flags; per-trial seeds are derived
@@ -154,17 +156,29 @@ def _law_table(header: str, scales, values, law: asymptotics.Prediction | None, 
     samples = []
     for s, value in zip(scales, values):
         pred = law.at(s)
-        if math.isinf(pred):
-            lines.append(f"{s:g},{_fmt(value)},inf,")
-        else:
-            ratio = value / pred if pred else math.inf
-            lines.append(f"{s:g},{_fmt(value)},{_fmt(pred)},{ratio:.6f}")
+        # no ratio against a divergent law, nor for 0 against 0
+        ratio = "" if math.isinf(pred) or pred == value == 0 else f"{value / pred if pred else math.inf:.6f}"
+        lines.append(f"{s:g},{_fmt(value)},{_fmt(pred)},{ratio}")
         if value > 0:
             samples.append((s, value))
     if len(samples) >= 3:
         slope = asymptotics.exponent_fit(samples).slope
         lines.append(f"exponent,{slope:.6f}," + ("," if target is None else f"target,{target:.6f}"))
     return "\n".join(lines) + "\n"
+
+
+def _counts(op: schrodinger.GridOperator, lams) -> list:
+    """Eigenvalue counts below each lambda, refusing a count of every
+    finite-sample node: such a count measures the grid, not the operator."""
+    counts = schrodinger.counting_function(op, lams).tolist()
+    nodes = int(np.count_nonzero(np.isfinite(op.potential)))
+    for lam, count in zip(lams, counts):
+        if count == nodes:
+            raise ValueError(
+                f"N(lambda={lam!r}) = {nodes} counts every finite-sample node of the grid; "
+                "it measures the grid, not the operator (refine the grid or lower lambda)"
+            )
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +341,7 @@ def cmd_weyl(args) -> int:
             values = schrodinger.heat_trace(op, scales, method=args.method).tolist()
             law = asymptotics.heat_law(pot)
         else:
-            values = schrodinger.counting_function(op, scales).astype(float).tolist()
+            values = _counts(op, scales)
             law = asymptotics.counting_law(pot)
     header = "t,trace_discrete,prediction,ratio" if heat_mode else "lambda,N_discrete,prediction,ratio"
     _emit(args.out, _law_table(header, scales, values, law, None))
@@ -340,14 +354,9 @@ def cmd_weyl(args) -> int:
 
 
 def _separately_from_args(args) -> schrodinger.SeparatelyHomogeneous:
-    if args.beta <= args.alpha:
-        # the m/alpha > n/beta hypothesis fails; the roles of x and y must be
-        # exchanged (the symmetric form of the law)
-        _usage_error(
-            "requires beta > alpha (1/alpha > 1/beta); otherwise exchange the "
-            "roles of the two variables and apply the symmetric statement"
-        )
-    return schrodinger.SeparatelyHomogeneous(args.alpha, args.beta, args.profile)
+    pot = schrodinger.SeparatelyHomogeneous(args.alpha, args.beta, args.profile)
+    asymptotics.check_partial_regime(pot.alpha, pot.beta)
+    return pot
 
 
 def cmd_simon(args) -> int:
@@ -364,7 +373,7 @@ def cmd_simon(args) -> int:
             schrodinger.points_for_spacing(box[1], 0.12),
         )
         op = schrodinger.build_hamiltonian(pot, box, points)
-        counts = schrodinger.counting_function(op, lams).tolist()
+        counts = _counts(op, lams)
     _emit(args.out, _law_table("lambda,N_discrete,prediction,ratio", lams, counts, law, law.exponent))
     return 0
 
@@ -401,6 +410,7 @@ def cmd_constants(args) -> int:
         reduced = asymptotics.reduced_degree(pot)
         m, n = args.m, args.n
         divergence = asymptotics.divergence_classifier(m, n, args.alpha, args.beta)
+        asymptotics.check_partial_regime(pot.alpha, pot.beta, m, n)
         payload = {
             "alpha": args.alpha,
             "beta": args.beta,
@@ -408,7 +418,7 @@ def cmd_constants(args) -> int:
             "n": n,
             "C": asymptotics.counting_constant(reduced, m),
             "Cprime": asymptotics.heat_constant(reduced, m),
-            "exponent": m * (args.alpha + args.beta + 2.0) / (2.0 * args.alpha),
+            "exponent": asymptotics.partial_exponent(pot, m),
             "zeta_power": asymptotics.zeta_power(pot, m),
             "divergence": divergence.removeprefix("diverges_at_").removeprefix("diverges_"),
         }

@@ -266,15 +266,3 @@ def apply_function(op: HermitianOperator, f: ScalarFunction) -> HermitianOperato
     u = dec.eigenvectors
     return HermitianOperator((u * fvals) @ u.conj().T)
 
-
-# ---------------------------------------------------------------------------
-# log-gamma
-# ---------------------------------------------------------------------------
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0 (the C library's ``lgamma``)."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)

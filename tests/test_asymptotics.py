@@ -9,6 +9,7 @@ from semispec import asymptotics
 from semispec.asymptotics import (
     Prediction,
     angular_integral,
+    check_partial_regime,
     counting_constant,
     counting_exponent,
     counting_law,
@@ -16,16 +17,13 @@ from semispec.asymptotics import (
     exponent_fit,
     heat_constant,
     heat_law,
-    heat_weyl_prediction,
     partial_counting_law,
-    partial_heat_prediction,
-    partial_weyl_prediction,
+    partial_exponent,
+    partial_heat_law,
     phase_space_identity_check,
     reduced_degree,
-    weyl_prediction,
     zeta_power,
 )
-from semispec.linalg import log_gamma
 from semispec.schrodinger import Homogeneous, QuadrantProfile, SeparatelyHomogeneous
 
 OSCILLATOR = Homogeneous(2.0, 1, (1.0, 1.0))
@@ -52,8 +50,21 @@ def test_heat_constant_for_degree_one_half():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_constant_ratio_is_gamma_of_exponent_plus_one(gamma, d):
     ratio = heat_constant(gamma, d) / counting_constant(gamma, d)
-    expected = math.exp(log_gamma(counting_exponent(gamma, d) + 1.0))
+    expected = math.exp(math.lgamma(counting_exponent(gamma, d) + 1.0))
     assert ratio == pytest.approx(expected, rel=1e-10)
+
+
+def test_constants_against_mpmath_closed_forms():
+    # 40-digit references; d / gamma runs from about 0.02 to 167, the range of lgamma arguments used
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for gamma in np.geomspace(0.018, 60.0, 24):
+        for d in (1, 2, 3):
+            g = mpmath.mpf(float(gamma))
+            heat = (4 * mpmath.pi) ** (-mpmath.mpf(d) / 2) * mpmath.gamma(d / g) / g
+            counting = heat / mpmath.gamma(d / g + mpmath.mpf(d) / 2 + 1)
+            for got, ref in ((counting_constant(gamma, d), counting), (heat_constant(gamma, d), heat)):
+                assert abs(got - ref) <= 1e-12 * ref, (gamma, d)
 
 
 def test_constants_continuous_in_gamma():
@@ -87,8 +98,8 @@ def test_constants_refuse_degrees_outside_the_positive_floats():
 
 
 def test_oscillator_predictions():
-    assert weyl_prediction(OSCILLATOR, 100.0) == pytest.approx(50.0, rel=1e-12)
-    assert heat_weyl_prediction(OSCILLATOR, 0.05) == pytest.approx(10.0, rel=1e-12)
+    assert counting_law(OSCILLATOR).at(100.0) == pytest.approx(50.0, rel=1e-12)
+    assert heat_law(OSCILLATOR).at(0.05) == pytest.approx(10.0, rel=1e-12)
     law = counting_law(OSCILLATOR)
     assert law.exponent == pytest.approx(1.0)
     assert law.constant == pytest.approx(0.5, rel=1e-12)
@@ -107,38 +118,49 @@ def test_angular_integral_2d_constant_profile():
 
 def test_vanishing_arc_gives_infinite_prediction():
     pot = Homogeneous(2.0, 2, lambda th: np.where(np.abs(th - 1.0) < 0.3, 0.0, 1.0))
-    assert math.isinf(weyl_prediction(pot, 10.0))
+    assert math.isinf(counting_law(pot).at(10.0))
 
 
 def test_one_sided_zero_profile_diverges_in_1d():
     pot = Homogeneous(2.0, 1, (1.0, 0.0))
-    assert math.isinf(weyl_prediction(pot, 10.0))
+    assert math.isinf(counting_law(pot).at(10.0))
 
 
 def test_partial_law_simon_closed_form():
     zetas = {1: math.pi**2 / 8.0, -1: math.pi**2 / 8.0}
-    assert partial_weyl_prediction(SIMON, 1.0, zetas) == pytest.approx(
-        2.0 * math.pi / 15.0, rel=1e-12
-    )
-    got = partial_weyl_prediction(SIMON, 9.0, zetas)
+    law = partial_counting_law(SIMON, zetas)
+    assert law.at(1.0) == pytest.approx(2.0 * math.pi / 15.0, rel=1e-12)
+    got = law.at(9.0)
     assert got == pytest.approx(2.0 * math.pi / 15.0 * 9.0**2.5, rel=1e-12)
 
 
 def test_partial_heat_law_simon_closed_form():
     zetas = {1: math.pi**2 / 8.0, -1: math.pi**2 / 8.0}
-    got = partial_heat_prediction(SIMON, 0.5, zetas)
+    got = partial_heat_law(SIMON, zetas).at(0.5)
     expected = math.pi**1.5 / 4.0 * 0.5 ** (-2.5)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_partial_law_zero_zetas():
-    assert partial_weyl_prediction(SIMON, 10.0, {1: 0.0, -1: 0.0}) == 0.0
+    assert partial_counting_law(SIMON, {1: 0.0, -1: 0.0}).at(10.0) == 0.0
 
 
 def test_partial_law_wrong_regime():
     flipped = SeparatelyHomogeneous(2.0, 1.0, QuadrantProfile(1, 1, 1, 1))
     with pytest.raises(ValueError, match="symmetric"):
         partial_counting_law(flipped, {1: 1.0, -1: 1.0})
+
+
+def test_partial_regime_and_exponent():
+    # the hypothesis is strict: m/alpha = n/beta is refused too
+    for args in ((2.0, 1.0), (1.0, 1.0), (1.0, 2.0, 1, 2), (1.0, 2.0, 1, 3)):
+        with pytest.raises(ValueError, match=r"needs m/alpha > n/beta"):
+            check_partial_regime(*args)
+    for args in ((1.0, 2.0), (1.0, 2.0, 2, 3), (0.7, 3.0, 1, 4)):
+        assert check_partial_regime(*args) is None
+    assert partial_exponent(SIMON) == 2.5
+    assert partial_exponent(SIMON, 2) == 5.0
+    assert partial_counting_law(SIMON, {1: 1.0}).exponent == partial_heat_law(SIMON, {1: 1.0}).exponent == 2.5
 
 
 def test_zeta_power_simon():

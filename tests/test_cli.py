@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from semispec import cli, schrodinger
+from semispec import asymptotics, cli, schrodinger
 from semispec.bipartite import parse_bipartite_operator
 
 from oracles import ineq_by_trials
@@ -183,6 +183,38 @@ def test_weyl_divergent_prediction_inf_column(capsys):
     assert row[3] == ""
 
 
+def test_zero_count_against_a_zero_law_has_no_ratio(capsys):
+    # the lone x = 0 node between two hard walls, above lambda = 10
+    code, out = run_cli(
+        capsys, "weyl", "--gamma", "1e300", "--profile", "inf", "--lambda", "10", "--box", "6", "--points", "601"
+    )
+    assert code == 0
+    assert out == "lambda,N_discrete,prediction,ratio\n10,0,0,\n"
+    # a positive value against a zero law keeps its infinite ratio
+    table = cli._law_table("h", [10.0], [3.0], asymptotics.Prediction("counting", 1.0, 0.0), None)
+    assert table == "h\n10,3,0,inf\n"
+
+
+@pytest.mark.parametrize(
+    "argv, lam, nodes",
+    [
+        (["weyl", "--gamma", "1e300", "--profile", "1,inf", "--lambda", "1e300"], "1e+300", 100),
+        (["weyl", "--gamma", "1e300", "--profile", "inf", "--lambda", "10,1e300", "--box", "6", "--points", "601"],
+         "1e+300", 1),
+        (["weyl", "--gamma", "2", "--lambda", "30000,50000", "--box", "3", "--points", "599"], "50000.0", 599),
+        (["simon", "--alpha", "1", "--beta", "2", "--lambda", "3,2000", "--box", "8,4", "--points", "20,10",
+          "--zeta-points", "199"], "2000.0", 200),
+    ],
+)
+def test_count_of_every_finite_node_is_refused(capsys, argv, lam, nodes):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: N(lambda={lam}) = {nodes} counts every finite-sample node")
+    assert captured.err.count("\n") == 1
+
+
 def test_weyl_rejects_both_scales(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["weyl", "--lambda", "1", "--t", "1"])
@@ -207,10 +239,31 @@ def test_simon_small_run_csv(capsys):
     assert float(footer[3]) == pytest.approx(2.5)
 
 
-def test_simon_wrong_regime_usage_error(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--alpha", "2", "--beta", "1"],
+        ["constants", "--alpha", "1", "--beta", "1"],
+        ["constants", "--alpha", "1", "--beta", "2", "--m", "1", "--n", "2"],
+        ["simon", "--alpha", "2", "--beta", "1", "--lambda", "3"],
+        ["zeta", "--alpha", "2", "--beta", "1"],
+    ],
+)
+def test_partial_regime_refusals_share_the_library_message(capsys, argv):
+    with pytest.raises(ValueError) as library:
+        asymptotics.check_partial_regime(2.0, 1.0)
     with pytest.raises(SystemExit) as err:
-        cli.main(["simon", "--alpha", "2", "--beta", "1", "--lambda", "3"])
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err == f"error: {library.value}\n"
+
+
+def test_constants_zero_exponent_gets_the_constructor_message(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["constants", "--alpha", "0", "--beta", "2"])
     assert err.value.code == 2
+    assert capsys.readouterr().err == "error: alpha and beta must be positive and finite, got 0.0, 2.0\n"
 
 
 @pytest.mark.parametrize(
@@ -369,6 +422,40 @@ def test_constants_partial_mode(capsys):
     assert obj["divergence"] == "half_pi"
     assert obj["exponent"] == pytest.approx(2.5)
     assert obj["zeta_power"] == pytest.approx(2.0)
+
+
+# stdout of growth-law commands, byte for byte: a last-bit change in a constant or exponent shows here
+PINNED = {
+    ("constants", "--gamma", "3.7", "--d", "2"):
+        '{"gamma": 3.7, "d": 2, "C": 0.02582777585263212, "Cprime": 0.03534086980555727, '
+        '"exponent": 1.5405405405405406}\n',
+    # the summation order of the log prefix shows in these last bits
+    ("constants", "--gamma", "3.3", "--d", "2"):
+        '{"gamma": 3.3, "d": 2, "C": 0.024774118500153527, "Cprime": 0.035579575424283014, '
+        '"exponent": 1.6060606060606062}\n',
+    ("constants", "--alpha", "1.3", "--beta", "2.7", "--m", "2"):
+        '{"alpha": 1.3, "beta": 2.7, "m": 2, "n": 1, "C": 0.00862089275081101, "Cprime": 0.5441445530956613, '
+        '"exponent": 4.615384615384615, "zeta_power": 3.6153846153846154, "divergence": "half_pi"}\n',
+    # m (alpha + beta + 2) / (2 alpha) and m ((alpha + beta + 2) / (2 alpha)) differ here
+    ("constants", "--alpha", "1.3", "--beta", "4", "--m", "3"):
+        '{"alpha": 1.3, "beta": 4.0, "m": 3, "n": 1, "C": 0.0003206220991649081, "Cprime": 32.309412730609964, '
+        '"exponent": 8.423076923076922, "zeta_power": 6.9230769230769225, "divergence": "half_pi"}\n',
+    # 2/1 > 3/2: inside the partial regime
+    ("constants", "--alpha", "1", "--beta", "2", "--m", "2", "--n", "3"):
+        '{"alpha": 1.0, "beta": 2.0, "m": 2, "n": 3, "C": 0.007957747154594765, "Cprime": 0.9549296585513726, '
+        '"exponent": 5.0, "zeta_power": 4.0, "divergence": "half_pi"}\n',
+    ("weyl", "--gamma", "3.3", "--profile", "1,2", "--lambda", "10,20,40"):
+        "lambda,N_discrete,prediction,ratio\n10,3,3.122698931,0.960707\n20,5,5.448366616,0.917706\n"
+        "40,10,9.506103355,1.051956\nexponent,0.868483,,\n",
+    ("zeta", "--alpha", "0.7", "--beta", "3", "--profile", "1,2,3,4"):
+        '{"omega": 1, "p": 3.5714285714285716, "zeta": 0.5825052820059705}\n'
+        '{"omega": -1, "p": 3.5714285714285716, "zeta": 0.1592301348719266}\n',
+}
+
+
+@pytest.mark.parametrize("argv", PINNED, ids=" ".join)
+def test_law_outputs_are_pinned_byte_for_byte(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, PINNED[argv])
 
 
 def test_constants_requires_a_mode(capsys):

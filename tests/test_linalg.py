@@ -11,7 +11,6 @@ from semispec.linalg import (
     eig_hermitian,
     eig_hermitian_stack,
     exp_neg,
-    log_gamma,
     positive_part,
     power_neg,
     square,
@@ -202,39 +201,6 @@ def test_scalar_jensen_invariant_for_each_builtin(seed):
         lhs = float(f(expectation))
         rhs = float(weights @ f(dec.eigenvalues))
         assert rhs - lhs >= -1e-10 * (1 + abs(rhs))
-
-
-# log-gamma ------------------------------------------------------------------
-
-
-def test_log_gamma_factorial():
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-13)
-
-
-def test_log_gamma_half():
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
-
-
-def test_log_gamma_seven_halves():
-    # recurrence from Gamma(1/2): Gamma(7/2) = (5/2)(3/2)(1/2) sqrt(pi)
-    expected = math.log(15.0 * math.sqrt(math.pi) / 8.0)
-    assert log_gamma(3.5) == pytest.approx(expected, abs=1e-13)
-
-
-def test_log_gamma_against_mpmath_grid():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    for x in np.geomspace(0.05, 170.0, 160):
-        ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
-        # |exp(ours) - Gamma| / Gamma = |expm1(ours - ref)|
-        assert abs(math.expm1(log_gamma(float(x)) - ref)) <= 1e-12
-
-
-def test_log_gamma_domain():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-3.0)
 
 
 # dump format (written and read by bipartite) ---------------------------------
