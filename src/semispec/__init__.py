@@ -12,6 +12,7 @@ from .linalg import (
     eig_hermitian,
     eig_hermitian_stack,
     exp_neg,
+    hermitian_stack,
     positive_part,
     power_neg,
     square,
@@ -27,6 +28,7 @@ from .bipartite import (
     random_density,
     random_hermitian,
     random_unit_vector,
+    state_stack,
 )
 from .inequalities import (
     gibbs_gap,

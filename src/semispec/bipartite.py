@@ -1,6 +1,7 @@
 """Tensor-product structure on H1 (x) H2: Kronecker products, partial traces,
-density matrices, the compressed operator Tr_1[(rho (x) 1) H], and the
-operator text dump.
+density matrices and their gate on a stack, the compressed operator
+Tr_1[(rho (x) 1) H], the seeded draws of operators and states (as stacks,
+one Generator per member), and the operator text dump.
 
 Index convention (fixed everywhere): the basis vector of H1 (x) H2 with flat
 index ``i = m * N + n`` is ``e_m (x) v_n``, i.e. the first factor is major.
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import HermitianOperator, eig_hermitian, trace
+from .linalg import HermitianOperator, _member, eig_hermitian_stack
 
 # Dense storage only; refuse tensor products beyond this total dimension.
 MAX_TENSOR_DIM = 4096
@@ -51,24 +52,16 @@ class BipartiteDims:
 class DensityMatrix:
     """Positive semidefinite operator of unit trace (a quantum state).
 
-    The spectrum checked at construction is kept for :meth:`entropy_term`;
-    it is not part of the comparison.
+    The constructor is :func:`state_stack` on a stack of one.  The spectrum
+    it checks is kept for :meth:`entropy_term`; it is not part of the
+    comparison.
     """
 
     op: HermitianOperator
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tr = trace(self.op)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {tr!r} is not 1 within 1e-10")
-        spectrum = eig_hermitian(self.op).eigenvalues
-        smallest = float(spectrum[0])
-        if smallest < -PSD_TOL:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {smallest:.3e} beyond -1e-10"
-            )
-        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_spectrum", state_stack(self.op.mat[None])[0])
 
     @property
     def dim(self) -> int:
@@ -86,9 +79,49 @@ class DensityMatrix:
 
     def entropy_term(self) -> float:
         """Tr[rho ln rho] with 0 ln 0 := 0 (a nonpositive number)."""
-        vals = np.clip(self._spectrum, 0.0, None)
-        pos = vals[vals > 0.0]
-        return float(np.sum(pos * np.log(pos)))
+        return float(entropy_terms(self._spectrum[None])[0])
+
+
+def state_stack(mats, spectra=None) -> np.ndarray:
+    """The state gate on a stack that passed :func:`~semispec.linalg.hermitian_stack`.
+
+    Each matrix must have unit trace within 1e-10 and no eigenvalue below
+    ``-PSD_TOL``.  ``spectra`` are the stack's ascending eigenvalues when a
+    stacked solve has taken them already; otherwise they are computed here,
+    after the trace check.  Returns the spectra.  An error names the first
+    offending matrix by its stack index; a stack of one gets the bare
+    message of :class:`DensityMatrix`.
+    """
+    traces = np.sum(np.real(np.diagonal(mats, axis1=1, axis2=2)), axis=1)
+    bad = np.abs(traces - 1.0) > 1e-10
+    if bad.any():
+        s = int(np.argmax(bad))
+        raise ValueError(f"{_member(s, len(mats))}density matrix trace {float(traces[s])!r} is not 1 within 1e-10")
+    if spectra is None:
+        spectra, _ = eig_hermitian_stack(mats)
+    bad = spectra[:, 0] < -PSD_TOL
+    if bad.any():
+        s = int(np.argmax(bad))
+        raise ValueError(
+            f"{_member(s, len(mats))}density matrix has negative eigenvalue {spectra[s, 0]:.3e} beyond -1e-10"
+        )
+    return spectra
+
+
+def entropy_terms(spectra) -> np.ndarray:
+    """Tr[rho ln rho] of each state from its spectrum, a row of ``spectra``;
+    0 ln 0 := 0, and the entries clipped to 0 are left out of the sum."""
+    vals = np.clip(spectra, 0.0, None)
+    positive = vals > 0.0
+    counts = positive.sum(axis=1)
+    out = np.empty(len(vals))
+    # rows with the same number of positive entries sum as one block, so each
+    # row is summed exactly as a lone vector of its positive entries is
+    for count in set(counts.tolist()):
+        rows = counts == count
+        pos = vals[rows][positive[rows]].reshape(np.count_nonzero(rows), count)
+        out[rows] = np.sum(pos * np.log(pos), axis=1)
+    return out
 
 
 def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
@@ -129,8 +162,41 @@ def compress(op: HermitianOperator, rho: DensityMatrix, dims: BipartiteDims) -> 
     dims.check(op)
     if rho.dim != dims.dim1:
         raise ValueError(f"state dimension {rho.dim} does not match dim1 {dims.dim1}")
-    four = op.mat.reshape(dims.dim1, dims.dim2, dims.dim1, dims.dim2)
-    return HermitianOperator(np.einsum("ba,anbq->nq", rho.op.mat, four))
+    return HermitianOperator(compress_stack(op.mat[None], rho.op.mat[None], dims)[0])
+
+
+def compress_stack(mats: np.ndarray, states: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """:func:`compress` of each pair from a ``(k, MN, MN)`` stack and a ``(k, M, M)``
+    stack of states; the raw ``(k, N, N)`` result, before the Hermitian gate."""
+    four = mats.reshape(len(mats), dims.dim1, dims.dim2, dims.dim1, dims.dim2)
+    return np.einsum("tba,tanbq->tnq", states, four)
+
+
+def draw_hermitian(rngs, dim: int) -> np.ndarray:
+    """One GUE-style draw from each Generator of ``rngs``, in order: the
+    ``(k, dim, dim)`` stack of ``(G + G*) / 2`` for complex Gaussian G, real
+    parts drawn first.  Hermitian by construction; :func:`random_hermitian`
+    is the gated stack of one."""
+    normals = np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]).reshape(-1, 2, dim, dim)
+    g = np.empty((len(normals), dim, dim), dtype=np.complex128)
+    g.real, g.imag = normals[:, 0], normals[:, 1]
+    h = g + g.conj().swapaxes(1, 2)
+    h /= 2.0
+    return h
+
+
+def draw_density(rngs, dim: int, ranks) -> np.ndarray:
+    """One state draw from each Generator of ``rngs``, in order: the
+    ``(k, dim, dim)`` stack of trace-normalized Gram matrices of ``ranks[i]``
+    complex Gaussian vectors; :func:`random_density` is the gated stack of one."""
+    grams = np.empty((len(rngs), dim, dim), dtype=np.complex128)
+    for gram, rng, rank in zip(grams, rngs, ranks):
+        if not 1 <= rank <= dim:
+            raise ValueError(f"rank must satisfy 1 <= rank <= {dim}, got {rank}")
+        g = np.empty((dim, rank), dtype=np.complex128)
+        g.real, g.imag = rng.standard_normal((2, dim, rank))
+        np.matmul(g, g.conj().T, out=gram)
+    return grams / np.real(np.trace(grams, axis1=1, axis2=2))[:, None, None]
 
 
 def random_hermitian(dim: int, seed: int | np.random.Generator) -> HermitianOperator:
@@ -138,9 +204,7 @@ def random_hermitian(dim: int, seed: int | np.random.Generator) -> HermitianOper
 
     ``seed`` is an int or a Generator; a Generator's stream is continued.
     """
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator((g + g.conj().T) / 2.0)
+    return HermitianOperator(draw_hermitian([np.random.default_rng(seed)], dim)[0])
 
 
 def random_density(dim: int, rank: int, seed: int | np.random.Generator) -> DensityMatrix:
@@ -148,12 +212,7 @@ def random_density(dim: int, rank: int, seed: int | np.random.Generator) -> Dens
 
     ``seed`` is an int or a Generator.  Reproducible bit-for-bit for a fixed seed.
     """
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must satisfy 1 <= rank <= {dim}, got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    gram = g @ g.conj().T
-    return DensityMatrix(HermitianOperator(gram / np.real(np.trace(gram))))
+    return DensityMatrix(HermitianOperator(draw_density([np.random.default_rng(seed)], dim, [rank])[0]))
 
 
 def random_unit_vector(dim: int, seed: int | np.random.Generator) -> np.ndarray:

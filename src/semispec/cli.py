@@ -14,14 +14,17 @@ Exit codes: 0 success, 1 an inequality violation was detected, 2 usage or
 input error (bad flag, invalid parameter, a parameter whose result
 overflows, a 2d potential that overflows to +inf on the grid, exponents
 outside the partial law's regime m/alpha > n/beta, a lambda whose count
-is every finite-sample node of the grid, unreadable or malformed --load
-file), 3 a numerical contract not met
+or a t whose heat trace is every finite-sample node of the grid, a profile
+whose boundary rule leaves no box, unreadable or malformed --load file),
+3 a numerical contract not met
 (eigendecomposition residual, LAPACK non-convergence, refused count, size
 cap).
 Every command is deterministic given its flags; per-trial seeds are derived
 from --seed with numpy's SeedSequence spawning, so output files are
 byte-identical across runs and independent of how trials are grouped for
-evaluation.
+evaluation.  ``ineq`` draws, gates, decomposes and evaluates each block of
+trials as stacks (see ``TRIAL_BLOCK``); only the --dump operator is built
+as an object.
 """
 
 from __future__ import annotations
@@ -167,18 +170,32 @@ def _law_table(header: str, scales, values, law: asymptotics.Prediction | None, 
     return "\n".join(lines) + "\n"
 
 
-def _counts(op: schrodinger.GridOperator, lams) -> list:
-    """Eigenvalue counts below each lambda, refusing a count of every
-    finite-sample node: such a count measures the grid, not the operator."""
-    counts = schrodinger.counting_function(op, lams).tolist()
+def _refuse_grid_saturation(op: schrodinger.GridOperator, values: list, names, remedy: str) -> list:
+    """``values``, unless one equals the number of finite-sample nodes: such a
+    count or heat trace measures the grid, not the operator."""
     nodes = int(np.count_nonzero(np.isfinite(op.potential)))
-    for lam, count in zip(lams, counts):
-        if count == nodes:
+    for name, value in zip(names, values):
+        if value == nodes:
             raise ValueError(
-                f"N(lambda={lam!r}) = {nodes} counts every finite-sample node of the grid; "
-                "it measures the grid, not the operator (refine the grid or lower lambda)"
+                f"{name} = {nodes} counts every finite-sample node of the grid; "
+                f"it measures the grid, not the operator ({remedy})"
             )
-    return counts
+    return values
+
+
+def _counts(op: schrodinger.GridOperator, lams) -> list:
+    """Eigenvalue counts below each lambda, refusing a count of every finite-sample node."""
+    counts = schrodinger.counting_function(op, lams).tolist()
+    names = (f"N(lambda={lam!r})" for lam in lams)
+    return _refuse_grid_saturation(op, counts, names, "refine the grid or lower lambda")
+
+
+def _heat_traces(op: schrodinger.GridOperator, ts, method: str) -> list:
+    """Heat traces at each t, refusing a trace of every finite-sample node
+    (each exp(-tE) rounds to 1)."""
+    traces = schrodinger.heat_trace(op, ts, method=method).tolist()
+    names = (f"Tr exp(-tH) at t={t!r}" for t in ts)
+    return _refuse_grid_saturation(op, traces, names, "refine the grid or raise t")
 
 
 # ---------------------------------------------------------------------------
@@ -186,118 +203,193 @@ def _counts(op: schrodinger.GridOperator, lams) -> list:
 # ---------------------------------------------------------------------------
 
 
-# Trials drawn and evaluated together.  Each block's matrices are decomposed
-# with one stacked call per dimension; the block size bounds how many of them
-# (and their eigenvectors) are held at once.  16 was chosen by measurement:
-# larger blocks save little time and add to the peak resident memory.
-TRIAL_BLOCK = 16
+# Trials drawn and evaluated together.  A suite draws a block's inputs,
+# gates them as stacks, decomposes them with one stacked call per dimension
+# and evaluates the sides over stacks of one shape, so the Python cost is
+# paid per block and per shape, not per trial.  The block size bounds how
+# many matrices (and eigenvectors) are held at once: 128 was chosen with
+# perfbench against 64 and 96, which ran 5-10% slower, at about the same
+# peak resident memory.  It is sized for matrices up to 36 x 36 (--dims 6x6);
+# larger ones get proportionally fewer trials per block (see _block_size).
+TRIAL_BLOCK = 128
 
 
-def _decompose(ops) -> list[linalg.SpectralDecomposition]:
-    """Spectral decompositions of operators of any dimensions, in order; one stacked call per dimension."""
-    by_dim: dict[int, list[int]] = {}
-    for i, op in enumerate(ops):
-        by_dim.setdefault(op.dim, []).append(i)
-    decs = [None] * len(ops)
-    for idx in by_dim.values():
-        vals, vecs = linalg.eig_hermitian_stack([ops[i].mat for i in idx])
+def _block_size(top: int) -> int:
+    """Trials per block when a trial's largest matrix is ``top`` x ``top``: about
+    as many matrix entries as TRIAL_BLOCK trials hold at 36 x 36."""
+    return max(1, min(TRIAL_BLOCK, TRIAL_BLOCK * 36**2 // top**2))
+
+
+def _group(keys) -> dict:
+    """Positions of each key, keys in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _eig_by_dim(stacks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues and eigenvectors of gated ``(k, d, d)`` stacks, in order;
+    one ``eig_hermitian_stack`` call per dimension d."""
+    out = [None] * len(stacks)
+    for idx in _group(s.shape[1] for s in stacks).values():
+        vals, vecs = linalg.eig_hermitian_stack(np.concatenate([stacks[i] for i in idx]))
+        at = 0
+        for i in idx:
+            out[i] = (vals[at : at + len(stacks[i])], vecs[at : at + len(stacks[i])])
+            at += len(stacks[i])
+    return out
+
+
+# A suite takes the Generators of a block's trials, the parsed flags and the
+# --load operator (or None).  It draws each trial's shape first, then, one
+# group of trials of a shape at a time, the rest of their inputs; every
+# Generator serves one trial, so each trial makes the same draws in the same
+# order as alone.  It returns the lhs and rhs of every evaluation, shape
+# (trials, evaluations per trial), and, for the suite that --dump reads,
+# each trial's (operator matrix, dims).
+
+
+def _jensen_scalar_block(rngs, args, loaded):
+    max_m, max_n = args.dims
+    dims = [len(loaded[0].mat) if loaded else _draw_dim(rng, max_m * max_n) for rng in rngs]
+    lhs, rhs = np.empty((2, len(rngs), len(args.functions)))
+    for dim, idx in _group(dims).items():
+        group = [rngs[i] for i in idx]
+        h = linalg.hermitian_stack([loaded[0].mat] * len(idx) if loaded else bipartite.draw_hermitian(group, dim))
+        psi = np.array([bipartite.random_unit_vector(dim, rng) for rng in group])
+        vals, vecs = linalg.eig_hermitian_stack(h)
+        lhs[idx], rhs[idx] = inequalities._jensen_scalar_sides(h, vals, vecs, psi, args.functions)
+    return lhs, rhs, None
+
+
+def _jensen_partial_trace_block(rngs, args, loaded):
+    max_m, max_n = args.dims
+    keys = []
+    for rng in rngs:
+        if loaded:
+            keys.append(loaded[1])
+        else:
+            m = int(rng.integers(1, max_m + 1))
+            keys.append(bipartite.BipartiteDims(m, int(rng.integers(1, max_n + 1))))
+    groups = _group(keys)
+    hs, rhos = [], []
+    for d, idx in groups.items():
+        group = [rngs[i] for i in idx]
+        mats = [loaded[0].mat] * len(idx) if loaded else bipartite.draw_hermitian(group, d.total)
+        hs.append(linalg.hermitian_stack(mats))
+        ranks = [int(rng.integers(1, d.dim1 + 1)) for rng in group]
+        rhos.append(linalg.hermitian_stack(bipartite.draw_density(group, d.dim1, ranks)))
+    ks = [linalg.hermitian_stack(bipartite.compress_stack(h, rho, d)) for h, rho, d in zip(hs, rhos, groups)]
+    # one stacked solve per dimension: each H, K_rho and state of the block
+    decs = _eig_by_dim(hs + ks + rhos)
+    lhs, rhs = np.empty((2, len(rngs), len(args.functions)))
+    cases = [None] * len(rngs)
+    for g, (d, idx) in enumerate(groups.items()):
+        h_dec, (kappa, _), (rho_vals, _) = decs[g], decs[len(groups) + g], decs[2 * len(groups) + g]
+        bipartite.state_stack(rhos[g], rho_vals)
+        lhs[idx], rhs[idx] = inequalities._jensen_partial_trace_sides(*h_dec, kappa, rhos[g], d, args.functions)
         for j, i in enumerate(idx):
-            decs[i] = linalg.SpectralDecomposition(vals[j], vecs[j])
-    return decs
+            cases[i] = (hs[g][j], d)
+    return lhs, rhs, cases
+
+
+def _golden_thompson_block(rngs, args, loaded):
+    max_m, max_n = args.dims
+    dims = [_draw_dim(rng, max_m * max_n) for rng in rngs]
+    lhs, rhs = np.empty((2, len(rngs), 1))
+    for dim, idx in _group(dims).items():
+        # each trial draws A, then B; A + B, A and B take one stacked solve
+        pairs = linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx for _ in "ab"], dim))
+        mats = np.concatenate([linalg.hermitian_stack(pairs[0::2] + pairs[1::2]), pairs[0::2], pairs[1::2]])
+        del pairs  # not held through the solve
+        vals, vecs = linalg.eig_hermitian_stack(mats)
+        k = len(idx)
+        lhs[idx, 0], rhs[idx, 0] = inequalities._golden_thompson_sides(
+            vals[:k], vals[k : 2 * k], vecs[k : 2 * k], vals[2 * k :], vecs[2 * k :]
+        )
+    return lhs, rhs, None
+
+
+def _sliced_gt_block(rngs, args, loaded):
+    max_m, max_n = args.dims
+    keys = []
+    for rng in rngs:
+        m = _draw_dim(rng, max_m)
+        keys.append((m, int(rng.integers(1, max_n + 1))))
+    groups = _group(keys)
+    ts, ws, hs = [], [], []
+    for (m, n), idx in groups.items():
+        # each trial draws T, then its m blocks
+        ts.append(linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx], m)))
+        ws.append(linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx for _ in range(m)], n)))
+        hs.append(linalg.hermitian_stack(inequalities.sliced_stack(ts[-1], ws[-1].reshape(len(idx), m, n, n))))
+    # one stacked solve per dimension: each H, T and block of the block
+    decs = _eig_by_dim(hs + ts + ws)
+    lhs, rhs = np.empty((2, len(rngs), 1))
+    for g, ((m, n), idx) in enumerate(groups.items()):
+        (h_vals, _), t_dec, (w_vals, _) = decs[g], decs[len(groups) + g], decs[2 * len(groups) + g]
+        block_vals = w_vals.reshape(len(idx), m, n)
+        lhs[idx, 0], rhs[idx, 0] = inequalities._sliced_gt_sides(h_vals, *t_dec, block_vals, 0.5)
+    return lhs, rhs, None
+
+
+def _gibbs_block(rngs, args, loaded):
+    max_m, _ = args.dims
+    dims = [_draw_dim(rng, max_m) for rng in rngs]
+    lhs, rhs = np.empty((2, len(rngs), 1))
+    for dim, idx in _group(dims).items():
+        group = [rngs[i] for i in idx]
+        h = linalg.hermitian_stack(bipartite.draw_hermitian(group, dim))
+        ranks = [int(rng.integers(1, dim + 1)) for rng in group]
+        rho = linalg.hermitian_stack(bipartite.draw_density(group, dim, ranks))
+        (vals, _), (rho_vals, _) = _eig_by_dim([h, rho])
+        entropies = bipartite.entropy_terms(bipartite.state_stack(rho, rho_vals))
+        lhs[idx, 0], rhs[idx, 0] = inequalities._gibbs_sides(rho, entropies, h, vals)
+    return lhs, rhs, None
+
+
+SUITES = (
+    ("jensen_scalar", _jensen_scalar_block),
+    ("jensen_partial_trace", _jensen_partial_trace_block),
+    ("golden_thompson", _golden_thompson_block),
+    ("sliced_gt", _sliced_gt_block),
+    ("gibbs", _gibbs_block),
+)
 
 
 def cmd_ineq(args) -> int:
-    max_m, max_n = args.dims
-    functions = args.functions
-    summaries = []
-    worst = (math.inf, None, None)  # smallest normalized gap, operator, dims
-
-    def record(rows, gap, rhs, op=None, dims=None):
-        nonlocal worst
-        rows.append((gap, rhs))
-        norm = gap / (1.0 + abs(rhs))
-        if op is not None and norm < worst[0]:
-            worst = (norm, op, dims)
-
     if args.trials < 1:
         _usage_error("--trials must be at least 1")
-    loaded = loaded_dims = None
+    loaded = None
     if args.load:
         with open(args.load) as fh:
-            loaded, loaded_dims = bipartite.parse_bipartite_operator(fh.read())
+            loaded = bipartite.parse_bipartite_operator(fh.read())
 
-    # A suite draws one trial's inputs from the trial's own Generator and
-    # returns the operators to decompose, a function from their
-    # decompositions to the (lhs, rhs) pairs, and what a --dump would write.
-    def jensen_scalar(rng):
-        dim = loaded.dim if loaded is not None else _draw_dim(rng, max_m * max_n)
-        op = loaded if loaded is not None else bipartite.random_hermitian(dim, rng)
-        psi = bipartite.random_unit_vector(op.dim, rng)
-        return [op], lambda d: inequalities._jensen_scalar_sides(op, d[0], psi, functions), ()
-
-    def jensen_partial_trace(rng):
-        if loaded is not None:
-            op, dims = loaded, loaded_dims
-        else:
-            dims = bipartite.BipartiteDims(
-                int(rng.integers(1, max_m + 1)), int(rng.integers(1, max_n + 1))
-            )
-            op = bipartite.random_hermitian(dims.total, rng)
-        rho = bipartite.random_density(dims.dim1, int(rng.integers(1, dims.dim1 + 1)), rng)
-        return (
-            [op, bipartite.compress(op, rho, dims)],
-            lambda d: inequalities._jensen_partial_trace_sides(d[0], d[1].eigenvalues, rho, dims, functions),
-            (op, dims),
-        )
-
-    def golden_thompson(rng):
-        dim = _draw_dim(rng, max_m * max_n)
-        a = bipartite.random_hermitian(dim, rng)
-        b = bipartite.random_hermitian(dim, rng)
-        return [a + b, a, b], lambda d: [inequalities._golden_thompson_sides(*d)], ()
-
-    def sliced_gt(rng):
-        m = _draw_dim(rng, max_m)
-        n = int(rng.integers(1, max_n + 1))
-        t_op = bipartite.random_hermitian(m, rng)
-        blocks = [bipartite.random_hermitian(n, rng) for _ in range(m)]
-        return (
-            [inequalities.sliced_hamiltonian(t_op, blocks), t_op, *blocks],
-            lambda d: [inequalities._sliced_gt_sides(d[0], d[1], [w.eigenvalues for w in d[2:]], 0.5)],
-            (),
-        )
-
-    def gibbs(rng):
-        dim = _draw_dim(rng, max_m)
-        op = bipartite.random_hermitian(dim, rng)
-        rho = bipartite.random_density(dim, int(rng.integers(1, dim + 1)), rng)
-        return [op], lambda d: [inequalities._gibbs_sides(rho, op, d[0].eigenvalues)], ()
-
-    suites = [
-        ("jensen_scalar", jensen_scalar),
-        ("jensen_partial_trace", jensen_partial_trace),
-        ("golden_thompson", golden_thompson),
-        ("sliced_gt", sliced_gt),
-        ("gibbs", gibbs),
-    ]
-    for suite_idx, (suite, draw) in enumerate(suites):
-        rows = []
-        for first in range(0, args.trials, TRIAL_BLOCK):
-            trials = range(first, min(first + TRIAL_BLOCK, args.trials))
-            cases = [draw(_trial_rng(args.seed, suite_idx, trial)) for trial in trials]
-            decs = _decompose([op for ops, _, _ in cases for op in ops])
-            at = 0
-            for ops, sides, dump in cases:
-                for lhs, rhs in sides(decs[at : at + len(ops)]):
-                    record(rows, rhs - lhs, rhs, *dump)
-                at += len(ops)
-        gaps = [g for g, _ in rows]
-        violations = sum(1 for g, r in rows if inequalities.violates(g, r))
+    size = _block_size(max(args.dims[0] * args.dims[1], loaded[0].dim if loaded else 1))
+    summaries = []
+    worst = (math.inf, None)  # smallest normalized gap, (operator matrix, dims)
+    for suite_idx, (suite, block) in enumerate(SUITES):
+        gaps, rhss = [], []
+        for first in range(0, args.trials, size):
+            trials = range(first, min(first + size, args.trials))
+            lhs, rhs, cases = block([_trial_rng(args.seed, suite_idx, trial) for trial in trials], args, loaded)
+            gap = rhs - lhs
+            gaps += gap.ravel().tolist()
+            rhss += rhs.ravel().tolist()
+            if cases is not None:
+                # the first evaluation, in trial and function order, of the smallest normalized gap
+                for i, norm in enumerate((gap / (1.0 + np.abs(rhs))).ravel().tolist()):
+                    if norm < worst[0]:
+                        mat, dims = cases[i // gap.shape[1]]
+                        worst = (norm, (mat.copy(), dims))  # a copy: the block's stacks are not kept
+            del lhs, rhs, cases  # not held through the next block
+        violations = sum(1 for g, r in zip(gaps, rhss) if inequalities.violates(g, r))
         summaries.append(
             {
                 "suite": suite,
                 "trials": args.trials,
-                "evaluations": len(rows),
+                "evaluations": len(gaps),
                 "min_gap": min(gaps),
                 "violations": violations,
             }
@@ -306,8 +398,9 @@ def cmd_ineq(args) -> int:
     text = "".join(_json_line(s) for s in summaries)
     _emit(args.out, text)
     if args.dump and worst[1] is not None:
+        mat, dims = worst[1]
         with open(args.dump, "w") as fh:
-            fh.write(bipartite.format_bipartite_operator(worst[1], worst[2]))
+            fh.write(bipartite.format_bipartite_operator(linalg.HermitianOperator(mat), dims))
     total = sum(s["violations"] for s in summaries)
     return 1 if total else 0
 
@@ -338,7 +431,7 @@ def cmd_weyl(args) -> int:
         points = args.points[0] if args.points else schrodinger.points_for_spacing(box, 0.01)
         op = schrodinger.build_hamiltonian(pot, box, points)
         if heat_mode:
-            values = schrodinger.heat_trace(op, scales, method=args.method).tolist()
+            values = _heat_traces(op, scales, args.method)
             law = asymptotics.heat_law(pot)
         else:
             values = _counts(op, scales)

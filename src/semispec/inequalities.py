@@ -16,10 +16,12 @@ Covered inequalities:
 * Gibbs principle       -ln Tr e^(-H)  <= Tr[rho H] + Tr[rho ln rho]
 
 Every side is read off eigenvalues and eigenvector overlaps; no f(H) matrix
-is formed only to take its trace.  Each public ``*_sides`` decomposes its
-operators and passes the decompositions to one private helper holding the
-formula; ``semispec ineq`` calls the same helpers with decompositions taken
-from stacked eigensolver calls.
+is formed only to take its trace.  Each formula lives in one private helper
+that evaluates it over a stack of inputs of one dimension, from their
+stacked decompositions: the public ``*_sides`` call it on a stack of one,
+and ``semispec ineq`` on a block of trials.  The helpers reduce with stacked
+``matmul`` and ``einsum`` and row-wise ``np.sum``, each of which gives every
+member the bits that the same reduction gives it alone.
 """
 
 from __future__ import annotations
@@ -29,13 +31,20 @@ from typing import Sequence
 import numpy as np
 
 from .bipartite import BipartiteDims, DensityMatrix, compress
-from .linalg import (
-    HermitianOperator,
-    ScalarFunction,
-    SpectralDecomposition,
-    eig_hermitian,
-    eig_hermitian_stack,
-)
+from .linalg import HermitianOperator, ScalarFunction, eig_hermitian, eig_hermitian_stack
+
+
+def _decomposed(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of one operator, as stacks of one."""
+    dec = eig_hermitian(op)
+    return dec.eigenvalues[None], dec.eigenvectors[None]
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two ``(k, d)`` stacks: a stacked ``matmul``,
+    which takes each row's dot product as ``np.dot`` takes it alone."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
 
 def violates(gap: float, rhs: float) -> bool:
     """True when a gap is negative beyond the scaled tolerance."""
@@ -52,22 +61,25 @@ def jensen_scalar_sides(op: HermitianOperator, psi, f: ScalarFunction) -> tuple[
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"psi must be normalized; its norm is {nrm!r}")
-    return _jensen_scalar_sides(op, eig_hermitian(op), psi, [f])[0]
+    lhs, rhs = _jensen_scalar_sides(op.mat[None], *_decomposed(op), psi[None], [f])
+    return float(lhs[0, 0]), float(rhs[0, 0])
 
 
 def _jensen_scalar_sides(
-    op: HermitianOperator, dec: SpectralDecomposition, psi: np.ndarray, functions: Sequence[ScalarFunction]
-) -> list[tuple[float, float]]:
-    """Both sides for each function, read off the decomposition ``dec`` of ``op``."""
-    weights = np.abs(dec.eigenvectors.conj().T @ psi) ** 2
-    expectation = float(np.real(np.vdot(psi, op.mat @ psi)))
-    sides = []
+    mats: np.ndarray, vals: np.ndarray, vecs: np.ndarray, psi: np.ndarray, functions: Sequence[ScalarFunction]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, shape ``(k, len(functions))``, for a ``(k, d, d)`` stack with
+    its decompositions ``vals, vecs`` and unit vectors ``psi`` of shape ``(k, d)``."""
+    weights = np.abs(vecs.conj().swapaxes(1, 2) @ psi[:, :, None])[..., 0] ** 2
+    expectation = np.real(_rowdot(psi.conj(), (mats @ psi[:, :, None])[..., 0]))
+    lhs, rhs = [], []
     for f in functions:
         if not f.convex:
             raise ValueError("jensen_scalar_gap requires a convex function")
-        f.check_domain(dec.eigenvalues)
-        sides.append((float(f(expectation)), float(np.dot(weights, f(dec.eigenvalues)))))
-    return sides
+        f.check_domain(vals)
+        lhs.append(f(expectation))
+        rhs.append(_rowdot(weights, f(vals)))
+    return np.stack(lhs, axis=1), np.stack(rhs, axis=1)
 
 
 def jensen_scalar_gap(op: HermitianOperator, psi, f: ScalarFunction) -> float:
@@ -80,30 +92,33 @@ def jensen_partial_trace_sides(
     op: HermitianOperator, rho: DensityMatrix, dims: BipartiteDims, f: ScalarFunction
 ) -> tuple[float, float]:
     dims.check(op)
-    kappa = eig_hermitian(compress(op, rho, dims)).eigenvalues
-    return _jensen_partial_trace_sides(eig_hermitian(op), kappa, rho, dims, [f])[0]
+    kappa, _ = _decomposed(compress(op, rho, dims))
+    lhs, rhs = _jensen_partial_trace_sides(*_decomposed(op), kappa, rho.op.mat[None], dims, [f])
+    return float(lhs[0, 0]), float(rhs[0, 0])
 
 
 def _jensen_partial_trace_sides(
-    dec: SpectralDecomposition,
+    vals: np.ndarray,
+    vecs: np.ndarray,
     kappa: np.ndarray,
-    rho: DensityMatrix,
+    states: np.ndarray,
     dims: BipartiteDims,
     functions: Sequence[ScalarFunction],
-) -> list[tuple[float, float]]:
-    """Both sides for each function, from the decomposition of H and the spectrum of K_rho."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, shape ``(k, len(functions))``, from the decompositions of a stack
+    of H, the spectra ``kappa`` of their K_rho and the ``(k, M, M)`` stack of states."""
     # Tr[rho . Tr_2 f(H)] = sum_k f(lambda_k) <u_k|rho (x) 1|u_k>
-    u = dec.eigenvectors.reshape(dims.dim1, dims.dim2, -1)
-    weights = np.real(np.einsum("ank,ab,bnk->k", u.conj(), rho.op.mat, u))
-    sides = []
+    u = vecs.reshape(len(vecs), dims.dim1, dims.dim2, -1)
+    weights = np.real(np.einsum("tank,tab,tbnk->tk", u.conj(), states, u))
+    lhs, rhs = [], []
     for f in functions:
         if not f.convex:
             raise ValueError("jensen_partial_trace_gap requires a convex function")
         f.check_domain(kappa)
-        lhs = float(np.sum(f(kappa)))
-        f.check_domain(dec.eigenvalues)
-        sides.append((lhs, float(np.dot(weights, f(dec.eigenvalues)))))
-    return sides
+        lhs.append(np.sum(f(kappa), axis=1))
+        f.check_domain(vals)
+        rhs.append(_rowdot(weights, f(vals)))
+    return np.stack(lhs, axis=1), np.stack(rhs, axis=1)
 
 
 def jensen_partial_trace_gap(
@@ -122,17 +137,20 @@ def jensen_partial_trace_gap(
 def golden_thompson_sides(a: HermitianOperator, b: HermitianOperator) -> tuple[float, float]:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _golden_thompson_sides(eig_hermitian(a + b), eig_hermitian(a), eig_hermitian(b))
+    sum_vals, _ = _decomposed(a + b)
+    lhs, rhs = _golden_thompson_sides(sum_vals, *_decomposed(a), *_decomposed(b))
+    return float(lhs[0]), float(rhs[0])
 
 
 def _golden_thompson_sides(
-    dsum: SpectralDecomposition, da: SpectralDecomposition, db: SpectralDecomposition
-) -> tuple[float, float]:
-    """Both sides from the decompositions of A + B, A and B."""
-    lhs = float(np.sum(np.exp(dsum.eigenvalues)))
+    sum_vals: np.ndarray, a_vals: np.ndarray, a_vecs: np.ndarray, b_vals: np.ndarray, b_vecs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, shape ``(k,)``, from the spectra of a stack of A + B and the
+    decompositions of the stacks of A and B."""
+    lhs = np.sum(np.exp(sum_vals), axis=1)
     # Tr[e^(A/2) e^B e^(A/2)] = Tr[e^A e^B] = e^a . |U* V|^2 . e^b
-    overlaps = np.abs(da.eigenvectors.conj().T @ db.eigenvectors) ** 2
-    rhs = float(np.exp(da.eigenvalues) @ overlaps @ np.exp(db.eigenvalues))
+    overlaps = np.abs(a_vecs.conj().swapaxes(1, 2) @ b_vecs) ** 2
+    rhs = _rowdot((np.exp(a_vals)[:, None, :] @ overlaps)[:, 0], np.exp(b_vals))
     return lhs, rhs
 
 
@@ -150,10 +168,18 @@ def sliced_hamiltonian(t_op: HermitianOperator, blocks: Sequence[HermitianOperat
     n = blocks[0].dim
     if any(w.dim != n for w in blocks):
         raise ValueError("all blocks must share one dimension")
-    h = np.kron(t_op.mat, np.eye(n, dtype=np.complex128))
-    for i, w in enumerate(blocks):
-        h[i * n : (i + 1) * n, i * n : (i + 1) * n] += w.mat
-    return HermitianOperator(h)
+    return HermitianOperator(sliced_stack(t_op.mat[None], np.stack([w.mat for w in blocks])[None])[0])
+
+
+def sliced_stack(t_mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """:func:`sliced_hamiltonian` of each member of a ``(k, M, M)`` stack of T and a
+    ``(k, M, N, N)`` stack of blocks; the raw ``(k, MN, MN)`` result, before the
+    Hermitian gate.  T (x) 1 is formed as ``np.kron`` forms it."""
+    k, m, n = len(t_mats), t_mats.shape[1], blocks.shape[2]
+    h = t_mats[:, :, None, :, None] * np.eye(n, dtype=np.complex128)[:, None, :]
+    for i in range(m):
+        h[:, i, :, i, :] += blocks[:, i]
+    return h.reshape(k, m * n, m * n)
 
 
 def sliced_gt_sides(
@@ -163,18 +189,21 @@ def sliced_gt_sides(
         raise ValueError(f"t must be positive, got {t}")
     h = sliced_hamiltonian(t_op, blocks)
     block_vals, _ = eig_hermitian_stack([w.mat for w in blocks])
-    return _sliced_gt_sides(eig_hermitian(h), eig_hermitian(t_op), block_vals, t)
+    h_vals, _ = _decomposed(h)
+    lhs, rhs = _sliced_gt_sides(h_vals, *_decomposed(t_op), block_vals[None], t)
+    return float(lhs[0]), float(rhs[0])
 
 
 def _sliced_gt_sides(
-    dh: SpectralDecomposition, dt: SpectralDecomposition, block_vals: Sequence[np.ndarray], t: float
-) -> tuple[float, float]:
-    """Both sides from the decompositions of H and T and the spectrum of each block."""
-    lhs = float(np.sum(np.exp(-t * dh.eigenvalues)))
+    h_vals: np.ndarray, t_vals: np.ndarray, t_vecs: np.ndarray, block_vals: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, shape ``(k,)``, from the spectra of a stack of H, the
+    decompositions of the stack of T and the ``(k, M, N)`` spectra of the blocks."""
+    lhs = np.sum(np.exp(-t * h_vals), axis=1)
     # (e^(-tT))_mm = sum_k |U_mk|^2 e^(-t lambda_k)
-    damp = np.abs(dt.eigenvectors) ** 2 @ np.exp(-t * dt.eigenvalues)
-    block_traces = [np.sum(np.exp(-t * vals)) for vals in block_vals]
-    rhs = float(damp @ block_traces)
+    damp = (np.abs(t_vecs) ** 2 @ np.exp(-t * t_vals)[:, :, None])[..., 0]
+    block_traces = np.sum(np.exp(-t * block_vals), axis=2)
+    rhs = _rowdot(damp, block_traces)
     return lhs, rhs
 
 
@@ -197,16 +226,22 @@ def sliced_gt_gap(t_op: HermitianOperator, blocks: Sequence[HermitianOperator], 
 def gibbs_sides(rho: DensityMatrix, op: HermitianOperator) -> tuple[float, float]:
     if rho.dim != op.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {op.dim}")
-    return _gibbs_sides(rho, op, eig_hermitian(op).eigenvalues)
+    vals, _ = _decomposed(op)
+    lhs, rhs = _gibbs_sides(rho.op.mat[None], np.array([rho.entropy_term()]), op.mat[None], vals)
+    return float(lhs[0]), float(rhs[0])
 
 
-def _gibbs_sides(rho: DensityMatrix, op: HermitianOperator, vals: np.ndarray) -> tuple[float, float]:
-    """Both sides from the spectrum ``vals`` of H; the entropy uses the spectrum rho keeps."""
-    energy = float(np.real(np.vdot(rho.op.mat, op.mat)))  # Tr[rho H], both Hermitian
-    rhs = energy + rho.entropy_term()
+def _gibbs_sides(
+    states: np.ndarray, entropies: np.ndarray, mats: np.ndarray, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, shape ``(k,)``, from a stack of states with their entropy terms
+    Tr[rho ln rho] and a stack of H with its spectra ``vals``."""
+    k = len(mats)
+    energy = np.real(_rowdot(states.reshape(k, -1).conj(), mats.reshape(k, -1)))  # Tr[rho H], both Hermitian
+    rhs = energy + entropies
     # log-sum-exp keeps ln Z finite for large spectra
-    shift = float(np.min(vals))
-    lhs = -(float(np.log(np.sum(np.exp(-(vals - shift))))) - shift)
+    shift = np.min(vals, axis=1)
+    lhs = -(np.log(np.sum(np.exp(-(vals - shift[:, None])), axis=1)) - shift)
     return lhs, rhs
 
 

@@ -2,7 +2,8 @@
 
 Everything in the package is built on the three types defined here.
 `HermitianOperator` is the universal carrier for Hamiltonians, density
-matrices and compressed operators; `ScalarFunction` is a tagged real
+matrices and compressed operators, and `hermitian_stack` is its
+construction gate on a stack of matrices; `ScalarFunction` is a tagged real
 function applied through the spectral theorem; `eig_hermitian_stack` is the
 only eigensolver in `linalg`, `bipartite` and `inequalities`, and
 `eig_hermitian` is its stack of one.  `schrodinger` takes grid spectra from
@@ -14,7 +15,6 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -42,10 +42,11 @@ class TraceImagWarning(UserWarning):
 class HermitianOperator:
     """Dense complex self-adjoint matrix.
 
-    The constructor averages the input with its conjugate transpose, which
-    removes round-off level asymmetry from composed operations.  Asymmetry
-    beyond ``1e-8 * (1 + max|entry|)`` is an error rather than something to
-    silently repair, and so is a NaN or infinite entry.
+    The constructor is :func:`hermitian_stack` on a stack of one: it averages
+    the input with its conjugate transpose, which removes round-off level
+    asymmetry from composed operations.  Asymmetry beyond
+    ``1e-8 * (1 + max|entry|)`` is an error rather than something to silently
+    repair, and so is a NaN or infinite entry.
     """
 
     mat: np.ndarray
@@ -54,20 +55,8 @@ class HermitianOperator:
         a = np.asarray(self.mat, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("dimension must be at least 1")
-        scale = 1.0 + float(np.abs(a).max(initial=0.0))
-        if not math.isfinite(scale):  # max|entry| is inf or NaN
-            i, j = np.argwhere(~np.isfinite(a))[0]
-            raise ValueError(f"matrix entry ({i}, {j}) is not finite: {complex(a[i, j])}")
-        asym = float(np.abs(a - a.conj().T).max(initial=0.0))
-        if not asym <= HERMITICITY_ATOL * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
-                f"{HERMITICITY_ATOL:.0e} * {scale:.3e}"
-            )
-        h = (a + a.conj().T) / 2.0
-        h.flags.writeable = False
+        h = hermitian_stack(a[None])
+        h.shape = a.shape  # in place: no view holding the stack of one alive
         object.__setattr__(self, "mat", h)
 
     @property
@@ -92,6 +81,47 @@ class HermitianOperator:
         return HermitianOperator(self.mat * float(c))
 
     __rmul__ = __mul__
+
+
+def hermitian_stack(mats) -> np.ndarray:
+    """The Hermitian construction gate on a ``(k, d, d)`` stack, ``d >= 1``.
+
+    Every entry must be finite, and each matrix Hermitian within
+    ``HERMITICITY_ATOL * (1 + max|entry|)`` of its own entries.  Returns the
+    read-only stack ``(A + A*) / 2``; on a matrix that is Hermitian by
+    construction this average is exact and changes no bit.  An error names
+    the first offending matrix by its stack index; a stack of one gets the
+    bare message of :class:`HermitianOperator`.
+    """
+    a = np.asarray(mats, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a (k, d, d) stack, got shape {a.shape}")
+    if a.shape[1] < 1:
+        raise ValueError("dimension must be at least 1")
+    scale = 1.0 + np.abs(a).max(axis=(1, 2))
+    ok = np.isfinite(scale)  # max|entry| is inf or NaN otherwise
+    if not ok.all():
+        s = int(np.argmin(ok))
+        i, j = np.argwhere(~np.isfinite(a[s]))[0]
+        raise ValueError(f"{_member(s, len(a))}matrix entry ({i}, {j}) is not finite: {complex(a[s, i, j])}")
+    adj = a.conj().swapaxes(1, 2)
+    asym = np.abs(a - adj).max(axis=(1, 2))
+    ok = asym <= HERMITICITY_ATOL * scale
+    if not ok.all():
+        s = int(np.argmin(ok))
+        raise ValueError(
+            f"{_member(s, len(a))}matrix is not Hermitian: max asymmetry {asym[s]:.3e} exceeds "
+            f"{HERMITICITY_ATOL:.0e} * {scale[s]:.3e}"
+        )
+    h = a + adj
+    h /= 2.0
+    h.flags.writeable = False
+    return h
+
+
+def _member(index: int, size: int) -> str:
+    """Error prefix naming a stack member; empty for a stack of one."""
+    return "" if size == 1 else f"stack index {index}: "
 
 
 @dataclass(frozen=True)
@@ -124,12 +154,15 @@ def eig_hermitian_stack(mats) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
+    # the residuals reuse two buffers: U*, then Lambda U*; U*U - I, then U Lambda U* - H
     vecs_h = vecs.conj().swapaxes(1, 2)
     gram = vecs_h @ vecs
-    gram.reshape(len(h), -1)[:, :: h.shape[1] + 1] -= 1.0  # U*U - I
-    recon = (vecs * vals[:, None, :]) @ vecs_h
+    gram.reshape(len(h), -1)[:, :: h.shape[1] + 1] -= 1.0
+    ortho = _frobenius(gram)
+    vecs_h *= vals[:, :, None]
+    recon = np.matmul(vecs, vecs_h, out=gram)
     recon -= h
-    ortho, resid = _frobenius(gram), _frobenius(recon)
+    resid = _frobenius(recon)
     ok = (ortho <= RECONSTRUCTION_RTOL) & (resid <= RECONSTRUCTION_RTOL * (1.0 + _frobenius(h)))
     if not ok.all():
         i = int(np.argmin(ok))

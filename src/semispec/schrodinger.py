@@ -710,7 +710,14 @@ def _wall_box(pot: Homogeneous, height: float) -> float:
     fmin = _profile_min(pot)
     if fmin <= 0.0:
         raise ValueError("profile vanishes somewhere; the boundary rule is vacuous")
-    return (height / fmin) ** (1.0 / pot.gamma)
+    box = (height / fmin) ** (1.0 / pot.gamma)
+    if not box > 0.0:  # an infinite profile minimum, or a power that underflows
+        profile = pot.profile if pot.d == 1 else f"with minimum {fmin!r}"
+        raise ValueError(
+            f"profile {profile} at gamma={pot.gamma!r} leaves no box: the half-width "
+            f"at which V reaches {height!r} on the boundary is {box!r}"
+        )
+    return box
 
 
 def _profile_min(pot: Homogeneous) -> float:

@@ -106,10 +106,10 @@ def test_density_matrix_keeps_its_spectrum(monkeypatch):
     pos = np.clip(vals, 0.0, None)[vals > 0.0]
     expected = float(np.sum(pos * np.log(pos)))
 
-    def refuse(op):
+    def refuse(mats):
         raise AssertionError("the spectrum was recomputed")
 
-    monkeypatch.setattr(bipartite, "eig_hermitian", refuse)
+    monkeypatch.setattr(bipartite, "eig_hermitian_stack", refuse)
     assert rho.entropy_term() == expected
     gibbs_sides(rho, random_hermitian(4, 6))
 

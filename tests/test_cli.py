@@ -1,12 +1,15 @@
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from semispec import asymptotics, cli, schrodinger
-from semispec.bipartite import parse_bipartite_operator
+from semispec.bipartite import BipartiteDims, format_bipartite_operator, parse_bipartite_operator
+from semispec.linalg import HermitianOperator
 
 from oracles import ineq_by_trials
 
@@ -74,7 +77,9 @@ def test_ineq_dump_and_load_roundtrip(tmp_path, capsys):
 @pytest.mark.parametrize("functions", ["expneg,square,pospart", "affine,pospart"])
 @pytest.mark.parametrize("dims", ["6x6", "3x4", "1x5", "1x1"])
 @pytest.mark.parametrize("seed", [1, 7, 11])
-def test_ineq_blocks_match_trial_by_trial_oracle(tmp_path, capsys, seed, dims, functions):
+def test_ineq_blocks_match_trial_by_trial_oracle(monkeypatch, tmp_path, capsys, seed, dims, functions):
+    # a small block keeps the cost flat whatever TRIAL_BLOCK is, and still crosses boundaries
+    monkeypatch.setattr(cli, "TRIAL_BLOCK", 16)
     trials = str(2 * cli.TRIAL_BLOCK + 3)  # two full trial blocks and a partial one
     dump = tmp_path / "worst.op"
     argv = ["ineq", "--trials", trials, "--seed", str(seed), "--dims", dims, "--functions", functions,
@@ -89,6 +94,24 @@ def test_ineq_blocks_match_trial_by_trial_oracle(tmp_path, capsys, seed, dims, f
     code, out = run_cli(capsys, *load_argv)
     assert code == 0
     assert out == expected_load
+
+
+def test_ineq_block_holds_about_as_many_entries_at_any_dimension(tmp_path, capsys):
+    assert [cli._block_size(top) for top in (1, 36, 72, 1000)] == [cli.TRIAL_BLOCK] * 2 + [cli.TRIAL_BLOCK // 4, 1]
+    # a 120-dim operator loaded for 40 trials: at a full block the partial-trace
+    # suite alone holds 40 such matrices, their eigenvectors and the solver's buffers
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((120, 120)) + 1j * rng.standard_normal((120, 120))
+    dump = tmp_path / "big.op"
+    dump.write_text(format_bipartite_operator(HermitianOperator(g + g.conj().T), BipartiteDims(2, 60)))
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(capsys, "ineq", "--trials", "40", "--seed", "1", "--load", str(dump))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 20 * 2**20
 
 
 def test_ineq_load_non_finite_entry_is_input_error(tmp_path, capsys):
@@ -213,6 +236,28 @@ def test_count_of_every_finite_node_is_refused(capsys, argv, lam, nodes):
     assert err.value.code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: N(lambda={lam}) = {nodes} counts every finite-sample node")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("profile, nodes", [("1", 199), ("1,inf", 100)])
+def test_heat_trace_of_every_finite_node_is_refused(capsys, profile, nodes):
+    # every exp(-t E) rounds to 1 at t = 1e-300: the trace is the node count
+    with pytest.raises(SystemExit) as err:
+        cli.main(["weyl", "--gamma", "1e300", "--profile", profile, "--t", "1e-300"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: Tr exp(-tH) at t=1e-300 = {nodes} counts every finite-sample node of the grid; "
+        "it measures the grid, not the operator (refine the grid or raise t)\n"
+    )
+
+
+def test_heat_traces_refuse_only_a_saturated_trace():
+    op = schrodinger.build_hamiltonian(schrodinger.Homogeneous(2.0, 1, (1.0, 1.0)), 6.0, 61)
+    traces = cli._heat_traces(op, [0.5, 1.0], "dense")
+    assert traces == schrodinger.heat_trace(op, np.array([0.5, 1.0])).tolist()
+    assert 0 < traces[1] < traces[0] < 61
+    with pytest.raises(ValueError, match=r"^Tr exp\(-tH\) at t=1e-300 = 61 counts every finite-sample node"):
+        cli._heat_traces(op, [1.0, 1e-300], "truncated")
 
 
 def test_weyl_rejects_both_scales(capsys):
@@ -458,6 +503,43 @@ def test_law_outputs_are_pinned_byte_for_byte(capsys, argv):
     assert run_cli(capsys, *argv) == (0, PINNED[argv])
 
 
+# ineq stdout and the sha256 of its --dump, byte for byte: ineq_by_trials shares the
+# private *_sides helpers with the CLI, so a last-bit drift in them shows only here
+INEQ_PINNED = {
+    ("ineq", "--trials", "200", "--seed", "3", "--dims", "6x6", "--functions", "expneg,square,pospart,affine"): (
+        '{"suite": "jensen_scalar", "trials": 200, "evaluations": 1200, "min_gap": -1.0880185641326534e-14, '
+        '"violations": 0}\n'
+        '{"suite": "jensen_partial_trace", "trials": 200, "evaluations": 1200, "min_gap": -9216.0, "violations": 0}\n'
+        '{"suite": "golden_thompson", "trials": 200, "evaluations": 200, "min_gap": 0.10239235602407204, '
+        '"violations": 0}\n'
+        '{"suite": "sliced_gt", "trials": 200, "evaluations": 200, "min_gap": 6.624851304160018e-05, '
+        '"violations": 0}\n'
+        '{"suite": "gibbs", "trials": 200, "evaluations": 200, "min_gap": 0.05139215616895787, "violations": 0}\n',
+        "d9b6897a6dfd7b4a2113a7a9a35fc125f57c78841940c39c4687f6a73b0a0fa5",
+    ),
+    ("ineq", "--trials", "200", "--seed", "3", "--dims", "1x5", "--functions", "expneg,square,pospart,affine"): (
+        '{"suite": "jensen_scalar", "trials": 200, "evaluations": 1200, "min_gap": -4.440892098500626e-15, '
+        '"violations": 0}\n'
+        '{"suite": "jensen_partial_trace", "trials": 200, "evaluations": 1200, "min_gap": -6422528.0, '
+        '"violations": 0}\n'
+        '{"suite": "golden_thompson", "trials": 200, "evaluations": 200, "min_gap": 0.0004490749479035827, '
+        '"violations": 0}\n'
+        '{"suite": "sliced_gt", "trials": 200, "evaluations": 200, "min_gap": -7.105427357601002e-15, '
+        '"violations": 0}\n'
+        '{"suite": "gibbs", "trials": 200, "evaluations": 200, "min_gap": -2.220446049250313e-16, "violations": 0}\n',
+        "04da342f550979ce3c95d7bfd06fc3cd4949b72bb7c554b0ff1e2461bbe0753d",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", INEQ_PINNED, ids=" ".join)
+def test_ineq_output_and_dump_are_pinned_byte_for_byte(tmp_path, capsys, argv):
+    stdout, dump_sha256 = INEQ_PINNED[argv]
+    dump = tmp_path / "worst.op"
+    assert run_cli(capsys, *argv, "--dump", str(dump)) == (0, stdout)
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == dump_sha256
+
+
 def test_constants_requires_a_mode(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["constants"])
@@ -503,6 +585,10 @@ OVERFLOWS = {
      "--zeta-points", "199"): ("partial_counting law", "lambda^1001.5", "lambda=3.0"),
     ("zeta", "--alpha", "1", "--beta", "inf"): ("alpha and beta must be positive and finite",),
     ("weyl", "--gamma", "inf", "--lambda", "10"): ("gamma must be positive and finite",),
+    # a hard wall on both sides: the boundary rule's box is 0, and no --box was given
+    ("weyl", "--gamma", "1e300", "--profile", "inf", "--lambda", "10"):
+        ("profile (inf, inf) at gamma=1e+300 leaves no box", "is 0.0"),
+    ("weyl", "--gamma", "1e300", "--profile", "inf", "--t", "1"): ("profile (inf, inf)", "V reaches 80.0"),
     ("zeta", "--alpha", "1", "--beta", "2", "--p", "1e300", "--zeta-points", "199"): ("p=1e+300",),
     ("constants", "--gamma", "inf", "--d", "1"): ("gamma must be positive and finite, got inf",),
     # 2 alpha / (beta + 2) underflows to 0

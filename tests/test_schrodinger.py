@@ -731,6 +731,23 @@ def test_box_rule_rejects_vanishing_profile():
         counting_box(Homogeneous(2.0, 1, (1.0, 0.0)), 10.0)
 
 
+@pytest.mark.parametrize(
+    "pot, message",
+    [
+        # a hard wall on both sides: the boundary value is +inf at every half-width
+        (Homogeneous(1e300, 1, (math.inf, math.inf)), "profile (inf, inf) at gamma=1e+300 leaves no box"),
+        # (height / F)^(1/gamma) underflows to 0
+        (Homogeneous(1e-3, 1, (1e300, 1e300)), "profile (1e+300, 1e+300) at gamma=0.001 leaves no box"),
+    ],
+)
+def test_box_rule_refuses_a_box_of_zero_naming_the_profile(pot, message):
+    for box_rule in (lambda: counting_box(pot, 10.0), lambda: heat_box(pot, 1.0)):
+        with pytest.raises(ValueError) as err:
+            box_rule()
+        assert str(err.value).startswith(message)
+        assert str(err.value).endswith(" is 0.0")
+
+
 def test_box_doubling_audit_oscillator():
     box = counting_box(OSCILLATOR, 100.0)
     pts = points_for_spacing(box, 0.01)
