@@ -11,7 +11,7 @@ identities in the tests pin it down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,16 +52,13 @@ class BipartiteDims:
 class DensityMatrix:
     """Positive semidefinite operator of unit trace (a quantum state).
 
-    The constructor is :func:`state_stack` on a stack of one.  The spectrum
-    it checks is kept for :meth:`entropy_term`; it is not part of the
-    comparison.
+    The constructor is :func:`state_stack` on a stack of one.
     """
 
     op: HermitianOperator
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_spectrum", state_stack(self.op.mat[None])[0])
+        state_stack(self.op.mat[None])
 
     @property
     def dim(self) -> int:
@@ -79,7 +76,7 @@ class DensityMatrix:
 
     def entropy_term(self) -> float:
         """Tr[rho ln rho] with 0 ln 0 := 0 (a nonpositive number)."""
-        return float(entropy_terms(self._spectrum[None])[0])
+        return float(entropy_terms(eig_hermitian_stack(self.op.mat[None])[0])[0])
 
 
 def state_stack(mats, spectra=None) -> np.ndarray:
@@ -239,7 +236,8 @@ def format_bipartite_operator(op: HermitianOperator, dims: BipartiteDims) -> str
 def parse_bipartite_operator(text: str) -> tuple[HermitianOperator, BipartiteDims]:
     """Inverse of :func:`format_bipartite_operator`; blank lines after the first are skipped.
 
-    Every part is checked: both headers, positive dims, the entry-line count,
+    Every part is checked: both headers, positive dims, a dimension in
+    1..``MAX_TENSOR_DIM`` (before any entry is read), the entry-line count,
     finite (Hermitian) entries, and that the dims factor the dimension.
     """
     first, _, rest = text.partition("\n")
@@ -252,6 +250,8 @@ def parse_bipartite_operator(text: str) -> tuple[HermitianOperator, BipartiteDim
     if len(head) != 2 or head[0] != "dim":
         raise ValueError(f"expected 'dim N' header, got {lines[0]!r}")
     n = int(head[1])
+    if not 1 <= n <= MAX_TENSOR_DIM:
+        raise ValueError(f"dim {n} is not in 1..{MAX_TENSOR_DIM} (the tensor dimension cap)")
     if len(lines) - 1 != n * n:
         raise ValueError(f"expected {n * n} entry lines, got {len(lines) - 1}")
     entries = np.empty(n * n, dtype=np.complex128)

@@ -22,9 +22,11 @@ cap).
 Every command is deterministic given its flags; per-trial seeds are derived
 from --seed with numpy's SeedSequence spawning, so output files are
 byte-identical across runs and independent of how trials are grouped for
-evaluation.  ``ineq`` draws, gates, decomposes and evaluates each block of
-trials as stacks (see ``TRIAL_BLOCK``); only the --dump operator is built
-as an object.
+evaluation.  ``ineq`` draws and gates each block of trials as stacks (see
+``TRIAL_BLOCK``) and hands each group of trials of one shape to the private
+stacked evaluator of its inequality in ``inequalities``, which forms the
+derived matrices, decomposes and evaluates; only the --dump operator is
+built as an object.
 """
 
 from __future__ import annotations
@@ -81,7 +83,21 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"--dims expects MxN, got {text!r}")
     if m < 1 or n < 1:
         raise argparse.ArgumentTypeError(f"--dims must be positive, got {text!r}")
+    if m * n > bipartite.MAX_TENSOR_DIM:
+        raise argparse.ArgumentTypeError(
+            f"--dims {text} gives dimension {m * n}, above the cap {bipartite.MAX_TENSOR_DIM}"
+        )
     return m, n
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"--seed expects a non-negative integer, got {text!r}")
+    return seed
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -203,9 +219,9 @@ def _heat_traces(op: schrodinger.GridOperator, ts, method: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-# Trials drawn and evaluated together.  A suite draws a block's inputs,
-# gates them as stacks, decomposes them with one stacked call per dimension
-# and evaluates the sides over stacks of one shape, so the Python cost is
+# Trials drawn and evaluated together.  A suite draws a block's inputs and
+# gates them as stacks, and its inequality's stacked evaluator decomposes
+# and evaluates each group of one shape at once, so the Python cost is
 # paid per block and per shape, not per trial.  The block size bounds how
 # many matrices (and eigenvectors) are held at once: 128 was chosen with
 # perfbench against 64 and 96, which ran 5-10% slower, at about the same
@@ -228,19 +244,6 @@ def _group(keys) -> dict:
     return groups
 
 
-def _eig_by_dim(stacks) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Eigenvalues and eigenvectors of gated ``(k, d, d)`` stacks, in order;
-    one ``eig_hermitian_stack`` call per dimension d."""
-    out = [None] * len(stacks)
-    for idx in _group(s.shape[1] for s in stacks).values():
-        vals, vecs = linalg.eig_hermitian_stack(np.concatenate([stacks[i] for i in idx]))
-        at = 0
-        for i in idx:
-            out[i] = (vals[at : at + len(stacks[i])], vecs[at : at + len(stacks[i])])
-            at += len(stacks[i])
-    return out
-
-
 # A suite takes the Generators of a block's trials, the parsed flags and the
 # --load operator (or None).  It draws each trial's shape first, then, one
 # group of trials of a shape at a time, the rest of their inputs; every
@@ -258,8 +261,7 @@ def _jensen_scalar_block(rngs, args, loaded):
         group = [rngs[i] for i in idx]
         h = linalg.hermitian_stack([loaded[0].mat] * len(idx) if loaded else bipartite.draw_hermitian(group, dim))
         psi = np.array([bipartite.random_unit_vector(dim, rng) for rng in group])
-        vals, vecs = linalg.eig_hermitian_stack(h)
-        lhs[idx], rhs[idx] = inequalities._jensen_scalar_sides(h, vals, vecs, psi, args.functions)
+        lhs[idx], rhs[idx] = inequalities._jensen_scalar_sides(h, psi, args.functions)
     return lhs, rhs, None
 
 
@@ -272,25 +274,16 @@ def _jensen_partial_trace_block(rngs, args, loaded):
         else:
             m = int(rng.integers(1, max_m + 1))
             keys.append(bipartite.BipartiteDims(m, int(rng.integers(1, max_n + 1))))
-    groups = _group(keys)
-    hs, rhos = [], []
-    for d, idx in groups.items():
-        group = [rngs[i] for i in idx]
-        mats = [loaded[0].mat] * len(idx) if loaded else bipartite.draw_hermitian(group, d.total)
-        hs.append(linalg.hermitian_stack(mats))
-        ranks = [int(rng.integers(1, d.dim1 + 1)) for rng in group]
-        rhos.append(linalg.hermitian_stack(bipartite.draw_density(group, d.dim1, ranks)))
-    ks = [linalg.hermitian_stack(bipartite.compress_stack(h, rho, d)) for h, rho, d in zip(hs, rhos, groups)]
-    # one stacked solve per dimension: each H, K_rho and state of the block
-    decs = _eig_by_dim(hs + ks + rhos)
     lhs, rhs = np.empty((2, len(rngs), len(args.functions)))
     cases = [None] * len(rngs)
-    for g, (d, idx) in enumerate(groups.items()):
-        h_dec, (kappa, _), (rho_vals, _) = decs[g], decs[len(groups) + g], decs[2 * len(groups) + g]
-        bipartite.state_stack(rhos[g], rho_vals)
-        lhs[idx], rhs[idx] = inequalities._jensen_partial_trace_sides(*h_dec, kappa, rhos[g], d, args.functions)
+    for d, idx in _group(keys).items():
+        group = [rngs[i] for i in idx]
+        h = linalg.hermitian_stack([loaded[0].mat] * len(idx) if loaded else bipartite.draw_hermitian(group, d.total))
+        ranks = [int(rng.integers(1, d.dim1 + 1)) for rng in group]
+        rho = linalg.hermitian_stack(bipartite.draw_density(group, d.dim1, ranks))
+        lhs[idx], rhs[idx] = inequalities._jensen_partial_trace_sides(h, rho, d, args.functions)
         for j, i in enumerate(idx):
-            cases[i] = (hs[g][j], d)
+            cases[i] = (h[j], d)
     return lhs, rhs, cases
 
 
@@ -299,15 +292,9 @@ def _golden_thompson_block(rngs, args, loaded):
     dims = [_draw_dim(rng, max_m * max_n) for rng in rngs]
     lhs, rhs = np.empty((2, len(rngs), 1))
     for dim, idx in _group(dims).items():
-        # each trial draws A, then B; A + B, A and B take one stacked solve
+        # each trial draws A, then B
         pairs = linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx for _ in "ab"], dim))
-        mats = np.concatenate([linalg.hermitian_stack(pairs[0::2] + pairs[1::2]), pairs[0::2], pairs[1::2]])
-        del pairs  # not held through the solve
-        vals, vecs = linalg.eig_hermitian_stack(mats)
-        k = len(idx)
-        lhs[idx, 0], rhs[idx, 0] = inequalities._golden_thompson_sides(
-            vals[:k], vals[k : 2 * k], vecs[k : 2 * k], vals[2 * k :], vecs[2 * k :]
-        )
+        lhs[idx, 0], rhs[idx, 0] = inequalities._golden_thompson_sides(pairs[0::2], pairs[1::2])
     return lhs, rhs, None
 
 
@@ -317,20 +304,12 @@ def _sliced_gt_block(rngs, args, loaded):
     for rng in rngs:
         m = _draw_dim(rng, max_m)
         keys.append((m, int(rng.integers(1, max_n + 1))))
-    groups = _group(keys)
-    ts, ws, hs = [], [], []
-    for (m, n), idx in groups.items():
-        # each trial draws T, then its m blocks
-        ts.append(linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx], m)))
-        ws.append(linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx for _ in range(m)], n)))
-        hs.append(linalg.hermitian_stack(inequalities.sliced_stack(ts[-1], ws[-1].reshape(len(idx), m, n, n))))
-    # one stacked solve per dimension: each H, T and block of the block
-    decs = _eig_by_dim(hs + ts + ws)
     lhs, rhs = np.empty((2, len(rngs), 1))
-    for g, ((m, n), idx) in enumerate(groups.items()):
-        (h_vals, _), t_dec, (w_vals, _) = decs[g], decs[len(groups) + g], decs[2 * len(groups) + g]
-        block_vals = w_vals.reshape(len(idx), m, n)
-        lhs[idx, 0], rhs[idx, 0] = inequalities._sliced_gt_sides(h_vals, *t_dec, block_vals, 0.5)
+    for (m, n), idx in _group(keys).items():
+        # each trial draws T, then its m blocks
+        t_mats = linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx], m))
+        blocks = linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx for _ in range(m)], n))
+        lhs[idx, 0], rhs[idx, 0] = inequalities._sliced_gt_sides(t_mats, blocks.reshape(len(idx), m, n, n), 0.5)
     return lhs, rhs, None
 
 
@@ -343,9 +322,7 @@ def _gibbs_block(rngs, args, loaded):
         h = linalg.hermitian_stack(bipartite.draw_hermitian(group, dim))
         ranks = [int(rng.integers(1, dim + 1)) for rng in group]
         rho = linalg.hermitian_stack(bipartite.draw_density(group, dim, ranks))
-        (vals, _), (rho_vals, _) = _eig_by_dim([h, rho])
-        entropies = bipartite.entropy_terms(bipartite.state_stack(rho, rho_vals))
-        lhs[idx, 0], rhs[idx, 0] = inequalities._gibbs_sides(rho, entropies, h, vals)
+        lhs[idx, 0], rhs[idx, 0] = inequalities._gibbs_sides(rho, h)
     return lhs, rhs, None
 
 
@@ -535,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ineq = sub.add_parser("ineq", help="run the inequality gap suites")
     p_ineq.add_argument("--trials", type=int, default=100)
-    p_ineq.add_argument("--seed", type=int, default=0)
+    p_ineq.add_argument("--seed", type=_parse_seed, default=0)
     p_ineq.add_argument("--dims", type=_parse_dims, default=(6, 6), metavar="MxN")
     p_ineq.add_argument(
         "--functions",

@@ -16,12 +16,15 @@ Covered inequalities:
 * Gibbs principle       -ln Tr e^(-H)  <= Tr[rho H] + Tr[rho ln rho]
 
 Every side is read off eigenvalues and eigenvector overlaps; no f(H) matrix
-is formed only to take its trace.  Each formula lives in one private helper
-that evaluates it over a stack of inputs of one dimension, from their
-stacked decompositions: the public ``*_sides`` call it on a stack of one,
-and ``semispec ineq`` on a block of trials.  The helpers reduce with stacked
-``matmul`` and ``einsum`` and row-wise ``np.sum``, each of which gives every
-member the bits that the same reduction gives it alone.
+is formed only to take its trace.  Each inequality is evaluated by one
+private helper on a stack of gated inputs of one shape: it forms and gates
+the matrices derived from them (K_rho, A + B, the sliced H), applies the
+state gate, and decomposes every matrix in one stacked solve per dimension
+(:func:`_eig_by_dim`).  The public ``*_sides`` check their arguments and
+call it on a stack of one; ``semispec ineq`` calls it on each shape group
+of a block of trials.  The helpers reduce with stacked ``matmul`` and
+``einsum`` and row-wise ``np.sum``, each of which gives every member the
+bits that the same reduction gives it alone.
 """
 
 from __future__ import annotations
@@ -30,14 +33,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .bipartite import BipartiteDims, DensityMatrix, compress
-from .linalg import HermitianOperator, ScalarFunction, eig_hermitian, eig_hermitian_stack
+from .bipartite import BipartiteDims, DensityMatrix, compress_stack, entropy_terms, state_stack
+from .linalg import HermitianOperator, ScalarFunction, eig_hermitian, eig_hermitian_stack, hermitian_stack
 
 
-def _decomposed(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of one operator, as stacks of one."""
-    dec = eig_hermitian(op)
-    return dec.eigenvalues[None], dec.eigenvectors[None]
+def _eig_by_dim(*stacks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues and eigenvectors of gated ``(k, d, d)`` stacks, in order;
+    one :func:`eig_hermitian_stack` call per dimension d."""
+    groups: dict = {}
+    for i, s in enumerate(stacks):
+        groups.setdefault(s.shape[1], []).append(i)
+    out = [None] * len(stacks)
+    for idx in groups.values():
+        members = [stacks[i] for i in idx]
+        vals, vecs = eig_hermitian_stack(members[0] if len(members) == 1 else np.concatenate(members))
+        at = 0
+        for i, s in zip(idx, members):
+            out[i] = (vals[at : at + len(s)], vecs[at : at + len(s)])
+            at += len(s)
+    return out
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -58,18 +72,21 @@ def violates(gap: float, rhs: float) -> bool:
 
 def jensen_scalar_sides(op: HermitianOperator, psi, f: ScalarFunction) -> tuple[float, float]:
     psi = np.asarray(psi, dtype=np.complex128)
+    if psi.shape != (op.dim,):
+        raise ValueError(f"psi must have shape ({op.dim},) for a {op.dim}-dim operator, got {psi.shape}")
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"psi must be normalized; its norm is {nrm!r}")
-    lhs, rhs = _jensen_scalar_sides(op.mat[None], *_decomposed(op), psi[None], [f])
+    lhs, rhs = _jensen_scalar_sides(op.mat[None], psi[None], [f])
     return float(lhs[0, 0]), float(rhs[0, 0])
 
 
 def _jensen_scalar_sides(
-    mats: np.ndarray, vals: np.ndarray, vecs: np.ndarray, psi: np.ndarray, functions: Sequence[ScalarFunction]
+    mats: np.ndarray, psi: np.ndarray, functions: Sequence[ScalarFunction]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides, shape ``(k, len(functions))``, for a ``(k, d, d)`` stack with
-    its decompositions ``vals, vecs`` and unit vectors ``psi`` of shape ``(k, d)``."""
+    """Both sides, shape ``(k, len(functions))``, for a gated ``(k, d, d)`` stack
+    and unit vectors ``psi`` of shape ``(k, d)``."""
+    [(vals, vecs)] = _eig_by_dim(mats)
     weights = np.abs(vecs.conj().swapaxes(1, 2) @ psi[:, :, None])[..., 0] ** 2
     expectation = np.real(_rowdot(psi.conj(), (mats @ psi[:, :, None])[..., 0]))
     lhs, rhs = [], []
@@ -92,21 +109,20 @@ def jensen_partial_trace_sides(
     op: HermitianOperator, rho: DensityMatrix, dims: BipartiteDims, f: ScalarFunction
 ) -> tuple[float, float]:
     dims.check(op)
-    kappa, _ = _decomposed(compress(op, rho, dims))
-    lhs, rhs = _jensen_partial_trace_sides(*_decomposed(op), kappa, rho.op.mat[None], dims, [f])
+    if rho.dim != dims.dim1:
+        raise ValueError(f"state dimension {rho.dim} does not match dim1 {dims.dim1}")
+    lhs, rhs = _jensen_partial_trace_sides(op.mat[None], rho.op.mat[None], dims, [f])
     return float(lhs[0, 0]), float(rhs[0, 0])
 
 
 def _jensen_partial_trace_sides(
-    vals: np.ndarray,
-    vecs: np.ndarray,
-    kappa: np.ndarray,
-    states: np.ndarray,
-    dims: BipartiteDims,
-    functions: Sequence[ScalarFunction],
+    mats: np.ndarray, states: np.ndarray, dims: BipartiteDims, functions: Sequence[ScalarFunction]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides, shape ``(k, len(functions))``, from the decompositions of a stack
-    of H, the spectra ``kappa`` of their K_rho and the ``(k, M, M)`` stack of states."""
+    """Both sides, shape ``(k, len(functions))``, for a gated ``(k, MN, MN)`` stack
+    of H and a Hermitian-gated ``(k, M, M)`` stack of states."""
+    compressed = hermitian_stack(compress_stack(mats, states, dims))
+    (vals, vecs), (kappa, _), (state_vals, _) = _eig_by_dim(mats, compressed, states)
+    state_stack(states, state_vals)
     # Tr[rho . Tr_2 f(H)] = sum_k f(lambda_k) <u_k|rho (x) 1|u_k>
     u = vecs.reshape(len(vecs), dims.dim1, dims.dim2, -1)
     weights = np.real(np.einsum("tank,tab,tbnk->tk", u.conj(), states, u))
@@ -137,16 +153,13 @@ def jensen_partial_trace_gap(
 def golden_thompson_sides(a: HermitianOperator, b: HermitianOperator) -> tuple[float, float]:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    sum_vals, _ = _decomposed(a + b)
-    lhs, rhs = _golden_thompson_sides(sum_vals, *_decomposed(a), *_decomposed(b))
+    lhs, rhs = _golden_thompson_sides(a.mat[None], b.mat[None])
     return float(lhs[0]), float(rhs[0])
 
 
-def _golden_thompson_sides(
-    sum_vals: np.ndarray, a_vals: np.ndarray, a_vecs: np.ndarray, b_vals: np.ndarray, b_vecs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides, shape ``(k,)``, from the spectra of a stack of A + B and the
-    decompositions of the stacks of A and B."""
+def _golden_thompson_sides(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, shape ``(k,)``, for two gated ``(k, d, d)`` stacks of A and B."""
+    (sum_vals, _), (a_vals, a_vecs), (b_vals, b_vecs) = _eig_by_dim(hermitian_stack(a + b), a, b)
     lhs = np.sum(np.exp(sum_vals), axis=1)
     # Tr[e^(A/2) e^B e^(A/2)] = Tr[e^A e^B] = e^a . |U* V|^2 . e^b
     overlaps = np.abs(a_vecs.conj().swapaxes(1, 2) @ b_vecs) ** 2
@@ -160,15 +173,20 @@ def golden_thompson_gap(a: HermitianOperator, b: HermitianOperator) -> float:
     return rhs - lhs
 
 
-def sliced_hamiltonian(t_op: HermitianOperator, blocks: Sequence[HermitianOperator]) -> HermitianOperator:
-    """H = T (x) 1 + sum_m |e_m><e_m| (x) W_m on the M*N product space."""
+def _block_stack(t_op: HermitianOperator, blocks: Sequence[HermitianOperator]) -> np.ndarray:
+    """The ``(M, N, N)`` stack of the blocks, one per basis vector of T, all of one dimension."""
     m = t_op.dim
     if len(blocks) != m:
         raise ValueError(f"need one block per basis vector: {len(blocks)} != {m}")
     n = blocks[0].dim
     if any(w.dim != n for w in blocks):
         raise ValueError("all blocks must share one dimension")
-    return HermitianOperator(sliced_stack(t_op.mat[None], np.stack([w.mat for w in blocks])[None])[0])
+    return np.stack([w.mat for w in blocks])
+
+
+def sliced_hamiltonian(t_op: HermitianOperator, blocks: Sequence[HermitianOperator]) -> HermitianOperator:
+    """H = T (x) 1 + sum_m |e_m><e_m| (x) W_m on the M*N product space."""
+    return HermitianOperator(sliced_stack(t_op.mat[None], _block_stack(t_op, blocks)[None])[0])
 
 
 def sliced_stack(t_mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -187,22 +205,20 @@ def sliced_gt_sides(
 ) -> tuple[float, float]:
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    h = sliced_hamiltonian(t_op, blocks)
-    block_vals, _ = eig_hermitian_stack([w.mat for w in blocks])
-    h_vals, _ = _decomposed(h)
-    lhs, rhs = _sliced_gt_sides(h_vals, *_decomposed(t_op), block_vals[None], t)
+    lhs, rhs = _sliced_gt_sides(t_op.mat[None], _block_stack(t_op, blocks)[None], t)
     return float(lhs[0]), float(rhs[0])
 
 
-def _sliced_gt_sides(
-    h_vals: np.ndarray, t_vals: np.ndarray, t_vecs: np.ndarray, block_vals: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides, shape ``(k,)``, from the spectra of a stack of H, the
-    decompositions of the stack of T and the ``(k, M, N)`` spectra of the blocks."""
+def _sliced_gt_sides(t_mats: np.ndarray, blocks: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, shape ``(k,)``, for a gated ``(k, M, M)`` stack of T and a
+    ``(k, M, N, N)`` stack of gated blocks."""
+    k, m, n = blocks.shape[:3]
+    h = hermitian_stack(sliced_stack(t_mats, blocks))
+    (h_vals, _), (t_vals, t_vecs), (block_vals, _) = _eig_by_dim(h, t_mats, blocks.reshape(k * m, n, n))
     lhs = np.sum(np.exp(-t * h_vals), axis=1)
     # (e^(-tT))_mm = sum_k |U_mk|^2 e^(-t lambda_k)
     damp = (np.abs(t_vecs) ** 2 @ np.exp(-t * t_vals)[:, :, None])[..., 0]
-    block_traces = np.sum(np.exp(-t * block_vals), axis=2)
+    block_traces = np.sum(np.exp(-t * block_vals.reshape(k, m, n)), axis=2)
     rhs = _rowdot(damp, block_traces)
     return lhs, rhs
 
@@ -226,16 +242,15 @@ def sliced_gt_gap(t_op: HermitianOperator, blocks: Sequence[HermitianOperator], 
 def gibbs_sides(rho: DensityMatrix, op: HermitianOperator) -> tuple[float, float]:
     if rho.dim != op.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {op.dim}")
-    vals, _ = _decomposed(op)
-    lhs, rhs = _gibbs_sides(rho.op.mat[None], np.array([rho.entropy_term()]), op.mat[None], vals)
+    lhs, rhs = _gibbs_sides(rho.op.mat[None], op.mat[None])
     return float(lhs[0]), float(rhs[0])
 
 
-def _gibbs_sides(
-    states: np.ndarray, entropies: np.ndarray, mats: np.ndarray, vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides, shape ``(k,)``, from a stack of states with their entropy terms
-    Tr[rho ln rho] and a stack of H with its spectra ``vals``."""
+def _gibbs_sides(states: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, shape ``(k,)``, for a Hermitian-gated ``(k, d, d)`` stack of
+    states and a gated stack of H."""
+    (vals, _), (state_vals, _) = _eig_by_dim(mats, states)
+    entropies = entropy_terms(state_stack(states, state_vals))  # Tr[rho ln rho]
     k = len(mats)
     energy = np.real(_rowdot(states.reshape(k, -1).conj(), mats.reshape(k, -1)))  # Tr[rho H], both Hermitian
     rhs = energy + entropies

@@ -14,6 +14,10 @@ from semispec.linalg import HermitianOperator
 from oracles import ineq_by_trials
 
 
+# M*N above bipartite.MAX_TENSOR_DIM: refused when parsed, before any draw
+OVERSIZED_DIMS = ["ineq", "--dims", "1000x1000", "--trials", "1"]
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
@@ -112,6 +116,34 @@ def test_ineq_block_holds_about_as_many_entries_at_any_dimension(tmp_path, capsy
         tracemalloc.stop()
     assert code == 0
     assert peak < 20 * 2**20
+
+
+def test_oversized_operators_are_refused_before_allocation(tmp_path, capsys):
+    dump = tmp_path / "huge.op"
+    dump.write_text("dims 1000 1000\ndim 1000000\n")
+    for argv, words in (
+        (OVERSIZED_DIMS, ("--dims 1000x1000", "cap 4096")),
+        (["ineq", "--trials", "1", "--load", str(dump)], ("dim 1000000 is not in 1..4096", "cap")),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.code == 2, argv
+        message = capsys.readouterr().err
+        assert message.count("error:") == 1 and all(w in message for w in words), message
+        assert peak < 2**20, argv
+
+
+def test_bad_seed_is_refused_naming_the_flag(capsys):
+    for seed in ("-1", "x"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["ineq", "--trials", "1", "--seed", seed])
+        assert err.value.code == 2
+        assert f"--seed expects a non-negative integer, got '{seed}'" in capsys.readouterr().err
 
 
 def test_ineq_load_non_finite_entry_is_input_error(tmp_path, capsys):
@@ -607,7 +639,8 @@ TINY_BOXES = [
 
 
 # Edge arguments: tiny and huge exponents, vanishing and infinite profile
-# entries, non-finite and extreme scales, a zeta grid too small to fit.
+# entries, non-finite and extreme scales, a zeta grid too small to fit, an
+# operator beyond the tensor dimension cap and a negative seed.
 WEYL_SCALES = (
     ["--lambda", "1e-300,10"],
     ["--lambda", "1e300"],
@@ -655,6 +688,7 @@ EDGE_ARGV = (
         )
         for m in ("1", "3")
     ]
+    + [OVERSIZED_DIMS, ["ineq", "--trials", "1", "--seed", "-1"]]
 )
 
 

@@ -54,6 +54,35 @@ def test_dense_spectra_only_through_eig_hermitian():
     assert [func for func, _ in sites["linalg.py"]] == ["eig_hermitian_stack"]
 
 
+def _used_names(path: Path) -> set[str]:
+    """Every name a module defines, reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name.rpartition(".")[2], node.asname)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def _solver_names(names: set[str]) -> set[str]:
+    """The eigensolvers and derived-matrix builders among ``names``."""
+    return {n for n in names if n.lstrip("_").startswith("eig") or n in ("compress_stack", "sliced_stack")}
+
+
+def test_cli_leaves_solves_and_derived_matrices_to_inequalities():
+    # each inequality's stacked evaluator forms, gates and decomposes its own matrices
+    assert _solver_names(_used_names(SRC / "cli.py")) == set()
+    # the scan does see them where they are used
+    assert _solver_names(_used_names(SRC / "inequalities.py")) >= {
+        "_eig_by_dim", "eig_hermitian_stack", "compress_stack", "sliced_stack"
+    }
+
+
 def test_grid_spectra_only_through_spectrum_and_ground_energy():
     # raw grid eigensolvers are confined to spectrum and ground_energy
     sites = _raw_eig_sites(SRC / "schrodinger.py")

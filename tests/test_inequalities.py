@@ -18,7 +18,9 @@ from semispec.inequalities import (
     jensen_partial_trace_gap,
     jensen_partial_trace_sides,
     jensen_scalar_gap,
+    jensen_scalar_sides,
     sliced_gt_gap,
+    sliced_gt_sides,
     sliced_hamiltonian,
     violates,
 )
@@ -63,6 +65,14 @@ def test_scalar_gap_rejects_unnormalized():
     op = random_hermitian(3, seed=4)
     with pytest.raises(ValueError, match="normalized"):
         jensen_scalar_gap(op, np.array([1.0, 1.0, 0.0]), square())
+
+
+@pytest.mark.parametrize("psi", [np.array([1.0, 0.0, 0.0, 0.0]), np.array([[1.0], [0.0], [0.0]])])
+def test_scalar_sides_refuse_a_psi_of_the_wrong_shape(psi):
+    op = random_hermitian(3, seed=4)
+    with pytest.raises(ValueError) as err:
+        jensen_scalar_sides(op, psi, square())
+    assert str(err.value) == f"psi must have shape (3,) for a 3-dim operator, got {psi.shape}"
 
 
 # partial-trace Jensen --------------------------------------------------------
@@ -203,6 +213,21 @@ def test_sliced_hamiltonian_layout():
     assert np.allclose(np.diag(h), [1.0, 4.0, 6.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([HermitianOperator.identity(2)], "need one block per basis vector: 1 != 2"),
+        ([HermitianOperator.identity(2), HermitianOperator.identity(3)], "all blocks must share one dimension"),
+    ],
+)
+def test_sliced_hamiltonian_and_sides_refuse_the_same_block_shapes(blocks, message):
+    t_op = HermitianOperator.from_diag([1.0, 2.0])
+    for build in (lambda: sliced_hamiltonian(t_op, blocks), lambda: sliced_gt_sides(t_op, blocks, 0.5)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_sliced_gt_nonnegative_with_psd_blocks(seed):
     # torus Laplacian couplings plus random PSD transverse blocks
@@ -212,8 +237,6 @@ def test_sliced_gt_nonnegative_with_psd_blocks(seed):
     for i in range(8):
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         blocks.append(HermitianOperator(g @ g.conj().T))
-    from semispec.inequalities import sliced_gt_sides
-
     lhs, rhs = sliced_gt_sides(t_op, blocks, float(rng.uniform(0.05, 2.0)))
     assert not violates(rhs - lhs, rhs)
 

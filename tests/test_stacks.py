@@ -146,34 +146,47 @@ def test_random_generators_are_gated_stacks_of_one():
 
 
 # kernels, one stack of one shape against each member alone -----------------
+#
+# Each stacked helper takes gated inputs and does its own solves; the
+# reference formulas take their spectra from eig_hermitian_stack here.
 
 SHAPES = [(1, 1, 1), (1, 3, 4), (7, 1, 5), (9, 2, 3), (16, 3, 3), (5, 4, 3), (3, 2, 6)]
+
+
+def _alone(helper, i, *stacks, **kwargs):
+    """``helper`` on member i of each stack, as a stack of one."""
+    return helper(*(s[i : i + 1] for s in stacks), **kwargs)
+
+
+def _same_member(sides, i, alone) -> bool:
+    return all(_same(side[i], one[0]) for side, one in zip(sides, alone))
 
 
 @pytest.mark.parametrize("k,m,n", SHAPES)
 def test_jensen_scalar_sides_stacked_bit_for_bit(k, m, n):
     dim = m * n
     mats = _stack(10 + k, k, dim)
-    vals, vecs = eig_hermitian_stack(mats)
     rng = np.random.default_rng(11)
     psi = np.array([bipartite.random_unit_vector(dim, rng) for _ in range(k)])
-    lhs, rhs = inequalities._jensen_scalar_sides(mats, vals, vecs, psi, FUNCTIONS)
+    sides = lhs, rhs = inequalities._jensen_scalar_sides(mats, psi, FUNCTIONS)
+    vals, vecs = eig_hermitian_stack(mats)
     for i in range(k):
         weights = np.abs(vecs[i].conj().T @ psi[i]) ** 2
         expectation = float(np.real(np.vdot(psi[i], mats[i] @ psi[i])))
         for j, f in enumerate(FUNCTIONS):
             assert _same(lhs[i, j], float(f(expectation)))
             assert _same(rhs[i, j], float(np.dot(weights, f(vals[i]))))
+        assert _same_member(sides, i, _alone(inequalities._jensen_scalar_sides, i, mats, psi, functions=FUNCTIONS))
 
 
 @pytest.mark.parametrize("k,m,n", SHAPES)
 def test_compress_and_partial_jensen_sides_stacked_bit_for_bit(k, m, n):
     dims = BipartiteDims(m, n)
     mats, states = _stack(20 + k, k, dims.total), _states(21 + k, k, m)
+    sides = lhs, rhs = inequalities._jensen_partial_trace_sides(mats, states, dims, FUNCTIONS)
     ks = hermitian_stack(bipartite.compress_stack(mats, states, dims))
     vals, vecs = eig_hermitian_stack(mats)
     kappa, _ = eig_hermitian_stack(ks)
-    lhs, rhs = inequalities._jensen_partial_trace_sides(vals, vecs, kappa, states, dims, FUNCTIONS)
     for i in range(k):
         four = mats[i].reshape(m, n, m, n)
         raw = np.einsum("ba,anbq->nq", states[i], four)
@@ -183,18 +196,21 @@ def test_compress_and_partial_jensen_sides_stacked_bit_for_bit(k, m, n):
         for j, f in enumerate(FUNCTIONS):
             assert _same(lhs[i, j], float(np.sum(f(kappa[i]))))
             assert _same(rhs[i, j], float(np.dot(weights, f(vals[i]))))
+        alone = _alone(inequalities._jensen_partial_trace_sides, i, mats, states, dims=dims, functions=FUNCTIONS)
+        assert _same_member(sides, i, alone)
 
 
 @pytest.mark.parametrize("k,m,n", SHAPES)
 def test_golden_thompson_sides_stacked_bit_for_bit(k, m, n):
     a, b = _stack(30 + k, k, m * n), _stack(31 + k, k, m * n)
+    sides = lhs, rhs = inequalities._golden_thompson_sides(a, b)
     sum_vals, _ = eig_hermitian_stack(hermitian_stack(a + b))
     (a_vals, a_vecs), (b_vals, b_vecs) = eig_hermitian_stack(a), eig_hermitian_stack(b)
-    lhs, rhs = inequalities._golden_thompson_sides(sum_vals, a_vals, a_vecs, b_vals, b_vecs)
     for i in range(k):
         overlaps = np.abs(a_vecs[i].conj().T @ b_vecs[i]) ** 2
         assert _same(lhs[i], float(np.sum(np.exp(sum_vals[i]))))
         assert _same(rhs[i], float(np.exp(a_vals[i]) @ overlaps @ np.exp(b_vals[i])))
+        assert _same_member(sides, i, _alone(inequalities._golden_thompson_sides, i, a, b))
 
 
 @pytest.mark.parametrize("k,m,n", SHAPES)
@@ -207,24 +223,25 @@ def test_sliced_hamiltonian_and_sides_stacked_bit_for_bit(k, m, n):
         for j in range(m):
             h[j * n : (j + 1) * n, j * n : (j + 1) * n] += blocks[i, j]
         assert _same(hs[i].view(np.float64), ((h + h.conj().T) / 2.0).view(np.float64))
+    sides = lhs, rhs = inequalities._sliced_gt_sides(t_mats, blocks, 0.5)
     h_vals, _ = eig_hermitian_stack(hs)
     t_vals, t_vecs = eig_hermitian_stack(t_mats)
     block_vals = eig_hermitian_stack(blocks.reshape(-1, n, n))[0].reshape(k, m, n)
-    lhs, rhs = inequalities._sliced_gt_sides(h_vals, t_vals, t_vecs, block_vals, 0.5)
     for i in range(k):
         damp = np.abs(t_vecs[i]) ** 2 @ np.exp(-0.5 * t_vals[i])
         traces = [np.sum(np.exp(-0.5 * vals)) for vals in block_vals[i]]
         assert _same(lhs[i], float(np.sum(np.exp(-0.5 * h_vals[i]))))
         assert _same(rhs[i], float(damp @ traces))
+        assert _same_member(sides, i, _alone(inequalities._sliced_gt_sides, i, t_mats, blocks, t=0.5))
 
 
 @pytest.mark.parametrize("k,dim", [(1, 1), (6, 3), (12, 6), (9, 11), (5, 20)])
 def test_entropy_and_gibbs_sides_stacked_bit_for_bit(k, dim):
     states, mats = _states(50 + k, k, dim), _stack(51 + k, k, dim)
+    sides = lhs, rhs = inequalities._gibbs_sides(states, mats)
     spectra = state_stack(states)
     vals, _ = eig_hermitian_stack(mats)
     entropies = bipartite.entropy_terms(spectra)
-    lhs, rhs = inequalities._gibbs_sides(states, entropies, mats, vals)
     for i in range(k):
         clipped = np.clip(spectra[i], 0.0, None)
         pos = clipped[clipped > 0.0]
@@ -234,6 +251,40 @@ def test_entropy_and_gibbs_sides_stacked_bit_for_bit(k, dim):
         shift = float(np.min(vals[i]))
         assert _same(rhs[i], energy + entropy)
         assert _same(lhs[i], -(float(np.log(np.sum(np.exp(-(vals[i] - shift))))) - shift))
+        assert _same_member(sides, i, _alone(inequalities._gibbs_sides, i, states, mats))
+
+
+def test_each_helper_solves_once_per_distinct_dimension(monkeypatch):
+    solved = []
+
+    def counting(mats):
+        solved.append(np.shape(mats)[1])
+        return eig_hermitian_stack(mats)
+
+    monkeypatch.setattr(inequalities, "eig_hermitian_stack", counting)
+    k = 4
+    psi = np.array([bipartite.random_unit_vector(6, s) for s in range(k)])
+    t_mats = {m: _stack(60 + m, k, m) for m in (2, 3)}
+    blocks = _stack(63, 3 * k, 3).reshape(k, 3, 3, 3)
+    cases = [
+        (lambda: inequalities._jensen_scalar_sides(_stack(61, k, 6), psi, FUNCTIONS), [6]),
+        (lambda: inequalities._jensen_partial_trace_sides(_stack(62, k, 6), _states(62, k, 2), BipartiteDims(2, 3),
+                                                          FUNCTIONS), [6, 3, 2]),
+        (lambda: inequalities._jensen_partial_trace_sides(_stack(62, k, 9), _states(62, k, 3), BipartiteDims(3, 3),
+                                                          FUNCTIONS), [9, 3]),
+        (lambda: inequalities._golden_thompson_sides(_stack(64, k, 5), _stack(65, k, 5)), [5]),
+        (lambda: inequalities._sliced_gt_sides(t_mats[3], blocks, 0.5), [9, 3]),  # m = n
+        (lambda: inequalities._sliced_gt_sides(t_mats[2], blocks[:, :2], 0.5), [6, 2, 3]),
+        (lambda: inequalities._gibbs_sides(_states(66, k, 4), _stack(67, k, 4)), [4]),
+    ]
+    for run, dims in cases:
+        solved.clear()
+        run()
+        assert solved == dims
+    # the public sides are the helpers on a stack of one: Golden-Thompson takes one solve
+    solved.clear()
+    inequalities.golden_thompson_sides(bipartite.random_hermitian(5, 1), bipartite.random_hermitian(5, 2))
+    assert solved == [5]
 
 
 def test_entropy_terms_of_rows_without_positive_entries_are_zero():
