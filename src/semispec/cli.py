@@ -236,14 +236,6 @@ def _block_size(top: int) -> int:
     return max(1, min(TRIAL_BLOCK, TRIAL_BLOCK * 36**2 // top**2))
 
 
-def _group(keys) -> dict:
-    """Positions of each key, keys in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
 # A suite takes the Generators of a block's trials, the parsed flags and the
 # --load operator (or None).  It draws each trial's shape first, then, one
 # group of trials of a shape at a time, the rest of their inputs; every
@@ -257,7 +249,7 @@ def _jensen_scalar_block(rngs, args, loaded):
     max_m, max_n = args.dims
     dims = [len(loaded[0].mat) if loaded else _draw_dim(rng, max_m * max_n) for rng in rngs]
     lhs, rhs = np.empty((2, len(rngs), len(args.functions)))
-    for dim, idx in _group(dims).items():
+    for dim, idx in inequalities._group(dims).items():
         group = [rngs[i] for i in idx]
         h = linalg.hermitian_stack([loaded[0].mat] * len(idx) if loaded else bipartite.draw_hermitian(group, dim))
         psi = np.array([bipartite.random_unit_vector(dim, rng) for rng in group])
@@ -276,7 +268,7 @@ def _jensen_partial_trace_block(rngs, args, loaded):
             keys.append(bipartite.BipartiteDims(m, int(rng.integers(1, max_n + 1))))
     lhs, rhs = np.empty((2, len(rngs), len(args.functions)))
     cases = [None] * len(rngs)
-    for d, idx in _group(keys).items():
+    for d, idx in inequalities._group(keys).items():
         group = [rngs[i] for i in idx]
         h = linalg.hermitian_stack([loaded[0].mat] * len(idx) if loaded else bipartite.draw_hermitian(group, d.total))
         ranks = [int(rng.integers(1, d.dim1 + 1)) for rng in group]
@@ -291,21 +283,21 @@ def _golden_thompson_block(rngs, args, loaded):
     max_m, max_n = args.dims
     dims = [_draw_dim(rng, max_m * max_n) for rng in rngs]
     lhs, rhs = np.empty((2, len(rngs), 1))
-    for dim, idx in _group(dims).items():
-        # each trial draws A, then B
-        pairs = linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx for _ in "ab"], dim))
-        lhs[idx, 0], rhs[idx, 0] = inequalities._golden_thompson_sides(pairs[0::2], pairs[1::2])
+    for dim, idx in inequalities._group(dims).items():
+        group = [rngs[i] for i in idx]
+        # each trial's Generator draws A, then B; as temporaries, neither stack is held through the solve
+        lhs[idx, 0], rhs[idx, 0] = inequalities._golden_thompson_sides(
+            linalg.hermitian_stack(bipartite.draw_hermitian(group, dim)),
+            linalg.hermitian_stack(bipartite.draw_hermitian(group, dim)),
+        )
     return lhs, rhs, None
 
 
 def _sliced_gt_block(rngs, args, loaded):
     max_m, max_n = args.dims
-    keys = []
-    for rng in rngs:
-        m = _draw_dim(rng, max_m)
-        keys.append((m, int(rng.integers(1, max_n + 1))))
+    keys = [(_draw_dim(rng, max_m), int(rng.integers(1, max_n + 1))) for rng in rngs]
     lhs, rhs = np.empty((2, len(rngs), 1))
-    for (m, n), idx in _group(keys).items():
+    for (m, n), idx in inequalities._group(keys).items():
         # each trial draws T, then its m blocks
         t_mats = linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx], m))
         blocks = linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx for _ in range(m)], n))
@@ -317,7 +309,7 @@ def _gibbs_block(rngs, args, loaded):
     max_m, _ = args.dims
     dims = [_draw_dim(rng, max_m) for rng in rngs]
     lhs, rhs = np.empty((2, len(rngs), 1))
-    for dim, idx in _group(dims).items():
+    for dim, idx in inequalities._group(dims).items():
         group = [rngs[i] for i in idx]
         h = linalg.hermitian_stack(bipartite.draw_hermitian(group, dim))
         ranks = [int(rng.integers(1, dim + 1)) for rng in group]

@@ -37,14 +37,19 @@ from .bipartite import BipartiteDims, DensityMatrix, compress_stack, entropy_ter
 from .linalg import HermitianOperator, ScalarFunction, eig_hermitian, eig_hermitian_stack, hermitian_stack
 
 
+def _group(keys) -> dict:
+    """Positions of each key, keys in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def _eig_by_dim(*stacks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues and eigenvectors of gated ``(k, d, d)`` stacks, in order;
     one :func:`eig_hermitian_stack` call per dimension d."""
-    groups: dict = {}
-    for i, s in enumerate(stacks):
-        groups.setdefault(s.shape[1], []).append(i)
     out = [None] * len(stacks)
-    for idx in groups.values():
+    for idx in _group(s.shape[1] for s in stacks).values():
         members = [stacks[i] for i in idx]
         vals, vecs = eig_hermitian_stack(members[0] if len(members) == 1 else np.concatenate(members))
         at = 0
@@ -158,8 +163,13 @@ def golden_thompson_sides(a: HermitianOperator, b: HermitianOperator) -> tuple[f
 
 
 def _golden_thompson_sides(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides, shape ``(k,)``, for two gated ``(k, d, d)`` stacks of A and B."""
-    (sum_vals, _), (a_vals, a_vecs), (b_vals, b_vecs) = _eig_by_dim(hermitian_stack(a + b), a, b)
+    """Both sides, shape ``(k,)``, for two gated ``(k, d, d)`` stacks of A and B,
+    dropped once A + B, A and B are concatenated: the solve holds only the copy."""
+    mats = np.concatenate([hermitian_stack(a + b), a, b])
+    del a, b
+    [(vals, vecs)] = _eig_by_dim(mats)
+    sum_vals, a_vals, b_vals = vals.reshape(3, -1, vals.shape[1])
+    _, a_vecs, b_vecs = vecs.reshape(3, -1, *vecs.shape[1:])
     lhs = np.sum(np.exp(sum_vals), axis=1)
     # Tr[e^(A/2) e^B e^(A/2)] = Tr[e^A e^B] = e^a . |U* V|^2 . e^b
     overlaps = np.abs(a_vecs.conj().swapaxes(1, 2) @ b_vecs) ** 2

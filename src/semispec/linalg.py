@@ -154,15 +154,19 @@ def eig_hermitian_stack(mats) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
-    # the residuals reuse two buffers: U*, then Lambda U*; U*U - I, then U Lambda U* - H
-    vecs_h = vecs.conj().swapaxes(1, 2)
-    gram = vecs_h @ vecs
-    gram.reshape(len(h), -1)[:, :: h.shape[1] + 1] -= 1.0
-    ortho = _frobenius(gram)
-    vecs_h *= vals[:, :, None]
-    recon = np.matmul(vecs, vecs_h, out=gram)
-    recon -= h
-    resid = _frobenius(recon)
+    # the residuals, a slab of about 2**13 entries at a time, reuse two buffers:
+    # U*, then Lambda U*; U*U - I, then U Lambda U* - H
+    ortho, resid = np.empty((2, len(h)))
+    step = max(1, 2**13 // max(1, h.shape[1]) ** 2)
+    for at in range(0, len(h), step):
+        s = slice(at, at + step)
+        vecs_h = vecs[s].conj().swapaxes(1, 2)
+        gram = vecs_h @ vecs[s]
+        gram.reshape(len(gram), -1)[:, :: h.shape[1] + 1] -= 1.0
+        ortho[s] = _frobenius(gram)
+        vecs_h *= vals[s, :, None]
+        recon = np.matmul(vecs[s], vecs_h, out=gram)
+        resid[s] = _frobenius(np.subtract(recon, h[s], out=recon))
     ok = (ortho <= RECONSTRUCTION_RTOL) & (resid <= RECONSTRUCTION_RTOL * (1.0 + _frobenius(h)))
     if not ok.all():
         i = int(np.argmin(ok))

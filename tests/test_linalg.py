@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,26 @@ def test_eig_stack_names_the_matrix_out_of_contract():
     # (HermitianOperator refuses a NaN entry, so the raw stack carries it here)
     with pytest.raises(RuntimeError, match="stack index 0"):
         eig_hermitian_stack(np.array([[[math.nan, 0.0], [0.0, 1.0]]]))
+
+
+def test_eig_stack_checks_every_slab_in_bounded_memory():
+    rng = np.random.default_rng(22)
+    stack = np.stack([random_hermitian(30, rng).mat for _ in range(64)])
+    tracemalloc.start()
+    try:
+        vals, vecs = eig_hermitian_stack(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the eigenvectors are one stack's worth; checked all at once, the two
+    # residual buffers would add two more
+    assert peak < 2 * stack.nbytes, peak / stack.nbytes
+    for i in (0, 40, 63):  # the first and a later slab, and the last member
+        assert np.array_equal(vals[i], np.linalg.eigh(stack[i])[0])
+        bad = stack.copy()
+        bad[i, 0, 1] += 1.0
+        with pytest.raises(RuntimeError, match=f"out of contract at stack index {i}:"):
+            eig_hermitian_stack(bad)
 
 
 def test_apply_exp_on_diagonal():

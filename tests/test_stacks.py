@@ -7,6 +7,9 @@ one-matrix formula it replaces (written out below, as the library computed it
 one trial at a time) for exact equality of bits, not within a tolerance.
 """
 
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -285,6 +288,26 @@ def test_each_helper_solves_once_per_distinct_dimension(monkeypatch):
     solved.clear()
     inequalities.golden_thompson_sides(bipartite.random_hermitian(5, 1), bipartite.random_hermitian(5, 2))
     assert solved == [5]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller's frame holds its call arguments")
+def test_golden_thompson_helper_drops_temporary_inputs_before_its_solve(monkeypatch):
+    inputs, alive = [], []
+
+    def tracked(stack):
+        inputs.append(weakref.ref(stack))
+        return stack
+
+    def solving(mats):
+        alive.append([ref() is not None for ref in inputs])
+        return eig_hermitian_stack(mats)
+
+    monkeypatch.setattr(inequalities, "eig_hermitian_stack", solving)
+    lhs, rhs = inequalities._golden_thompson_sides(tracked(_stack(64, 4, 5)), tracked(_stack(65, 4, 5)))
+    assert alive == [[False, False]]
+    monkeypatch.undo()
+    expected = inequalities._golden_thompson_sides(_stack(64, 4, 5), _stack(65, 4, 5))
+    assert _same(lhs, expected[0]) and _same(rhs, expected[1])
 
 
 def test_entropy_terms_of_rows_without_positive_entries_are_zero():
