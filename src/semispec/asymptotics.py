@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .schrodinger import Homogeneous, SeparatelyHomogeneous
+from .schrodinger import HEAT_CUT, Homogeneous, SeparatelyHomogeneous, _profile_min
 
 # Angular quadrature (d = 2): composite trapezoid doubled until the relative
 # change drops below this, starting from ANGULAR_NODES nodes.
@@ -214,9 +214,23 @@ class PhaseSpaceCheck:
     quad_estimate: float
 
 
-HEAT_SPAN = 40.0  # integrand support cut for the heat quadrature, exp(-40) ~ 4e-18
-# Phase-space points per slab of the quadrature sweep; bounds its buffers.
-_PHASE_SLAB = 1 << 14
+def _count_below(queries: np.ndarray, ascending: np.ndarray, lam: float) -> np.ndarray:
+    """For each query q, the number of entries v of ``ascending`` with
+    fl(q + v) < lam.
+
+    IEEE addition is monotone, so those entries form a prefix, found by a
+    bisection on that exact predicate; rearranging it as v < lam - q would
+    round differently (q = 0.1, v = 0.2, lam = 0.1 + 0.2).
+    """
+    count = np.zeros(queries.shape, dtype=np.intp)
+    step = 1 << (ascending.size.bit_length() - 1)
+    while step:
+        trial = count + step
+        inside = trial <= ascending.size
+        inside &= queries + ascending[np.minimum(trial, ascending.size) - 1] < lam
+        count = np.where(inside, trial, count)
+        step >>= 1
+    return count
 
 
 def _phase_space_quadrature(
@@ -231,25 +245,21 @@ def _phase_space_quadrature(
     exp(-t (|xi|^2 + V(x))) / (2 pi)^d, error estimated by node-count
     refinement plus the domain truncation bound.
 
-    The grid (first momentum, second axis, remaining position axes) is swept
-    in slabs along the first momentum axis, carrying the last indicator
-    slice across slab boundaries.  A slab holds at most ``_PHASE_SLAB``
-    points: a row larger than that is split along the second axis, each
-    piece evaluated with one leading column of overlap (a piece never holds
-    less than one 2d position grid).  Memory therefore grows with the
-    per_axis^d position samples only, not with the grid's ``nodes``; the
-    count and the crossings are those of the whole grid, and the heat sum
-    differs from a one-array sum in summation order only.
+    The symbol at a grid point is fl(K + V), with K the momentum part
+    (fl(xi_a^2 + xi_b^2) in 2d) and V the potential sample, so the grid is
+    never formed.  Each K entry's count c(K) of V entries below lam is a
+    :func:`_count_below`; the sublevel sets of neighbouring K entries are
+    nested, so the cells straddling lam along a momentum axis number
+    |c(K_1) - c(K_2)| summed over neighbours, and along a position axis the
+    same with K and V swapped.  The heat sum is sum e^(-tK) * sum e^(-tV).
+    Memory grows with the per_axis^d samples of each part.
     """
     d = pot.d
     per_axis = max(8, int(round(nodes ** (1.0 / (2 * d)))))
-    if d == 1:
-        fmin = min(pot.profile)
-    else:
-        fmin = float(np.min(np.asarray(pot.profile(np.linspace(0, 2 * math.pi, 257)))))
+    fmin = _profile_min(pot)
     if fmin <= 0.0:
         return math.inf, math.inf
-    span = lam if lam is not None else HEAT_SPAN / t
+    span = lam if lam is not None else HEAT_CUT / t
     r_xi = math.sqrt(span)
     r_x = (span / fmin) ** (1.0 / pot.gamma) if math.isfinite(fmin) else 0.0
     if r_x == 0.0:
@@ -261,45 +271,22 @@ def _phase_space_quadrature(
 
     x, hx = axis(r_x)
     xi, hxi = axis(r_xi)
-    kinetic = xi**2
     if d == 1:
-        # symbol[a, b] = xi_a^2 + V(x_b)
-        second, rest = pot.value(x), None
+        kinetic, potential = xi**2, pot.value(x)
         cell = hx * hxi / (2.0 * math.pi)
     else:
-        # symbol[a, b, c, e] = (xi_a^2 + xi_b^2) + V(x_c, x_e)
-        second, rest = kinetic, pot.value(x[:, None], x[None, :])
+        kinetic, potential = xi[:, None] ** 2 + xi[None, :] ** 2, pot.value(x[:, None], x[None, :])
         cell = (hx * hxi) ** 2 / (2.0 * math.pi) ** 2
-    n = per_axis
-    row_rest = 1 if rest is None else rest.size
-    width = n if n * row_rest <= _PHASE_SLAB else max(1, _PHASE_SLAB // row_rest)
-    rows = max(1, _PHASE_SLAB // (width * row_rest))
-    count = crossings = 0
-    heat = 0.0
-    for b0 in range(0, n, width):
-        lo, b1 = max(b0 - 1, 0), min(b0 + width, n)
-        carry = None
-        for a0 in range(0, n, rows):
-            symbol = kinetic[a0 : a0 + rows, None] + second[None, lo:b1]
-            if rest is not None:
-                symbol = symbol[:, :, None, None] + rest
-            if lam is None:
-                heat += float(np.sum(np.exp(-t * symbol[:, b0 - lo :])))
-                continue
-            mask = symbol < lam
-            # the overlap column (index 0 when lo < b0) serves the second-axis crossings only
-            crossings += int(np.count_nonzero(np.diff(mask, axis=1)))
-            mask = mask[:, b0 - lo :]
-            count += int(np.count_nonzero(mask))
-            for ax in (0, *range(2, mask.ndim)):
-                crossings += int(np.count_nonzero(np.diff(mask, axis=ax)))
-            if carry is not None:
-                crossings += int(np.count_nonzero(carry != mask[0]))
-            carry = mask[-1].copy()
-    if lam is not None:
-        return float(count) * cell, crossings * cell
-    truncation = math.exp(-HEAT_SPAN) * n ** (2 * d) * cell
-    return heat * cell, truncation
+    if lam is None:
+        heat = float(np.sum(np.exp(-t * kinetic))) * float(np.sum(np.exp(-t * potential)))
+        return heat * cell, math.exp(-HEAT_CUT) * per_axis ** (2 * d) * cell
+    per_kinetic = _count_below(kinetic, np.sort(potential, axis=None), lam)
+    per_potential = _count_below(potential, np.sort(kinetic, axis=None), lam)
+    steps = [np.diff(c, axis=ax) for c in (per_kinetic, per_potential) for ax in range(d)]
+    # max(s, -s), not np.abs: numpy's integer abs loop would map 64 KiB of code
+    # that nothing else in a growth_1d benchmark job touches, raising its peak RSS
+    crossings = sum(int(np.maximum(s, -s).sum()) for s in steps)
+    return float(per_kinetic.sum()) * cell, crossings * cell
 
 
 def phase_space_identity_check(

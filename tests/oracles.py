@@ -16,9 +16,9 @@ closed-form coherent-frame bounds are checked against literal sums over all
 M^2 frame states.  ``semispec ineq``, which evaluates its trials in blocks
 on stacked eigendecompositions, is checked against a trial-by-trial loop
 over the public ``*_sides`` functions.  The box rules are audited by
-recounting on a doubled box at the same spacing.  The slab sweep of the
-phase-space quadrature is checked against the same quadrature on one array
-holding the whole grid.
+recounting on a doubled box at the same spacing.  The phase-space
+quadrature, which counts on its momentum and potential parts separately, is
+checked against the same quadrature on one array holding the whole grid.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from semispec import bipartite, inequalities
-from semispec.asymptotics import HEAT_SPAN
 from semispec.inequalities import sliced_hamiltonian
 from semispec.linalg import HermitianOperator
-from semispec.schrodinger import CoherentWindow, GridOperator, build_hamiltonian, counting_function
+from semispec.schrodinger import HEAT_CUT, CoherentWindow, GridOperator, _profile_min, build_hamiltonian, counting_function
 
 
 def char_poly_coeffs(mat: np.ndarray) -> np.ndarray:
@@ -328,16 +327,13 @@ def box_doubling_change(pot, lam: float, box, points) -> float:
 def phase_space_quadrature_dense(pot, lam: float | None, t: float | None, nodes: int) -> tuple[float, float]:
     """The phase-space midpoint quadrature on one array holding the whole
     grid: the counting volume with the straddling-cell estimate, or the heat
-    integral with its truncation bound, as the library's slab sweep returns."""
+    integral with its truncation bound, as the library's separable form returns."""
     d = pot.d
     per_axis = max(8, int(round(nodes ** (1.0 / (2 * d)))))
-    if d == 1:
-        fmin = min(pot.profile)
-    else:
-        fmin = float(np.min(np.asarray(pot.profile(np.linspace(0, 2 * math.pi, 257)))))
+    fmin = _profile_min(pot)
     if fmin <= 0.0:
         return math.inf, math.inf
-    span = lam if lam is not None else HEAT_SPAN / t
+    span = lam if lam is not None else HEAT_CUT / t
     r_xi = math.sqrt(span)
     r_x = (span / fmin) ** (1.0 / pot.gamma) if math.isfinite(fmin) else 0.0
     if r_x == 0.0:
@@ -358,7 +354,7 @@ def phase_space_quadrature_dense(pot, lam: float | None, t: float | None, nodes:
         symbol = kinetic[:, :, None, None] + v[None, None, :, :]
         cell = (hx * hxi) ** 2 / (2.0 * math.pi) ** 2
     if lam is None:
-        return float(np.sum(np.exp(-t * symbol))) * cell, math.exp(-HEAT_SPAN) * symbol.size * cell
+        return float(np.sum(np.exp(-t * symbol))) * cell, math.exp(-HEAT_CUT) * symbol.size * cell
     mask = symbol < lam
     crossings = 0
     for ax in range(mask.ndim):

@@ -210,23 +210,21 @@ def test_phase_space_identity_2d():
 
 
 ISOTROPIC_2D = Homogeneous(2.0, 2, lambda th: np.ones_like(th))
-SLAB_POTENTIALS = [
-    (OSCILLATOR, 50, 10.0, 0.1),
-    (Homogeneous(1.5, 1, (2.0, 0.3)), 50, 7.0, 0.3),
-    (ISOTROPIC_2D, 8, 10.0, 0.2),
-    (Homogeneous(3.0, 2, lambda th: 1.0 + 0.5 * np.cos(th) ** 2), 8, 6.0, 0.4),
-]
+PHASE_CASES = {
+    "oscillator": (OSCILLATOR, 50, 10.0, 0.1),
+    "asymmetric": (Homogeneous(1.5, 1, (2.0, 0.3)), 50, 7.0, 0.3),
+    "isotropic 2d": (ISOTROPIC_2D, 8, 10.0, 0.2),
+    "cos^2 2d": (Homogeneous(3.0, 2, lambda th: 1.0 + 0.5 * np.cos(th) ** 2), 8, 6.0, 0.4),
+    "one-sided wall": (Homogeneous(2.0, 1, (1.0, math.inf)), 64, 10.0, 0.1),
+    "gamma 0.7": (Homogeneous(0.7, 1, (1.0, 1.5)), 64, 5.0, 0.2),
+    "2 + sin 3theta": (Homogeneous(2.0, 2, lambda th: 2.0 + np.sin(3.0 * th)), 14, 9.0, 0.3),
+    "10^6 nodes": (OSCILLATOR, 1000, 10.0, 0.1),
+    "lam 1e-3": (OSCILLATOR, 64, 1e-3, 0.1),
+}
 
 
-@pytest.mark.parametrize("pot, per_axis, lam, t", SLAB_POTENTIALS)
-@pytest.mark.parametrize("slab", ["point", "row", "three rows", "three columns", "whole grid"])
-def test_slab_sweep_matches_the_whole_grid_oracle(monkeypatch, pot, per_axis, lam, t, slab):
-    # per_axis is not a multiple of 3, so the three-row and three-column slabs
-    # leave a short last slab; "three columns" splits every row in 2d
-    row = per_axis ** (2 * pot.d - 1)
-    size = {"point": 1, "row": row, "three rows": 3 * row, "three columns": 3 * row // per_axis,
-            "whole grid": row * per_axis}[slab]
-    monkeypatch.setattr(asymptotics, "_PHASE_SLAB", size)
+@pytest.mark.parametrize("pot, per_axis, lam, t", PHASE_CASES.values(), ids=PHASE_CASES.keys())
+def test_separable_quadrature_matches_the_whole_grid_oracle(pot, per_axis, lam, t):
     nodes = per_axis ** (2 * pot.d)
     count = asymptotics._phase_space_quadrature(pot, lam, None, nodes)
     assert count == phase_space_quadrature_dense(pot, lam, None, nodes)
@@ -234,6 +232,43 @@ def test_slab_sweep_matches_the_whole_grid_oracle(monkeypatch, pot, per_axis, la
     heat, truncation = asymptotics._phase_space_quadrature(pot, None, t, nodes)
     heat_dense, truncation_dense = phase_space_quadrature_dense(pot, None, t, nodes)
     assert abs(heat - heat_dense) <= 1e-14 * heat_dense and truncation == truncation_dense
+
+
+def test_count_below_tests_the_rounded_sum_not_a_rearrangement():
+    q, v, lam = 0.1, 0.2, 0.1 + 0.2
+    assert not q + v < lam and v < lam - q
+    assert asymptotics._count_below(np.array([q]), np.array([v]), lam).tolist() == [0]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 100])
+def test_count_below_equals_a_brute_force_count(size):
+    rng = np.random.default_rng(size)
+    ascending = np.sort(np.concatenate([rng.choice([0.1, 0.2, 0.3], size // 2), rng.random(size - size // 2)]))
+    ascending[-1] = math.inf
+    queries = np.array([0.0, 0.1, 0.2, 0.25, 0.5, 1.0, math.inf]).reshape(7, 1)
+    lam = 0.1 + 0.2
+    expected = np.count_nonzero(queries + ascending[None, :] < lam, axis=1, keepdims=True)
+    assert np.array_equal(asymptotics._count_below(queries, ascending, lam), expected)
+
+
+DIP_CENTRE = 2.0 * math.pi * 100.5 / 256
+
+
+@pytest.mark.parametrize("form", [{"lam": 10.0}, {"t": 0.1}])
+def test_phase_space_box_sees_a_dip_between_coarse_profile_samples(form):
+    # the dip to 0.1 sits midway between two of 257 equispaced angles, where
+    # it reads 1 - 7e-5; a box sized from those samples is too small, and
+    # the heat check then reports 4.5e-3 against an estimate of 5e-7
+    pot = Homogeneous(2.0, 2, lambda th: 1.0 - 0.9 * np.exp(-(((th - DIP_CENTRE) / 0.004) ** 2)))
+    chk = phase_space_identity_check(pot, nodes=10**6, **form)
+    assert chk.rel_error <= chk.quad_estimate
+
+
+@pytest.mark.parametrize("pot", [OSCILLATOR, ISOTROPIC_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("form", [{"lam": 10.0}, {"t": 0.1}])
+def test_phase_space_identity_at_ten_billion_nodes(pot, form):
+    chk = phase_space_identity_check(pot, nodes=10**10, **form)
+    assert chk.rel_error <= chk.quad_estimate
 
 
 @pytest.mark.parametrize("pot, form", [
