@@ -1,6 +1,7 @@
 """Finite-difference Schrodinger operators -Laplacian + V with homogeneous
 potentials: construction, exact eigenvalue counting, heat and zeta traces,
-transverse effective operators, and discrete coherent-state frames.
+transverse effective operators, and (from :mod:`semispec._frames`)
+discrete coherent-state frames.
 
 Grids are second-order central-difference discretizations on a box with
 Dirichlet walls (tridiagonal in 1d, 5-point in 2d) or on a 1d torus.  A grid
@@ -9,15 +10,22 @@ built from them on demand, and any dense or banded one only up to
 ``DENSE_EIG_CAP`` nodes.  Counting is exact for the discrete
 matrix: Sturm sign changes for tridiagonal operators (one pass over the
 nodes for every shift of a sweep) and, in 2d, block-row inertia (one
-Bunch-Kaufman factorization per grid row and shift).  On a pivot breakdown
-the rows are taken in reverse order, then the count is dense up to
-``DENSE_EIG_CAP`` and refused beyond it; no other shift is ever counted.
-Counts and heat traces take arrays of energies or times and share one
-Sturm pass or one spectrum among them.
+Bunch-Kaufman factorization per grid row and shift).  Counts and heat
+traces take arrays of energies or times and share one Sturm pass or one
+spectrum among them.
 
-Coherent-frame bounds use the closed forms of the frame sums: the averaged
-frame projector sum is (sum g^2) I, and on the torus the frame energies are
-2/h^2 + (g^2 * V)(x) - (2/h^2) cos(2 pi k / M) sum_j g(j) g(j+1).
+Dirichlet nodes sit symmetrically about 0 bit for bit, so a mirror-symmetric
+potential gives samples equal to their own reversal.  Such an operator
+commutes with the reflection and splits exactly into an even and an odd
+sector (:func:`_sector_chains`): 1d spectra take one LAPACK call per
+sector, 1d counts run the half of the Sturm pass that both sectors share
+once, and 2d counts fold mirror rows (the first half of the Schur
+complements factored once) and split mirror blocks into halves.  Any
+other input takes the unsplit path.  On a 2d pivot breakdown the count
+goes down a ladder: the sectors, all rows forward, all rows in reverse
+(unless the rows mirror, when that order factors the same blocks), the
+dense spectrum up to ``DENSE_EIG_CAP`` nodes, refusal beyond it; no other
+shift is ever counted.
 """
 
 from __future__ import annotations
@@ -25,11 +33,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .linalg import HermitianOperator, eig_hermitian_stack
+from ._frames import (  # noqa: F401  (public names of this module)
+    CoherentWindow,
+    coherent_frame_defect,
+    coherent_lower_bound,
+    coherent_partial_lower_bound,
+    delta_window,
+    flat_window,
+    gaussian_window,
+)
+from .linalg import HermitianOperator
 
 # Memory guards: total grid nodes, and the largest matrix we will hand to a
 # dense eigensolver (counting fallback, full spectra of 2d operators).
@@ -248,7 +265,8 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
 
     ``box`` and ``points`` are scalars in 1d or (x, y) pairs in 2d; the
     spacing per axis is ``h = 2 L / (P + 1)`` with Dirichlet walls (nodes
-    outside the box are implicitly zero), ``h = 2 L / P`` on the torus.
+    at ``h (i - (P - 1) / 2)``, those outside the box implicitly zero),
+    ``h = 2 L / P`` on the torus (nodes at ``-L + h i``).
     ``potential`` may be None for the free operator, a :class:`Homogeneous`
     (d matching the grid) or a :class:`SeparatelyHomogeneous` (2d only).
     """
@@ -276,7 +294,10 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
         axes = [-box[0] + spacing[0] * np.arange(points[0])]
     else:
         spacing = tuple(2.0 * box[i] / (points[i] + 1) for i in range(ndim))
-        axes = [-box[i] + spacing[i] * (1.0 + np.arange(points[i])) for i in range(ndim)]
+        # node i at h (i - (P-1)/2), which is -L + h (1 + i) in exact arithmetic; the
+        # offsets are exact, so x_i == -x_{P-1-i} and mirror-symmetric potentials give
+        # mirror-symmetric samples bit for bit
+        axes = [spacing[i] * (np.arange(points[i]) - (points[i] - 1) / 2.0) for i in range(ndim)]
     # the stencil's diagonal offset sum(2/h^2), and with it each coupling 1/h^2, must be finite
     if any(h**2 == 0.0 for h in spacing) or not math.isfinite(sum(2.0 / h**2 for h in spacing)):
         raise ValueError(f"box {box} on {points} points gives spacing {spacing}, too fine for the 2/h^2 stencil")
@@ -319,6 +340,47 @@ class _PivotBreakdown(ArithmeticError):
     """A pivot of the 2d block factorization is numerically zero."""
 
 
+def _is_mirror(samples: np.ndarray) -> bool:
+    """Whether ``samples`` equal their own reversal along the first axis, bit for bit."""
+    return bool(np.array_equal(samples, samples[::-1]))
+
+
+def _sector_chains(diag: np.ndarray, off: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The even and odd sectors of a mirror-symmetric chain; any other chain
+    is its own one sector.
+
+    A chain of n >= 2 nodes whose diagonal entries (or rows of them) and
+    couplings equal their reversals commutes with the reflection
+    i -> n-1-i, so it splits exactly into the vectors with u_i = u_{n-1-i}
+    and those with u_i = -u_{n-1-i}.  For n = 2k+1 these are the leading
+    k+1 nodes with the last coupling times sqrt(2), and the leading k
+    nodes; for n = 2k both are the leading k nodes, with the coupling e
+    between nodes k-1 and k added to or subtracted from the last diagonal
+    entry.  Both begin with the same (n-1)//2 nodes.
+    """
+    n, k = len(diag), len(diag) // 2
+    if n < 2 or not (_is_mirror(diag) and _is_mirror(off)):
+        return [(diag, off)]
+    if n % 2:
+        return [(diag[: k + 1], np.append(off[: k - 1], math.sqrt(2.0) * off[k - 1])), (diag[:k], off[: k - 1])]
+    return [(np.concatenate([diag[: k - 1], [diag[k - 1] + sign * off[k - 1]]]), off[: k - 1]) for sign in (1, -1)]
+
+
+def _fold(sweep: Callable, diag: np.ndarray, off: np.ndarray) -> int | np.ndarray:
+    """Total count of ``sweep`` over the sectors of a chain (:func:`_sector_chains`).
+
+    ``sweep(diag, off, start, stop, state)`` counts nodes start..stop-1 of a
+    chain, continuing from the state its recursion left at node start-1
+    (None before node 0), and returns the count and the state at its last
+    node.  The (n-1)//2 nodes that both sectors of a mirror chain share run
+    once and count twice; each sector then finishes from their state.
+    """
+    chains = _sector_chains(diag, off)
+    p = (len(diag) - 1) // 2 if len(chains) > 1 else 0
+    shared, state = sweep(diag, off, 0, p, None)
+    return 2 * shared + sum(sweep(d, o, p, len(d), state)[0] for d, o in chains)
+
+
 def _sturm_negcounts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Eigenvalues of the tridiagonal T below each shift: sign changes of the
     Sturm sequences of (T - s I) for all shifts s in one pass over the nodes.
@@ -330,15 +392,27 @@ def _sturm_negcounts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> n
     exactly zero.  A ratio that overflows is -+inf: that q counts by its sign
     and the next ratio is 0.
     """
+    return _sturm_pass(diag, off, 0, diag.size, None, shifts)[0]
+
+
+def _chain_negcounts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """:func:`_sturm_negcounts` sector by sector (:func:`_fold`): exactly the
+    Sturm counts of the sector chains, a mirror chain's in half a pass."""
+    return _fold(lambda d, o, *state: _sturm_pass(d, o, *state, shifts), diag, off)
+
+
+def _sturm_pass(diag: np.ndarray, off: np.ndarray, start: int, stop: int, q, shifts: np.ndarray) -> tuple:
+    """The Sturm terms of :func:`_sturm_negcounts` at nodes start..stop-1,
+    from the term q at node start-1: negatives counted, and the last term."""
     tiny = 1e-300
     e2 = off * off
     count = np.zeros(shifts.size, dtype=np.intp)
     ratio = np.empty(shifts.size)
-    prev = None  # q at the last node of the previous block
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for lo in range(0, diag.size, _STURM_BLOCK):
+        for lo in range(start, stop, _STURM_BLOCK):
+            prev = q  # the term before this block
             for replace_zeros in (False, True):
-                rows = diag[lo : lo + _STURM_BLOCK, None] - shifts
+                rows = diag[lo : min(lo + _STURM_BLOCK, stop), None] - shifts
                 q = prev
                 for i, row in enumerate(rows, start=lo):
                     if q is not None:
@@ -349,9 +423,8 @@ def _sturm_negcounts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> n
                     q = row
                 if replace_zeros or rows.all():
                     break
-            prev = q
             count += np.count_nonzero(rows < 0.0, axis=0)
-    return count
+    return count, q
 
 
 def _pivot_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, float]:
@@ -379,59 +452,99 @@ def _pivot_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, float]:
     return int(np.count_nonzero(d[~two] < 0.0)) + int(np.count_nonzero(two)) // 2, smallest
 
 
-def _block_negcount(op: GridOperator, shift: float, reverse: bool = False) -> int:
+def _block_rows(op: GridOperator) -> tuple[np.ndarray, float, float]:
+    """Samples of a 2d operator as block rows along its longer axis, with the
+    spacing across rows and the spacing within a row."""
+    hx, hy = op.spacing
+    v = op.potential.reshape(op.points)
+    if v.shape[1] > v.shape[0]:
+        return v.T, hy, hx
+    return v, hx, hy
+
+
+def _block_negcount(op: GridOperator, shift: float, reverse: bool = False, fold: bool = False) -> int:
     """Eigenvalues of a 2d Dirichlet operator below ``shift``, by block-row inertia.
 
     The 5-point operator is block tridiagonal with coupling blocks
     -(1/hx^2) I, so Haynsworth's inertia additivity gives
-    nu_-(A - s) = sum_i nu_-(D_i), D_i = A_ii - s - hx^-4 D_{i-1}^-1.  Each
-    D_i is factorized by Bunch-Kaufman (``dsytrf``), its inertia read off
-    the pivots (:func:`_pivot_inertia`), and inverted from the factors
-    (``dsytri``).  Blocks run along the shorter axis; ``reverse`` takes the
-    rows in opposite order, changing the leading blocks but not the inertia.
-    A pivot eigenvalue within 1e-12 (relative) of zero raises
+    nu_-(A - s) = sum_i nu_-(D_i), D_i = A_ii - s - hx^-4 D_{i-1}^-1
+    (:func:`_schur_rows`).  Blocks run along the shorter axis; ``reverse``
+    takes the rows in opposite order, changing the leading blocks but not
+    the inertia.  ``fold`` counts the mirror sectors (:func:`_sector_chains`)
+    that the samples allow: blocks whose samples mirror split, with every
+    D_i, into two recursions on blocks of ceil(m/2) and floor(m/2) nodes,
+    and rows that mirror one another fold (:func:`_fold`), so the first
+    (P-1)//2 Schur complements are factored once and counted twice.
+    """
+    v, hx, hy = _block_rows(op)
+    v = v[::-1] if reverse else v
+    centre = 2.0 / hx**2 + 2.0 / hy**2
+    ptol = 1e-12 * (centre + float(v.max()) + abs(shift) + 1.0)
+    m = v.shape[1]
+    diag, off = np.full(m, centre - shift), np.full(m - 1, -1.0 / hy**2)
+    rows_off = np.full(len(v) - 1, -1.0 / hx**2)
+    neg = 0
+    for d, o in _sector_chains(diag, off) if fold and _is_mirror(v.T) else [(diag, off)]:
+        # lower triangle of A_ii - s - V_i in one sector; LAPACK reads no other
+        fixed = np.zeros((d.size, d.size), order="F")
+        idx = np.arange(d.size)
+        fixed[idx[1:], idx[:-1]] = o
+        np.fill_diagonal(fixed, d)
+        sweep = lambda rows, c, *state: _schur_rows(rows, c, *state, fixed, ptol)  # noqa: E731
+        vals = v[:, : d.size]
+        neg += _fold(sweep, vals, rows_off) if fold else sweep(vals, rows_off, 0, len(v), None)[0]
+    return neg
+
+
+def _schur_rows(
+    rows: np.ndarray, off: np.ndarray, start: int, stop: int, inv, fixed: np.ndarray, ptol: float
+) -> tuple:
+    """Negative eigenvalues of D_i = fixed + diag(rows[i]) - off[i-1]^2 D_{i-1}^-1
+    for rows start..stop-1, from ``inv`` = D_{start-1}^-1 (None: 0), and the
+    lower triangle of the last inverse.
+
+    Each D_i is factorized by Bunch-Kaufman (``dsytrf``), its inertia read
+    off the pivots (:func:`_pivot_inertia`), and inverted from the factors
+    (``dsytri``).  A pivot eigenvalue within ``ptol`` of zero raises
     :class:`_PivotBreakdown`.
     """
     from scipy.linalg import lapack
 
-    hx, hy = op.spacing
-    v = op.potential.reshape(op.points)
-    if v.shape[1] > v.shape[0]:
-        v, hx, hy = v.T, hy, hx
-    v = v[::-1] if reverse else v
-    m = v.shape[1]
-    idx = np.arange(m)
-    centre = 2.0 / hx**2 + 2.0 / hy**2
-    ptol = 1e-12 * (centre + float(v.max()) + abs(shift) + 1.0)
-    fixed = np.zeros((m, m), order="F")  # lower triangle of A_ii - s - V_i; LAPACK reads no other
-    fixed[idx[1:], idx[:-1]] = -1.0 / hy**2
-    np.fill_diagonal(fixed, centre - shift)
-    block, inv = np.empty((m, m), order="F"), np.zeros((m, m), order="F")
+    m = fixed.shape[0]
+    block = np.empty((m, m), order="F")
+    inv = np.zeros((m, m), order="F") if inv is None else inv
     neg = 0
-    for row, vals in enumerate(v):
-        np.multiply(inv, -1.0 / hx**4, out=block)
+    for row in range(start, stop):
+        np.multiply(inv, -off[row - 1] ** 2, out=block)
         block += fixed
-        block.flat[:: m + 1] += vals
+        block.flat[:: m + 1] += rows[row]
         ldu, ipiv, _ = lapack.dsytrf(block, lower=1, overwrite_a=1)
         row_neg, smallest = _pivot_inertia(ldu, ipiv)
         if smallest <= ptol:
             raise _PivotBreakdown(f"pivot eigenvalue {smallest:.3e} in block row {row}")
         neg += row_neg
         inv, _ = lapack.dsytri(ldu, ipiv, lower=1, overwrite_a=1)
-    return neg
+    return neg, inv
 
 
 def _block_count(op: GridOperator, shift: float) -> int:
-    """Block-row count of a 2d Dirichlet operator; a breakdown is retried in
-    reverse row order, then counted densely or refused."""
-    for reverse in (False, True):
+    """Block-row count of a 2d Dirichlet operator, down a ladder that counts
+    only at ``shift``: the mirror sectors, when the samples mirror along
+    either axis; all rows forward; all rows in reverse, unless the rows
+    mirror one another (then the reverse order factors the same blocks);
+    the dense spectrum up to ``DENSE_EIG_CAP`` nodes; otherwise refused."""
+    v = _block_rows(op)[0]
+    mirror_rows = _is_mirror(v)
+    folded = mirror_rows or _is_mirror(v.T)
+    for kwargs in [{"fold": True}] * folded + [{}] + [{"reverse": True}] * (not mirror_rows):
         try:
-            return _block_negcount(op, shift, reverse)
+            return _block_negcount(op, shift, **kwargs)
         except _PivotBreakdown as exc:
             breakdown = exc
     if op.n > DENSE_EIG_CAP:
+        orders = "its one row order" if mirror_rows else "both row orders"
         raise RuntimeError(
-            f"block factorization at shift {shift!r} broke down in both row orders "
+            f"block factorization at shift {shift!r} broke down in {'its mirror sectors and ' * folded}{orders} "
             f"({breakdown}) and {op.n} nodes exceed the dense fallback cap {DENSE_EIG_CAP}"
         )
     return int(np.searchsorted(spectrum(op), shift, side="left"))
@@ -447,7 +560,7 @@ def _count_below(op: GridOperator, shifts: np.ndarray) -> np.ndarray:
     if op.boundary == "periodic":
         return np.searchsorted(spectrum(op), shifts, side="left")
     if op.ndim == 1:
-        return _sturm_negcounts(*_tridiagonal(op), shifts)
+        return _chain_negcounts(*_tridiagonal(op), shifts)
     return np.array([_block_count(op, float(s)) for s in shifts], dtype=np.intp)
 
 
@@ -517,10 +630,11 @@ def _finite_tridiagonal(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
 def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
     """Eigenvalues of the discrete operator, ascending; optionally only those <= upto.
 
-    Tridiagonal operators use LAPACK bisection for the windowed form; other
-    shapes go through a dense or banded solver, guarded by
-    ``DENSE_EIG_CAP``.  The infinite eigenvalues of hard-wall nodes are left
-    out.
+    Tridiagonal operators use LAPACK bisection for the windowed form, one
+    call per mirror sector when the chain is mirror-symmetric
+    (:func:`_sector_chains`); other shapes go through a dense or banded
+    solver, guarded by ``DENSE_EIG_CAP``.  The infinite eigenvalues of
+    hard-wall nodes are left out.
     """
     from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
@@ -528,13 +642,15 @@ def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
         diag, off = _finite_tridiagonal(op)
         if not diag.size:
             return diag
+        chains = _sector_chains(diag, off)
         if upto is not None:
             lo = gershgorin_bounds(op)[0] - 1.0
-            vals = eigvalsh_tridiagonal(
-                diag, off, select="v", select_range=(lo, upto), lapack_driver="stebz"
-            )
-            return np.sort(vals)
-        vals = eigvalsh_tridiagonal(diag, off)
+            vals = [
+                eigvalsh_tridiagonal(d, o, select="v", select_range=(lo, upto), lapack_driver="stebz")
+                for d, o in chains
+            ]
+            return np.sort(np.concatenate(vals))
+        vals = np.concatenate([eigvalsh_tridiagonal(d, o) for d, o in chains])
     else:
         _check_dense_cap(op, "spectrum")
         if op.ndim == 2:
@@ -551,7 +667,8 @@ def ground_energy(op: GridOperator) -> float:
     if op.ndim == 1 and op.boundary == "dirichlet":
         from scipy.linalg import eigvalsh_tridiagonal
 
-        return float(eigvalsh_tridiagonal(*_finite_tridiagonal(op), select="i", select_range=(0, 0))[0])
+        chains = _sector_chains(*_finite_tridiagonal(op))
+        return min(float(eigvalsh_tridiagonal(d, o, select="i", select_range=(0, 0))[0]) for d, o in chains)
     return float(spectrum(op)[0])
 
 
@@ -758,142 +875,3 @@ def channel_boxes(pot: SeparatelyHomogeneous, lam_max: float) -> tuple[float, fl
             f"channel box for alpha={pot.alpha!r}, beta={pot.beta!r} at lambda={lam_max!r} overflows a float"
         ) from None
     return lx, ly
-
-
-# ---------------------------------------------------------------------------
-# discrete coherent-state frames
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoherentWindow:
-    """Real nonnegative window on the M-point torus: symmetric about 0,
-    nonincreasing in torus distance, with sum of squares 1 (to 1e-12)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size < 1:
-            raise ValueError("window must be a nonempty 1d array")
-        if float(g.min()) < 0.0:
-            raise ValueError("window values must be nonnegative")
-        norm2 = float(np.sum(g * g))
-        if abs(norm2 - 1.0) > 1e-12:
-            raise ValueError(f"window squares sum to {norm2!r}, not 1 within 1e-12")
-        m = g.size
-        if not np.allclose(g, g[(-np.arange(m)) % m], rtol=0.0, atol=1e-12):
-            raise ValueError("window must satisfy g(x) = g(-x) on the torus")
-        radial = g[: m // 2 + 1]
-        if np.any(np.diff(radial) > 1e-12):
-            raise ValueError("window must be nonincreasing in torus distance")
-        g = g.copy()
-        g.flags.writeable = False
-        object.__setattr__(self, "values", g)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
-def delta_window(m: int) -> CoherentWindow:
-    g = np.zeros(m)
-    g[0] = 1.0
-    return CoherentWindow(g)
-
-
-def flat_window(m: int) -> CoherentWindow:
-    return CoherentWindow(np.full(m, 1.0 / math.sqrt(m)))
-
-
-def gaussian_window(m: int, sigma: float | None = None) -> CoherentWindow:
-    """Periodized Gaussian centered at torus position 0."""
-    if sigma is None:
-        sigma = m / 8.0
-    dist = np.minimum(np.arange(m), m - np.arange(m)).astype(float)
-    g = np.exp(-(dist**2) / (2.0 * sigma**2))
-    return CoherentWindow(g / math.sqrt(np.sum(g * g)))
-
-
-def _window_average(window: CoherentWindow, values: np.ndarray) -> np.ndarray:
-    """sum_a g(a - x)^2 values[a] at every position x: a circular correlation
-    along the first axis, by FFT."""
-    g = window.values
-    weights = np.conj(np.fft.fft(g * g)).reshape((-1,) + (1,) * (values.ndim - 1))
-    return np.fft.ifft(weights * np.fft.fft(values, axis=0), axis=0)
-
-
-def _frame_boltzmann(op, t: float, window: CoherentWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Factors with exp(-t <psi_xk|H|psi_xk>) = bx[x] * bk[k] for the torus operator.
-
-    H = diag(2/h^2 + V) - (S + S^T)/h^2 gives the frame energies
-    E[x, k] = (g^2 * (2/h^2 + V))(x) - s cos(2 pi k / M) with
-    s = (2/h^2) sum_j g(j) g(j+1).  Splitting E at -s keeps both exponents
-    nonnegative (E >= 0 since H >= 0), so neither factor overflows.
-    """
-    if not (isinstance(op, GridOperator) and op.boundary == "periodic" and op.ndim == 1):
-        raise ValueError("coherent frame bounds need a 1d periodic grid operator")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    g = window.values
-    m = g.size
-    if m != op.n:
-        raise ValueError(f"window size {m} does not match operator size {op.n}")
-    kinetic = 2.0 / op.spacing[0] ** 2
-    s = kinetic * float(np.dot(g, np.roll(g, -1)))
-    position = _window_average(window, kinetic + op.potential).real
-    bx = np.exp(-t * (position - s))
-    bk = np.exp(-t * s * (1.0 - np.cos(2.0 * math.pi * np.arange(m) / m)))
-    return bx, bk
-
-
-def coherent_frame_defect(window: CoherentWindow) -> float:
-    """Frobenius distance of the averaged frame projector sum from the identity.
-
-    The frame runs over all M positions and M discrete momenta,
-    psi[j] = exp(2 pi i k j / M) g(j - x).  Since
-    sum_k exp(2 pi i k (j - l) / M) = M delta_jl, the averaged sum is exactly
-    (sum_j g(j)^2) I, so the defect is |sum g^2 - 1| sqrt(M).
-    """
-    g = window.values
-    return abs(float(np.dot(g, g)) - 1.0) * math.sqrt(g.size)
-
-
-def coherent_lower_bound(op: GridOperator, t: float, window: CoherentWindow) -> float:
-    """Phase-space sum (1/M) sum exp(-t <psi|H|psi>) over the coherent frame.
-
-    A lower bound for the heat trace of the torus operator: Jensen applied
-    inside each frame state, summed with frame tightness.  The frame energies
-    are <psi_xk|H|psi_xk> = 2/h^2 + (g^2 * V)(x)
-    - (2/h^2) cos(2 pi k / M) sum_j g(j) g(j+1), with (g^2 * V)(x) =
-    sum_j g(j - x)^2 V(j); the sum costs O(M log M).
-    """
-    bx, bk = _frame_boltzmann(op, t, window)
-    return float(bx.sum() * bk.sum()) / window.size
-
-
-def coherent_partial_lower_bound(
-    t_op: GridOperator,
-    blocks: Sequence[HermitianOperator],
-    t: float,
-    window: CoherentWindow,
-) -> float:
-    """Partial-trace version of the coherent lower bound.
-
-    For H = T (x) 1 + blockdiag(W_m) with T the torus operator, returns
-    (1/M) sum over frame states of Tr exp(-t K), where K is the compression
-    of H by the frame state; by the partial-trace Jensen inequality and
-    frame tightness this never exceeds Tr exp(-t H).  In closed form
-    K_xk = <psi_xk|T|psi_xk> I + Wbar_x with Wbar_x = sum_a g(a - x)^2 W_a,
-    so Tr exp(-t K_xk) = exp(-t <psi_xk|T|psi_xk>) Tr exp(-t Wbar_x) and one
-    batch of M small eigenvalue problems replaces the M^2 compressions.
-    """
-    bx, bk = _frame_boltzmann(t_op, t, window)
-    m = window.size
-    if len(blocks) != m:
-        raise ValueError(f"need one block per basis vector: {len(blocks)} != {m}")
-    if len({w.dim for w in blocks}) != 1:
-        raise ValueError("all blocks must share one dimension")
-    wbar = _window_average(window, np.stack([w.mat for w in blocks]))
-    traces = np.exp(-t * eig_hermitian_stack(wbar)[0]).sum(axis=1)
-    return float(bx @ traces * bk.sum()) / m

@@ -6,7 +6,8 @@ Faddeev-LeVerrier recursion and bisected directly, and the double-Jensen
 chain below re-derives the partial-trace inequality one basis vector at a
 time, sharing nothing with the library beyond raw eigendecompositions.
 The 1d count is checked against the scalar Sturm recursion, one shift at a
-time, and the 2d count against a node-by-node scalar LDL^T of the banded
+time (for a mirror-symmetric chain, on each of its two sectors built from
+their definition), and the 2d count against a node-by-node scalar LDL^T of the banded
 matrix, independent of the library's block-row factorization, and the
 Gershgorin interval against a loop over the lower bands; the library's
 pivot-sign read of a Bunch-Kaufman factorization is checked
@@ -179,6 +180,27 @@ def sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
         if q < 0.0:
             count += 1
     return count
+
+
+def mirror_sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
+    """Sturm count of a mirror-symmetric tridiagonal (diagonal and couplings
+    equal to their reversals, n >= 2 nodes) as the sum of its even and odd
+    sectors' one-shift counts.
+
+    n = 2k+1: the even sector is the leading k+1 nodes with the coupling
+    into node k times sqrt(2), the odd sector the leading k nodes.
+    n = 2k: both are the leading k nodes, with e_{k-1} added to and
+    subtracted from the last diagonal entry.
+    """
+    n = diag.size
+    k = n // 2
+    if n % 2:
+        even_off = off[:k].copy()
+        even_off[k - 1] *= math.sqrt(2.0)
+        sectors = [(diag[: k + 1], even_off), (diag[:k], off[: k - 1])]
+    else:
+        sectors = [(np.append(diag[: k - 1], diag[k - 1] + s * off[k - 1]), off[: k - 1]) for s in (1, -1)]
+    return sum(sturm_negcount(d, o, shift) for d, o in sectors)
 
 
 def dirichlet_bands(op: GridOperator) -> np.ndarray:

@@ -128,6 +128,44 @@ def test_2d_stencil_values():
     assert dense[0, 5] == pytest.approx(-1.0 / hx**2)
 
 
+class _AxisRecorder:
+    """A potential that is 0 everywhere and records the node axes it is sampled on."""
+
+    def value(self, *axes):
+        self.axes = [np.asarray(a).ravel() for a in axes]
+        return np.zeros(np.broadcast(*axes).shape)
+
+
+@pytest.mark.parametrize(
+    "box, points",
+    [(40.0, 7999), (40.0, 8000), (2.0, 3), (2.0, 4), ((5.0, 4.0), (23, 17)), ((3.0, 6.0), (10, 31)), ((1.7, 0.3), (8, 12))],
+)
+def test_dirichlet_nodes_mirror_exactly(box, points):
+    rec = _AxisRecorder()
+    op = build_hamiltonian(rec, box, points)
+    assert len(rec.axes) == op.ndim
+    for x, length, h in zip(rec.axes, np.atleast_1d(box), op.spacing):
+        assert np.array_equal(x, -x[::-1])
+        # the same nodes as -L + h (1 + i), up to rounding
+        assert np.max(np.abs(x - (-length + h * (1.0 + np.arange(x.size))))) <= 2.0 * np.spacing(length)
+
+
+@pytest.mark.parametrize(
+    "pot, box, points",
+    [
+        (OSCILLATOR, 40.0, 7999),
+        (Homogeneous(3.0, 1, (2.0, 0.3)), 7.3, 58),
+        (SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 1.0, 1.0, 1.0)), (5.0, 4.0), (23, 18)),
+        (SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 2.0, 3.0, 0.5)), (3.0, 6.0), (10, 31)),
+    ],
+)
+def test_dirichlet_samples_move_by_a_few_ulps(pot, box, points):
+    op = build_hamiltonian(pot, box, points)
+    axes = [-length + h * (1.0 + np.arange(p)) for length, h, p in zip(np.atleast_1d(box), op.spacing, np.atleast_1d(points))]
+    former = np.asarray(pot.value(*np.ix_(*axes))).ravel()
+    assert np.max(np.abs(op.potential - former)) <= 8.0 * np.spacing(former.max())
+
+
 def test_oscillator_low_spectrum():
     # central-difference error is about h^2 E^2 / 32, so the 20th level
     # needs h <= 3e-3 to sit within 1e-3 of 2k+1
@@ -395,6 +433,58 @@ def test_block_count_on_eigenvalue_past_dense_cap_raises(monkeypatch):
     monkeypatch.setattr(schrodinger, "DENSE_EIG_CAP", 0)
     with pytest.raises(RuntimeError, match="both row orders"):
         schrodinger._count_below(op, mu)
+
+
+X_MIRROR = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 2.0, 1.0, 2.0))  # F(-x, y) = F(x, y)
+Y_MIRROR = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 1.0, 2.0, 2.0))  # F(x, -y) = F(x, y)
+
+
+@pytest.mark.parametrize("points", [(15, 9), (14, 8), (15, 8), (14, 9), (9, 14), (8, 15)])
+@pytest.mark.parametrize("pot", [X_MIRROR, Y_MIRROR, SIMON], ids=["x", "y", "xy"])
+def test_folded_block_count_matches_banded_ldl_oracle(pot, points):
+    op = build_hamiltonian(pot, (5.0, 4.0), points)
+    grid = op.potential.reshape(op.points)
+    assert schrodinger._is_mirror(grid) == (pot is not Y_MIRROR)
+    assert schrodinger._is_mirror(grid.T) == (pot is not X_MIRROR)
+    lo, hi = gershgorin_bounds(op)
+    for lam in np.random.default_rng(sum(points)).uniform(lo - 1.0, 0.5 * hi, 12):
+        expected = banded_negcount(dirichlet_bands(op), lam)
+        assert schrodinger._block_negcount(op, lam, fold=True) == expected
+        assert schrodinger._count_below(op, lam) == expected
+
+
+@pytest.mark.parametrize("pot", [SIMON, Y_MIRROR], ids=["mirror-rows", "mirror-blocks"])
+def test_block_count_breakdown_ladder_on_mirror_grids(monkeypatch, pot):
+    op = build_hamiltonian(pot, (5.0, 4.0), (14, 9))
+    vals = np.linalg.eigvalsh(op.dense())
+    shift = float(np.linalg.eigvalsh(_first_row_block(op))[0])
+    assert np.min(np.abs(vals - shift)) > 1e-3  # an eigenvalue of A_11, not of A
+    expected = int(np.count_nonzero(vals < shift))
+    for kwargs in ({"fold": True}, {}):
+        with pytest.raises(schrodinger._PivotBreakdown):
+            schrodinger._block_negcount(op, shift, **kwargs)
+    ladder = [{"fold": True}, {}]
+    if pot is SIMON:
+        # the rows mirror, so the reverse order factors the forward blocks and breaks down alike
+        with pytest.raises(schrodinger._PivotBreakdown):
+            schrodinger._block_negcount(op, shift, reverse=True)
+    else:
+        assert schrodinger._block_negcount(op, shift, reverse=True) == expected
+        ladder.append({"reverse": True})
+    calls = []
+    block_negcount = schrodinger._block_negcount
+
+    def recorded(op, s, **kwargs):
+        calls.append((s, kwargs))
+        return block_negcount(op, s, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "_block_negcount", recorded)
+    assert schrodinger._count_below(op, shift).tolist() == [expected]
+    assert calls == [(shift, kwargs) for kwargs in ladder]  # no other shift is ever counted
+    if pot is SIMON:
+        monkeypatch.setattr(schrodinger, "DENSE_EIG_CAP", 0)
+        with pytest.raises(RuntimeError, match="broke down in its mirror sectors and its one row order"):
+            schrodinger._count_below(op, shift)
 
 
 def test_pivot_sign_read_matches_block_oracle():
