@@ -39,7 +39,7 @@ class CoherentWindow:
         if float(g.min()) < 0.0:
             raise ValueError("window values must be nonnegative")
         norm2 = float(np.sum(g * g))
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"window squares sum to {norm2!r}, not 1 within 1e-12")
         m = g.size
         if not np.allclose(g, g[(-np.arange(m)) % m], rtol=0.0, atol=1e-12):
@@ -70,6 +70,8 @@ def gaussian_window(m: int, sigma: float | None = None) -> CoherentWindow:
     """Periodized Gaussian centered at torus position 0."""
     if sigma is None:
         sigma = m / 8.0
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
     dist = np.minimum(np.arange(m), m - np.arange(m)).astype(float)
     g = np.exp(-(dist**2) / (2.0 * sigma**2))
     return CoherentWindow(g / math.sqrt(np.sum(g * g)))
@@ -95,7 +97,7 @@ def _frame_boltzmann(op, t: float, window: CoherentWindow) -> tuple[np.ndarray, 
 
     if not (isinstance(op, GridOperator) and op.boundary == "periodic" and op.ndim == 1):
         raise ValueError("coherent frame bounds need a 1d periodic grid operator")
-    if not t > 0:
+    if not 0 < t < math.inf:
         raise ValueError(f"t must be positive, got {t}")
     g = window.values
     m = g.size
@@ -131,7 +133,7 @@ def coherent_lower_bound(op: GridOperator, t: float, window: CoherentWindow) -> 
     sum_j g(j - x)^2 V(j); the sum costs O(M log M).
     """
     bx, bk = _frame_boltzmann(op, t, window)
-    return float(bx.sum() * bk.sum()) / window.size
+    return _bound(float(bx.sum() * bk.sum()) / window.size, t)
 
 
 def coherent_partial_lower_bound(
@@ -158,4 +160,12 @@ def coherent_partial_lower_bound(
         raise ValueError("all blocks must share one dimension")
     wbar = _window_average(window, np.stack([w.mat for w in blocks]))
     traces = np.exp(-t * eig_hermitian_stack(wbar)[0]).sum(axis=1)
-    return float(bx @ traces * bk.sum()) / m
+    return _bound(float(bx @ traces * bk.sum()) / m, t)
+
+
+def _bound(value: float, t: float) -> float:
+    """A frame bound, refused when NaN: at this t one exponential factor
+    underflowed to 0 and another overflowed to inf."""
+    if math.isnan(value):
+        raise ValueError(f"t={t!r} puts the frame bound out of float range (0 * inf)")
+    return value

@@ -15,7 +15,8 @@ input error (bad flag, invalid parameter, a parameter whose result
 overflows, a 2d potential that overflows to +inf on the grid, exponents
 outside the partial law's regime m/alpha > n/beta, a lambda whose count
 or a t whose heat trace is every finite-sample node of the grid, a profile
-whose boundary rule leaves no box, unreadable or malformed --load file),
+whose boundary rule leaves no box, unreadable or malformed --load file,
+an ineq trial whose gap is not finite),
 3 a numerical contract not met
 (eigendecomposition residual, LAPACK non-convergence, refused count, size
 cap).
@@ -339,27 +340,34 @@ def cmd_ineq(args) -> int:
     summaries = []
     worst = (math.inf, None)  # smallest normalized gap, (operator matrix, dims)
     for suite_idx, (suite, block) in enumerate(SUITES):
-        gaps, rhss = [], []
+        evaluations, min_gap, violations = 0, math.inf, 0
         for first in range(0, args.trials, size):
             trials = range(first, min(first + size, args.trials))
             lhs, rhs, cases = block([_trial_rng(args.seed, suite_idx, trial) for trial in trials], args, loaded)
-            gap = rhs - lhs
-            gaps += gap.ravel().tolist()
-            rhss += rhs.ravel().tolist()
+            gap = rhs - lhs  # (trials, evaluations per trial)
+            finite = np.isfinite(gap).ravel()
+            if not finite.all():
+                i = int(np.argmin(finite))  # the first non-finite gap
+                trial, value = first + i // gap.shape[1], float(gap.flat[i])
+                raise ValueError(f"{suite} trial {trial} has gap {value!r}, not a finite number")
+            evaluations += gap.size
+            # the first smallest gap, as min() over the evaluations in order takes it (0.0 before -0.0)
+            min_gap = min(min_gap, float(gap.flat[int(np.argmin(gap))]))
+            violations += int(np.count_nonzero(inequalities.violates(gap, rhs)))
             if cases is not None:
                 # the first evaluation, in trial and function order, of the smallest normalized gap
-                for i, norm in enumerate((gap / (1.0 + np.abs(rhs))).ravel().tolist()):
-                    if norm < worst[0]:
-                        mat, dims = cases[i // gap.shape[1]]
-                        worst = (norm, (mat.copy(), dims))  # a copy: the block's stacks are not kept
+                norm = (gap / (1.0 + np.abs(rhs))).ravel()
+                i = int(np.argmin(norm))
+                if norm[i] < worst[0]:
+                    mat, dims = cases[i // gap.shape[1]]
+                    worst = (float(norm[i]), (mat.copy(), dims))  # a copy: the block's stacks are not kept
             del lhs, rhs, cases  # not held through the next block
-        violations = sum(1 for g, r in zip(gaps, rhss) if inequalities.violates(g, r))
         summaries.append(
             {
                 "suite": suite,
                 "trials": args.trials,
-                "evaluations": len(gaps),
-                "min_gap": min(gaps),
+                "evaluations": evaluations,
+                "min_gap": min_gap,
                 "violations": violations,
             }
         )

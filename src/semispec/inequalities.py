@@ -66,7 +66,7 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def violates(gap: float, rhs: float) -> bool:
-    """True when a gap is negative beyond the scaled tolerance."""
+    """True when a gap is negative beyond the scaled tolerance (elementwise on arrays)."""
     return gap < -1e-10 * (1.0 + abs(rhs))
 
 
@@ -213,9 +213,11 @@ def sliced_stack(t_mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 def sliced_gt_sides(
     t_op: HermitianOperator, blocks: Sequence[HermitianOperator], t: float
 ) -> tuple[float, float]:
-    if not t > 0:
+    if not 0 < t < np.inf:
         raise ValueError(f"t must be positive, got {t}")
     lhs, rhs = _sliced_gt_sides(t_op.mat[None], _block_stack(t_op, blocks)[None], t)
+    if np.isnan(rhs[0]):  # a damping factor underflowed to 0 and a block trace overflowed to inf
+        raise ValueError(f"t={t!r} puts the sliced Golden-Thompson sides out of float range (0 * inf)")
     return float(lhs[0]), float(rhs[0])
 
 

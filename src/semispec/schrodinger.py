@@ -7,8 +7,12 @@ Grids are second-order central-difference discretizations on a box with
 Dirichlet walls (tridiagonal in 1d, 5-point in 2d) or on a 1d torus.  A grid
 operator holds only its potential samples and spacings; every matrix is
 built from them on demand, and any dense or banded one only up to
-``DENSE_EIG_CAP`` nodes.  Counting is exact for the discrete
-matrix: Sturm sign changes for tridiagonal operators (one pass over the
+``DENSE_EIG_CAP`` nodes.  Each shape has one array form: a 1d Dirichlet
+operator is the chain of its finite-sample nodes (:func:`_chain`), which
+every count, spectrum and ground energy reads; a +inf sample is a hard wall
+that the chain drops, and no other grid takes one.  A 2d operator is counted
+from its samples as block rows (:func:`_block_rows`).  Counting is exact for
+the discrete matrix: Sturm sign changes along the chain (one pass over the
 nodes for every shift of a sweep) and, in 2d, block-row inertia (one
 Bunch-Kaufman factorization per grid row and shift).  Counts and heat
 traces take arrays of energies or times and share one Sturm pass or one
@@ -22,10 +26,10 @@ sector, 1d counts run the half of the Sturm pass that both sectors share
 once, and 2d counts fold mirror rows (the first half of the Schur
 complements factored once) and split mirror blocks into halves.  Any
 other input takes the unsplit path.  On a 2d pivot breakdown the count
-goes down a ladder: the sectors, all rows forward, all rows in reverse
-(unless the rows mirror, when that order factors the same blocks), the
-dense spectrum up to ``DENSE_EIG_CAP`` nodes, refusal beyond it; no other
-shift is ever counted.
+goes down a ladder (:func:`_block_count`): the sectors, all rows forward,
+all rows in reverse (unless the rows mirror, when that order factors the
+same blocks), the dense spectrum up to ``DENSE_EIG_CAP`` nodes, refusal
+beyond it; no other shift is ever counted.
 """
 
 from __future__ import annotations
@@ -105,8 +109,8 @@ class Homogeneous:
     def value(self, x, y=None):
         x = np.asarray(x, dtype=float)
         # |x|^gamma may overflow to +inf (a hard wall in 1d) or underflow to 0;
-        # V is 0 where F = 0, and in 1d +inf where F = inf and x != 0, however
-        # the power rounds.  build_hamiltonian refuses the NaN and the 2d +inf left
+        # V is 0 where F = 0, and in 1d +inf where F = inf and x != 0, however the
+        # power rounds.  build_hamiltonian refuses the NaN, and +inf off 1d Dirichlet grids
         with np.errstate(over="ignore", invalid="ignore"):
             if self.d == 1:
                 fp, fm = self.profile
@@ -226,23 +230,15 @@ def _diagonal(op: GridOperator) -> np.ndarray:
     return sum(2.0 / h**2 for h in op.spacing) + op.potential
 
 
-def _tridiagonal(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of a 1d operator (on the torus, without its corners)."""
-    return _diagonal(op), np.full(op.n - 1, -1.0 / op.spacing[0] ** 2)
-
-
 def _banded(op: GridOperator) -> np.ndarray:
     """Symmetric lower-banded storage ``ab[r, j] = A[j + r, j]`` (on the torus, without its corners)."""
-    if op.ndim == 1:
-        diag, off = _tridiagonal(op)
-        return np.stack([diag, np.append(off, 0.0)])
-    hx, hy = op.spacing
-    py = op.points[1]
-    ab = np.zeros((py + 1, op.n))
+    py = op.points[-1]
+    ab = np.zeros((2 if op.ndim == 1 else py + 1, op.n))
     ab[0] = _diagonal(op)
-    ab[1] = -1.0 / hy**2
-    ab[1, py - 1 :: py] = 0.0  # no y-coupling across x-rows
-    ab[py, : op.n - py] = -1.0 / hx**2
+    ab[1] = -1.0 / op.spacing[-1] ** 2
+    ab[1, py - 1 :: py] = 0.0  # no coupling past the last node, in 2d across x-rows
+    if op.ndim == 2:
+        ab[py, : op.n - py] = -1.0 / op.spacing[0] ** 2
     return ab
 
 
@@ -313,11 +309,12 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
         )
     if not lo >= 0.0:
         raise ValueError(f"potential samples must be nonnegative, min is {lo!r}")
-    # +inf decouples a node of a tridiagonal operator (a hard wall); the 2d count has no such path
-    if ndim == 2 and math.isinf(v.max()):
+    # +inf is a hard wall that the 1d Dirichlet chain drops (_chain); no other grid has such a path
+    if (ndim == 2 or boundary == "periodic") and math.isinf(v.max()):
+        what, grids = ("overflows to", "2d grids") if ndim == 2 else ("is", "torus grids")
         raise ValueError(
-            f"{potential!r} overflows to +inf at {np.count_nonzero(np.isinf(v))} of {v.size} "
-            "nodes; 2d grids need finite samples"
+            f"{potential!r} {what} +inf at {np.count_nonzero(np.isinf(v))} of {v.size} "
+            f"nodes; {grids} need finite samples"
         )
     return GridOperator(ndim, boundary, points, spacing, v)
 
@@ -366,24 +363,25 @@ def _sector_chains(diag: np.ndarray, off: np.ndarray) -> list[tuple[np.ndarray, 
     return [(np.concatenate([diag[: k - 1], [diag[k - 1] + sign * off[k - 1]]]), off[: k - 1]) for sign in (1, -1)]
 
 
-def _fold(sweep: Callable, diag: np.ndarray, off: np.ndarray) -> int | np.ndarray:
+def _fold(sweep: Callable, diag: np.ndarray, off: np.ndarray, *args) -> int | np.ndarray:
     """Total count of ``sweep`` over the sectors of a chain (:func:`_sector_chains`).
 
-    ``sweep(diag, off, start, stop, state)`` counts nodes start..stop-1 of a
-    chain, continuing from the state its recursion left at node start-1
+    ``sweep(diag, off, start, stop, state, *args)`` counts nodes start..stop-1
+    of a chain, continuing from the state its recursion left at node start-1
     (None before node 0), and returns the count and the state at its last
     node.  The (n-1)//2 nodes that both sectors of a mirror chain share run
     once and count twice; each sector then finishes from their state.
     """
     chains = _sector_chains(diag, off)
     p = (len(diag) - 1) // 2 if len(chains) > 1 else 0
-    shared, state = sweep(diag, off, 0, p, None)
-    return 2 * shared + sum(sweep(d, o, p, len(d), state)[0] for d, o in chains)
+    shared, state = sweep(diag, off, 0, p, None, *args)
+    return 2 * shared + sum(sweep(d, o, p, len(d), state, *args)[0] for d, o in chains)
 
 
-def _sturm_negcounts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the tridiagonal T below each shift: sign changes of the
-    Sturm sequences of (T - s I) for all shifts s in one pass over the nodes.
+def _sturm_pass(diag: np.ndarray, off: np.ndarray, start: int, stop: int, q, shifts: np.ndarray) -> tuple:
+    """Negative Sturm terms of (T - s I) at nodes start..stop-1 of the
+    tridiagonal T for every shift s at once, from the terms q at node start-1
+    (None before node 0), and the terms at the last node.
 
     Per shift this is the scalar recursion q_i = (d_i - s) - e_{i-1}^2 / q_{i-1}
     with a zero q replaced by -1e-300, operation for operation, so every count
@@ -392,18 +390,6 @@ def _sturm_negcounts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> n
     exactly zero.  A ratio that overflows is -+inf: that q counts by its sign
     and the next ratio is 0.
     """
-    return _sturm_pass(diag, off, 0, diag.size, None, shifts)[0]
-
-
-def _chain_negcounts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """:func:`_sturm_negcounts` sector by sector (:func:`_fold`): exactly the
-    Sturm counts of the sector chains, a mirror chain's in half a pass."""
-    return _fold(lambda d, o, *state: _sturm_pass(d, o, *state, shifts), diag, off)
-
-
-def _sturm_pass(diag: np.ndarray, off: np.ndarray, start: int, stop: int, q, shifts: np.ndarray) -> tuple:
-    """The Sturm terms of :func:`_sturm_negcounts` at nodes start..stop-1,
-    from the term q at node start-1: negatives counted, and the last term."""
     tiny = 1e-300
     e2 = off * off
     count = np.zeros(shifts.size, dtype=np.intp)
@@ -462,37 +448,37 @@ def _block_rows(op: GridOperator) -> tuple[np.ndarray, float, float]:
     return v, hx, hy
 
 
-def _block_negcount(op: GridOperator, shift: float, reverse: bool = False, fold: bool = False) -> int:
-    """Eigenvalues of a 2d Dirichlet operator below ``shift``, by block-row inertia.
+def _block_negcount(rows: np.ndarray, hx: float, hy: float, shift: float, fold: bool = False) -> int:
+    """Eigenvalues below ``shift`` of the 2d Dirichlet operator with samples in block
+    ``rows`` (spacing ``hx`` across them, ``hy`` within one), by block-row inertia.
 
     The 5-point operator is block tridiagonal with coupling blocks
     -(1/hx^2) I, so Haynsworth's inertia additivity gives
     nu_-(A - s) = sum_i nu_-(D_i), D_i = A_ii - s - hx^-4 D_{i-1}^-1
-    (:func:`_schur_rows`).  Blocks run along the shorter axis; ``reverse``
-    takes the rows in opposite order, changing the leading blocks but not
-    the inertia.  ``fold`` counts the mirror sectors (:func:`_sector_chains`)
-    that the samples allow: blocks whose samples mirror split, with every
-    D_i, into two recursions on blocks of ceil(m/2) and floor(m/2) nodes,
-    and rows that mirror one another fold (:func:`_fold`), so the first
-    (P-1)//2 Schur complements are factored once and counted twice.
+    (:func:`_schur_rows`), in whatever order the rows come.  ``fold``
+    counts the mirror sectors (:func:`_sector_chains`) that the samples
+    allow: blocks whose samples mirror split, with every D_i, into two
+    recursions on blocks of ceil(m/2) and floor(m/2) nodes, and rows that
+    mirror one another fold (:func:`_fold`), so the first (P-1)//2 Schur
+    complements are factored once and counted twice.
     """
-    v, hx, hy = _block_rows(op)
-    v = v[::-1] if reverse else v
     centre = 2.0 / hx**2 + 2.0 / hy**2
-    ptol = 1e-12 * (centre + float(v.max()) + abs(shift) + 1.0)
-    m = v.shape[1]
+    ptol = 1e-12 * (centre + float(rows.max()) + abs(shift) + 1.0)
+    m = rows.shape[1]
     diag, off = np.full(m, centre - shift), np.full(m - 1, -1.0 / hy**2)
-    rows_off = np.full(len(v) - 1, -1.0 / hx**2)
+    rows_off = np.full(len(rows) - 1, -1.0 / hx**2)
     neg = 0
-    for d, o in _sector_chains(diag, off) if fold and _is_mirror(v.T) else [(diag, off)]:
+    for d, o in _sector_chains(diag, off) if fold and _is_mirror(rows.T) else [(diag, off)]:
         # lower triangle of A_ii - s - V_i in one sector; LAPACK reads no other
         fixed = np.zeros((d.size, d.size), order="F")
         idx = np.arange(d.size)
         fixed[idx[1:], idx[:-1]] = o
         np.fill_diagonal(fixed, d)
-        sweep = lambda rows, c, *state: _schur_rows(rows, c, *state, fixed, ptol)  # noqa: E731
-        vals = v[:, : d.size]
-        neg += _fold(sweep, vals, rows_off) if fold else sweep(vals, rows_off, 0, len(v), None)[0]
+        vals = rows[:, : d.size]
+        if fold:
+            neg += _fold(_schur_rows, vals, rows_off, fixed, ptol)
+        else:
+            neg += _schur_rows(vals, rows_off, 0, len(rows), None, fixed, ptol)[0]
     return neg
 
 
@@ -533,12 +519,12 @@ def _block_count(op: GridOperator, shift: float) -> int:
     either axis; all rows forward; all rows in reverse, unless the rows
     mirror one another (then the reverse order factors the same blocks);
     the dense spectrum up to ``DENSE_EIG_CAP`` nodes; otherwise refused."""
-    v = _block_rows(op)[0]
-    mirror_rows = _is_mirror(v)
-    folded = mirror_rows or _is_mirror(v.T)
-    for kwargs in [{"fold": True}] * folded + [{}] + [{"reverse": True}] * (not mirror_rows):
+    rows, hx, hy = _block_rows(op)
+    mirror_rows = _is_mirror(rows)
+    folded = mirror_rows or _is_mirror(rows.T)
+    for order, fold in [(rows, True)] * folded + [(rows, False)] + [(rows[::-1], False)] * (not mirror_rows):
         try:
-            return _block_negcount(op, shift, **kwargs)
+            return _block_negcount(order, hx, hy, shift, fold)
         except _PivotBreakdown as exc:
             breakdown = exc
     if op.n > DENSE_EIG_CAP:
@@ -553,14 +539,14 @@ def _block_count(op: GridOperator, shift: float) -> int:
 def _count_below(op: GridOperator, shifts: np.ndarray) -> np.ndarray:
     """Exact counts of eigenvalues strictly below each of ``shifts`` (1d array).
 
-    Tridiagonal operators take one Sturm pass for all shifts, the torus one
-    spectrum; 2d operators are counted shift by shift.
+    1d Dirichlet operators take one Sturm pass over their chain for all
+    shifts, the torus one spectrum; 2d operators are counted shift by shift.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     if op.boundary == "periodic":
         return np.searchsorted(spectrum(op), shifts, side="left")
     if op.ndim == 1:
-        return _chain_negcounts(*_tridiagonal(op), shifts)
+        return _fold(_sturm_pass, *_chain(op), shifts)
     return np.array([_block_count(op, float(s)) for s in shifts], dtype=np.intp)
 
 
@@ -614,42 +600,34 @@ def gershgorin_bounds(op: GridOperator) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _finite_nodes(op: GridOperator) -> np.ndarray:
-    """Nodes with a finite sample; the others are hard walls, decoupled with eigenvalue +inf."""
-    return np.flatnonzero(np.isfinite(op.potential))
-
-
-def _finite_tridiagonal(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal of a 1d Dirichlet operator less its hard-wall nodes, which add exactly 0 to heat and zeta sums."""
-    diag, off = _tridiagonal(op)
-    idx = _finite_nodes(op)
-    # kept neighbours stay coupled only where no deleted node lies between them
-    return diag[idx], np.where(np.diff(idx) == 1, off[idx[:-1]], 0.0)
+def _chain(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and couplings of a 1d Dirichlet operator over its finite-sample nodes.
+    A +inf sample is a hard wall, decoupled with eigenvalue +inf, which adds
+    nothing to a count, heat or zeta sum; kept neighbours stay coupled only
+    where no dropped node lay between them."""
+    idx = np.flatnonzero(np.isfinite(op.potential))
+    return _diagonal(op)[idx], np.where(np.diff(idx) == 1, -1.0 / op.spacing[0] ** 2, 0.0)
 
 
 def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
     """Eigenvalues of the discrete operator, ascending; optionally only those <= upto.
 
-    Tridiagonal operators use LAPACK bisection for the windowed form, one
-    call per mirror sector when the chain is mirror-symmetric
-    (:func:`_sector_chains`); other shapes go through a dense or banded
-    solver, guarded by ``DENSE_EIG_CAP``.  The infinite eigenvalues of
-    hard-wall nodes are left out.
+    1d Dirichlet operators solve their chain (:func:`_chain`), by LAPACK
+    bisection for the windowed form, one call per mirror sector when the
+    chain is mirror-symmetric (:func:`_sector_chains`), so the infinite
+    eigenvalues of hard-wall nodes are left out; other shapes go through a
+    dense or banded solver, guarded by ``DENSE_EIG_CAP``.
     """
     from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
     if op.ndim == 1 and op.boundary == "dirichlet":
-        diag, off = _finite_tridiagonal(op)
+        diag, off = _chain(op)
         if not diag.size:
             return diag
         chains = _sector_chains(diag, off)
         if upto is not None:
-            lo = gershgorin_bounds(op)[0] - 1.0
-            vals = [
-                eigvalsh_tridiagonal(d, o, select="v", select_range=(lo, upto), lapack_driver="stebz")
-                for d, o in chains
-            ]
-            return np.sort(np.concatenate(vals))
+            window = dict(select="v", select_range=(gershgorin_bounds(op)[0] - 1.0, upto), lapack_driver="stebz")
+            return np.sort(np.concatenate([eigvalsh_tridiagonal(d, o, **window) for d, o in chains]))
         vals = np.concatenate([eigvalsh_tridiagonal(d, o) for d, o in chains])
     else:
         _check_dense_cap(op, "spectrum")
@@ -667,7 +645,7 @@ def ground_energy(op: GridOperator) -> float:
     if op.ndim == 1 and op.boundary == "dirichlet":
         from scipy.linalg import eigvalsh_tridiagonal
 
-        chains = _sector_chains(*_finite_tridiagonal(op))
+        chains = _sector_chains(*_chain(op))
         return min(float(eigvalsh_tridiagonal(d, o, select="i", select_range=(0, 0))[0]) for d, o in chains)
     return float(spectrum(op)[0])
 
@@ -683,7 +661,7 @@ def heat_trace(op: GridOperator, t: float | np.ndarray, method: str = "dense") -
     """
     ts = np.asarray(t, dtype=float)
     flat = ts.ravel()
-    bad = flat[~(flat > 0)]
+    bad = flat[~((flat > 0) & (flat < math.inf))]
     if bad.size or not flat.size:
         raise ValueError(f"t must be positive, got {float(bad[0]) if bad.size else t}")
     if method == "dense":
@@ -744,7 +722,7 @@ def zeta_trace(
         partial = float(np.sum(used ** (-p)))
     if math.isinf(partial):
         raise ValueError(f"zeta trace at p={p!r} overflows a float")
-    if k == _finite_nodes(op).size:
+    if k == np.count_nonzero(np.isfinite(op.potential)):
         # nothing was cut: the finite matrix is summed completely
         return ZetaTrace(partial, partial, 0.0, True, k)
     if growth_exponent is None:

@@ -156,6 +156,45 @@ def test_ineq_load_non_finite_entry_is_input_error(tmp_path, capsys):
     assert captured.err == "error: matrix entry (1, 1) is not finite: (nan+0j)\n"
 
 
+def test_ineq_non_finite_gap_is_input_error_naming_suite_and_trial(tmp_path, capsys):
+    # eigenvalues +-1e300: exp(-t x) and x^2 overflow, so a gap is inf or NaN
+    dump = tmp_path / "huge.op"
+    dump.write_text("dims 1 2\ndim 2\n1e300 0.0\n0.0 0.0\n0.0 0.0\n-1e300 0.0\n")
+    with pytest.raises(SystemExit) as err, np.errstate(over="ignore", invalid="ignore"):
+        cli.main(["ineq", "--trials", "2", "--load", str(dump)])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err == "error: jensen_scalar trial 0 has gap inf, not a finite number\n"
+
+
+def test_ineq_names_the_first_non_finite_gap_across_blocks(monkeypatch, capsys):
+    def block(rngs, args, loaded):
+        first = int(rngs[0].bit_generator.seed_seq.spawn_key[1])
+        lhs, rhs = np.zeros((2, len(rngs), 3))
+        for trial in (130, 131):
+            if first <= trial < first + len(rngs):
+                rhs[trial - first, 1] = math.nan
+        return lhs, rhs, None
+
+    monkeypatch.setattr(cli, "SUITES", (("fake", block),))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["ineq", "--trials", "200"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: fake trial 130 has gap nan, not a finite number\n"
+
+
+def test_ineq_min_gap_is_the_first_of_tied_zeros(monkeypatch, capsys):
+    # gaps 0.0 then -0.0 in every trial: the summary keeps the first, as min() over them does
+    def block(rngs, args, loaded):
+        rhs = np.zeros((len(rngs), 2))
+        rhs[:, 1] = -0.0
+        return np.zeros_like(rhs), rhs, None
+
+    monkeypatch.setattr(cli, "SUITES", (("fake", block),))
+    code, out = run_cli(capsys, "ineq", "--trials", "200")
+    assert code == 0 and json.loads(out)["min_gap"] == 0.0 and '"min_gap": 0.0,' in out
+
+
 def test_ineq_dump_keeps_the_first_of_tied_gaps(tmp_path, capsys):
     # at 3x1 every 1x1 partial-trace case has gap exactly 0, and none is negative
     dump = tmp_path / "worst.op"

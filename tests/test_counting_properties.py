@@ -67,6 +67,11 @@ def test_counts_monotone_and_match_dense(grid, fractions, data):
 
 # 1d ----------------------------------------------------------------------------
 
+def _unsplit(diag, off, shifts):
+    """Sturm counts of the whole chain in one pass, with no sector split."""
+    return schrodinger._sturm_pass(diag, off, 0, diag.size, None, shifts)[0]
+
+
 # small integers and halves make exact zeros in the Sturm recursion likely
 entries = st.one_of(st.integers(-4, 4).map(lambda k: k / 2.0), st.floats(-8.0, 8.0))
 
@@ -90,9 +95,9 @@ def test_sturm_counts_match_oracle_monotone_and_in_dense_bracket(tri, free, bloc
     on_eig = data.draw(st.lists(st.sampled_from(vals.tolist()), max_size=4))
     shifts = np.array(sorted(free + on_diag + on_eig), dtype=float)
 
-    counts = schrodinger._sturm_negcounts(diag, off, shifts)
+    counts = _unsplit(diag, off, shifts)
     with mock.patch.object(schrodinger, "_STURM_BLOCK", block):  # many blocks, each maybe rerun
-        assert np.array_equal(schrodinger._sturm_negcounts(diag, off, shifts), counts)
+        assert np.array_equal(_unsplit(diag, off, shifts), counts)
     with np.errstate(over="ignore"):  # a q near underflow makes the next ratio inf
         assert counts.tolist() == [sturm_negcount(diag, off, s) for s in shifts]
     assert np.all(np.diff(counts) >= 0)
@@ -149,9 +154,9 @@ def test_mirror_sweep_matches_sector_oracle_and_dense_bracket(tri, free, block, 
     on_eig = data.draw(st.lists(st.sampled_from(vals.tolist()), max_size=4))
     shifts = np.array(sorted(free + on_diag + on_eig), dtype=float)
 
-    counts = schrodinger._chain_negcounts(diag, off, shifts)
+    counts = schrodinger._fold(schrodinger._sturm_pass, diag, off, shifts)
     with mock.patch.object(schrodinger, "_STURM_BLOCK", block):
-        assert np.array_equal(schrodinger._chain_negcounts(diag, off, shifts), counts)
+        assert np.array_equal(schrodinger._fold(schrodinger._sturm_pass, diag, off, shifts), counts)
     with np.errstate(over="ignore"):
         assert counts.tolist() == [mirror_sturm_negcount(diag, off, s) for s in shifts]
     assert np.all(np.diff(counts) >= 0)
@@ -161,9 +166,7 @@ def test_mirror_sweep_matches_sector_oracle_and_dense_bracket(tri, free, block, 
     # away from every eigenvalue the sectors count what the unsplit sweep counts
     clear = np.array([s for s in shifts if np.min(np.abs(vals - s)) > slack])
     if clear.size:
-        assert np.array_equal(
-            schrodinger._chain_negcounts(diag, off, clear), schrodinger._sturm_negcounts(diag, off, clear)
-        )
+        assert np.array_equal(schrodinger._fold(schrodinger._sturm_pass, diag, off, clear), _unsplit(diag, off, clear))
 
 
 @st.composite
@@ -180,7 +183,7 @@ def mirror_grids(draw):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(mirror_grids(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
 def test_mirror_sectors_count_and_solve_like_the_unsplit_chain(op, fractions):
-    diag, off = schrodinger._finite_tridiagonal(op)
+    diag, off = schrodinger._chain(op)
     full = np.sort(eigvalsh_tridiagonal(diag, off))  # the unsplit chain, hard walls removed
     norm = float(np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
     tol = 8.0 * np.finfo(float).eps * norm  # a few times stebz's default eps * ||T||_1
@@ -194,10 +197,12 @@ def test_mirror_sectors_count_and_solve_like_the_unsplit_chain(op, fractions):
         window = spectrum(op, upto=upto)
         assert window.size == k + 1 and np.max(np.abs(window - full[: k + 1])) <= tol
 
-    # counts of the chain with its hard walls, at shifts clear of every eigenvalue
+    # counts of the raw chain, hard walls kept as +inf entries, at shifts clear of every eigenvalue
     lo, hi = float(full[0]) - 1.0, float(full[-1]) + 1.0
     shifts = np.array([lo + f * (hi - lo) for f in fractions])
     shifts = shifts[[np.min(np.abs(full - s)) > 1e-9 * (1.0 + norm) for s in shifts]]
-    tri = schrodinger._tridiagonal(op)
-    assert len(schrodinger._sector_chains(*tri)) == 2
-    assert np.array_equal(schrodinger._count_below(op, shifts), schrodinger._sturm_negcounts(*tri, shifts))
+    assert len(schrodinger._sector_chains(diag, off)) == min(diag.size, 2)  # the finite chain mirrors too
+    raw = 2.0 / op.spacing[0] ** 2 + op.potential, np.full(op.n - 1, -1.0 / op.spacing[0] ** 2)
+    with np.errstate(over="ignore"):
+        expected = [sturm_negcount(*raw, s) for s in shifts]
+    assert schrodinger._count_below(op, shifts).tolist() == expected

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import lapack
 
 from semispec import schrodinger
+from semispec.inequalities import sliced_gt_gap
 from semispec.linalg import HermitianOperator
 from semispec.bipartite import random_hermitian
 from semispec.schrodinger import (
@@ -207,7 +208,7 @@ def test_build_validation():
         build_hamiltonian(None, (2.5e-154, 2.5e-154), (3, 3))
 
 
-def test_infinite_samples_are_refused_on_2d_grids_only():
+def test_infinite_samples_are_refused_off_1d_dirichlet_grids():
     # |y|^1e300 overflows to +inf for |y| > 1: a hard wall in 1d, refused in 2d
     steep = SeparatelyHomogeneous(1.0, 1e300, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match=r"beta=1e\+300.*\+inf at 400 of 800 nodes; 2d grids need finite"):
@@ -215,6 +216,9 @@ def test_infinite_samples_are_refused_on_2d_grids_only():
     wall = Homogeneous(2.0, 1, (1.0, math.inf))
     op = build_hamiltonian(wall, 2.0, 9)
     assert np.count_nonzero(np.isinf(op.potential)) == 4
+    # the torus has no chain to drop the wall from
+    with pytest.raises(ValueError, match=r"inf\)\) is \+inf at 32 of 64 nodes; torus grids need finite samples"):
+        build_hamiltonian(wall, 8.0, 64, boundary="periodic")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -380,6 +384,12 @@ def test_counting_2d_on_eigenvalue_within_bracket():
 ASYMMETRIC = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 2.0, 3.0, 0.5))
 
 
+def _rows(op, reverse=False):
+    """The block rows of a 2d operator, forward or reversed, with the spacing across and within them."""
+    rows, hx, hy = schrodinger._block_rows(op)
+    return rows[::-1] if reverse else rows, hx, hy
+
+
 @pytest.mark.parametrize("points", [(40, 30), (30, 40), (23, 7), (7, 23), (9, 9)])
 def test_block_count_matches_banded_ldl_oracle(points):
     op = build_hamiltonian(ASYMMETRIC, (5.0, 4.0), points)
@@ -387,7 +397,7 @@ def test_block_count_matches_banded_ldl_oracle(points):
     for lam in np.random.default_rng(sum(points)).uniform(lo - 1.0, 0.5 * hi, 12):
         expected = banded_negcount(dirichlet_bands(op), lam)
         for reverse in (False, True):
-            assert schrodinger._block_negcount(op, lam, reverse) == expected
+            assert schrodinger._block_negcount(*_rows(op, reverse), lam) == expected
         assert schrodinger._count_below(op, lam) == expected
 
 
@@ -408,9 +418,9 @@ def test_block_count_forward_breakdown_resolved_in_reverse_order():
     shift = float(np.linalg.eigvalsh(_first_row_block(op))[0])
     assert np.min(np.abs(vals - shift)) > 1e-3  # an eigenvalue of A_11, not of A
     with pytest.raises(schrodinger._PivotBreakdown):
-        schrodinger._block_negcount(op, shift)
+        schrodinger._block_negcount(*_rows(op), shift)
     expected = int(np.count_nonzero(vals < shift))
-    assert schrodinger._block_negcount(op, shift, reverse=True) == expected
+    assert schrodinger._block_negcount(*_rows(op, reverse=True), shift) == expected
     assert schrodinger._count_below(op, shift) == expected
     assert counting_function(op, shift) == expected
 
@@ -419,7 +429,7 @@ def test_block_count_breakdown_in_both_orders_counts_by_spectrum(monkeypatch):
     op = build_hamiltonian(ASYMMETRIC, (5.0, 4.0), (14, 9))
     vals = np.linalg.eigvalsh(op.dense())
 
-    def breakdown(op, shift, reverse=False):
+    def breakdown(rows, hx, hy, shift, fold=False):
         raise schrodinger._PivotBreakdown("forced")
 
     monkeypatch.setattr(schrodinger, "_block_negcount", breakdown)
@@ -449,7 +459,7 @@ def test_folded_block_count_matches_banded_ldl_oracle(pot, points):
     lo, hi = gershgorin_bounds(op)
     for lam in np.random.default_rng(sum(points)).uniform(lo - 1.0, 0.5 * hi, 12):
         expected = banded_negcount(dirichlet_bands(op), lam)
-        assert schrodinger._block_negcount(op, lam, fold=True) == expected
+        assert schrodinger._block_negcount(*_rows(op), lam, fold=True) == expected
         assert schrodinger._count_below(op, lam) == expected
 
 
@@ -460,27 +470,28 @@ def test_block_count_breakdown_ladder_on_mirror_grids(monkeypatch, pot):
     shift = float(np.linalg.eigvalsh(_first_row_block(op))[0])
     assert np.min(np.abs(vals - shift)) > 1e-3  # an eigenvalue of A_11, not of A
     expected = int(np.count_nonzero(vals < shift))
-    for kwargs in ({"fold": True}, {}):
+    ladder = [(True, False), (False, False)]  # (fold, reverse)
+    for fold, reverse in ladder:
         with pytest.raises(schrodinger._PivotBreakdown):
-            schrodinger._block_negcount(op, shift, **kwargs)
-    ladder = [{"fold": True}, {}]
+            schrodinger._block_negcount(*_rows(op, reverse), shift, fold)
     if pot is SIMON:
         # the rows mirror, so the reverse order factors the forward blocks and breaks down alike
         with pytest.raises(schrodinger._PivotBreakdown):
-            schrodinger._block_negcount(op, shift, reverse=True)
+            schrodinger._block_negcount(*_rows(op, reverse=True), shift)
     else:
-        assert schrodinger._block_negcount(op, shift, reverse=True) == expected
-        ladder.append({"reverse": True})
+        assert schrodinger._block_negcount(*_rows(op, reverse=True), shift) == expected
+        ladder.append((False, True))
     calls = []
     block_negcount = schrodinger._block_negcount
+    forward = _rows(op)[0]
 
-    def recorded(op, s, **kwargs):
-        calls.append((s, kwargs))
-        return block_negcount(op, s, **kwargs)
+    def recorded(rows, hx, hy, s, fold=False):
+        calls.append((s, fold, not np.array_equal(rows, forward)))
+        return block_negcount(rows, hx, hy, s, fold)
 
     monkeypatch.setattr(schrodinger, "_block_negcount", recorded)
     assert schrodinger._count_below(op, shift).tolist() == [expected]
-    assert calls == [(shift, kwargs) for kwargs in ladder]  # no other shift is ever counted
+    assert calls == [(shift, fold, reverse) for fold, reverse in ladder]  # no other shift is ever counted
     if pot is SIMON:
         monkeypatch.setattr(schrodinger, "DENSE_EIG_CAP", 0)
         with pytest.raises(RuntimeError, match="broke down in its mirror sectors and its one row order"):
@@ -516,7 +527,7 @@ def _block_outcomes(op, shifts):
     for shift in shifts:
         for reverse in (False, True):
             try:
-                out.append(schrodinger._block_negcount(op, shift, reverse))
+                out.append(schrodinger._block_negcount(*_rows(op, reverse), shift))
             except schrodinger._PivotBreakdown as exc:
                 out.append(str(exc))
     return out
@@ -877,6 +888,50 @@ def test_window_validation():
     bad[3] = 1.0  # not symmetric about 0
     with pytest.raises(ValueError):
         CoherentWindow(bad)
+
+
+def test_window_norm_and_sigma_refuse_nan_and_nonpositive_values():
+    with pytest.raises(ValueError, match="squares sum to nan"):
+        CoherentWindow(np.array([math.nan, 0.0]))
+    for sigma in (-1.0, 0.0, math.nan):  # -1 once gave the sigma = 1 window
+        with pytest.raises(ValueError, match=r"sigma must be positive, got (-1\.0|0\.0|nan)$"):
+            gaussian_window(8, sigma)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "entry", ["coherent_lower_bound", "coherent_partial_lower_bound", "sliced_gt_gap", "heat_trace"]
+)
+def test_non_finite_t_is_refused(entry, t):
+    # at t = inf the frame bounds and the sliced gap were NaN and the free torus trace inf
+    op = build_hamiltonian(None, 4.0, 8, boundary="periodic")
+    window = gaussian_window(8)
+    blocks = [HermitianOperator(np.diag([1.0, 2.0]).astype(np.complex128))] * 8
+    calls = {
+        "coherent_lower_bound": lambda: coherent_lower_bound(op, t, window),
+        "coherent_partial_lower_bound": lambda: coherent_partial_lower_bound(op, blocks, t, window),
+        "sliced_gt_gap": lambda: sliced_gt_gap(op.hermitian(), blocks, t),
+        "heat_trace": lambda: heat_trace(op, t),
+    }
+    with pytest.raises(ValueError, match="t must be positive"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["coherent_lower_bound", "coherent_partial_lower_bound", "sliced_gt_gap"])
+def test_finite_t_with_a_nan_bound_is_refused(entry):
+    # each was NaN: a factor exp(-t E) underflows to 0 where another overflows to inf
+    op = build_hamiltonian(None, 4.0, 8, boundary="periodic")
+    oscillator = build_hamiltonian(OSCILLATOR, 4.0, 8, boundary="periodic")
+    window = gaussian_window(8)
+    blocks = [HermitianOperator(np.diag([-1.0, 2.0]).astype(np.complex128))] * 8
+    calls = {
+        "coherent_lower_bound": lambda: coherent_lower_bound(op, 1.7e308, window),
+        "coherent_partial_lower_bound": lambda: coherent_partial_lower_bound(op, blocks, 1e10, window),
+        "sliced_gt_gap": lambda: sliced_gt_gap(oscillator.hermitian(), blocks, 1e10),
+    }
+    with pytest.raises(ValueError, match=r"t=1(\.7e\+308|0000000000\.0) puts the .* out of float range \(0 \* inf\)"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            calls[entry]()
 
 
 @pytest.mark.parametrize("make", [delta_window, flat_window, gaussian_window])
