@@ -85,13 +85,17 @@ def _window_average(window: CoherentWindow, values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(weights * np.fft.fft(values, axis=0), axis=0)
 
 
-def _frame_boltzmann(op, t: float, window: CoherentWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Factors with exp(-t <psi_xk|H|psi_xk>) = bx[x] * bk[k] for the torus operator.
+def _frame_boltzmann(
+    op, t: float, window: CoherentWindow, shift: float | np.ndarray = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors with exp(-t (<psi_xk|H|psi_xk> + shift[x])) = bx[x] * bk[k] for
+    the torus operator.
 
     H = diag(2/h^2 + V) - (S + S^T)/h^2 gives the frame energies
     E[x, k] = (g^2 * (2/h^2 + V))(x) - s cos(2 pi k / M) with
     s = (2/h^2) sum_j g(j) g(j+1).  Splitting E at -s keeps both exponents
-    nonnegative (E >= 0 since H >= 0), so neither factor overflows.
+    nonnegative (E >= 0 since H >= 0), so neither factor overflows unless
+    ``shift`` is negative.
     """
     from .schrodinger import GridOperator
 
@@ -106,7 +110,7 @@ def _frame_boltzmann(op, t: float, window: CoherentWindow) -> tuple[np.ndarray, 
     kinetic = 2.0 / op.spacing[0] ** 2
     s = kinetic * float(np.dot(g, np.roll(g, -1)))
     position = _window_average(window, kinetic + op.potential).real
-    bx = np.exp(-t * (position - s))
+    bx = np.exp(-t * (position - s + shift))
     bk = np.exp(-t * s * (1.0 - np.cos(2.0 * math.pi * np.arange(m) / m)))
     return bx, bk
 
@@ -151,21 +155,27 @@ def coherent_partial_lower_bound(
     K_xk = <psi_xk|T|psi_xk> I + Wbar_x with Wbar_x = sum_a g(a - x)^2 W_a,
     so Tr exp(-t K_xk) = exp(-t <psi_xk|T|psi_xk>) Tr exp(-t Wbar_x) and one
     batch of M small eigenvalue problems replaces the M^2 compressions.
+    Each row's smallest eigenvalue of Wbar_x moves into its position
+    exponent, so every block trace is a sum of terms in [0, 1] whose largest
+    is 1, and a large combined exponent gives 0, not 0 * inf.
     """
-    bx, bk = _frame_boltzmann(t_op, t, window)
     m = window.size
     if len(blocks) != m:
         raise ValueError(f"need one block per basis vector: {len(blocks)} != {m}")
     if len({w.dim for w in blocks}) != 1:
         raise ValueError("all blocks must share one dimension")
     wbar = _window_average(window, np.stack([w.mat for w in blocks]))
-    traces = np.exp(-t * eig_hermitian_stack(wbar)[0]).sum(axis=1)
+    vals = eig_hermitian_stack(wbar)[0]
+    low = vals.min(axis=1)
+    bx, bk = _frame_boltzmann(t_op, t, window, low)
+    traces = np.exp(-t * (vals - low[:, None])).sum(axis=1)
     return _bound(float(bx @ traces * bk.sum()) / m, t)
 
 
 def _bound(value: float, t: float) -> float:
-    """A frame bound, refused when NaN: at this t one exponential factor
-    underflowed to 0 and another overflowed to inf."""
-    if math.isnan(value):
-        raise ValueError(f"t={t!r} puts the frame bound out of float range (0 * inf)")
+    """A frame bound, refused when not finite: at this t it overflows, or, when
+    NaN, one exponential factor underflowed to 0 and another overflowed to inf."""
+    if not math.isfinite(value):
+        cause = "0 * inf" if math.isnan(value) else "it overflows"
+        raise ValueError(f"t={t!r} puts the frame bound out of float range ({cause})")
     return value

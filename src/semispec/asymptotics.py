@@ -112,7 +112,8 @@ def angular_integral(pot: Homogeneous) -> float:
     d = 1 is the two-point sum; d = 2 uses a composite trapezoid doubled
     until the relative change is below 1e-8, declaring divergence as soon as
     the integrand exceeds 1e12 at a node (the mechanism by which a vanishing
-    profile makes the semiclassical term infinite).
+    profile makes the semiclassical term infinite), and raises ValueError
+    when 10 rules leave the change above 1e-8.
     """
     power = pot.d / pot.gamma
     if pot.d == 1:
@@ -127,11 +128,16 @@ def angular_integral(pot: Homogeneous) -> float:
         if np.any(~np.isfinite(integrand)) or float(integrand.max()) > DIVERGENCE_GUARD:
             return math.inf
         total = float(integrand.sum()) * (2.0 * math.pi / nodes)
-        if previous is not None and abs(total - previous) <= ANGULAR_TOL * abs(total):
+        change = math.inf if previous is None else abs(total - previous)
+        if change <= ANGULAR_TOL * abs(total):
             return total
         previous = total
         nodes *= 2
-    return total
+    relative = change / abs(total) if total else math.inf
+    raise ValueError(
+        f"angular integral did not converge: at {nodes // 2} nodes the last doubling changed it by "
+        f"{relative:.2g} relative, above {ANGULAR_TOL:g}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ simon       counting law for a separately homogeneous potential in 2d; CSV
 zeta        transverse zeta traces per direction; JSON lines
 constants   growth-law constants, exponents and divergence classification; JSON
 
-A potential is given by its exponents and --profile values alone.
+A potential is given by its exponents and --profile values alone.  Output
+goes to stdout (redirect it with ``>``); only ``ineq --dump`` writes a file.
 
 Exit codes: 0 success, 1 an inequality violation was detected, 2 usage or
 input error (bad flag, invalid parameter, a parameter whose result
@@ -19,9 +20,9 @@ whose boundary rule leaves no box, unreadable or malformed --load file,
 an ineq trial whose gap is not finite),
 3 a numerical contract not met
 (eigendecomposition residual, LAPACK non-convergence, refused count, size
-cap).
+cap).  Commands raise; ``main`` alone prints the ``error:`` line and exits.
 Every command is deterministic given its flags; per-trial seeds are derived
-from --seed with numpy's SeedSequence spawning, so output files are
+from --seed with numpy's SeedSequence spawning, so the output is
 byte-identical across runs and independent of how trials are grouped for
 evaluation.  ``ineq`` draws and gates each block of trials as stacks (see
 ``TRIAL_BLOCK``) and hands each group of trials of one shape to the private
@@ -41,7 +42,13 @@ import numpy as np
 
 from . import asymptotics, bipartite, inequalities, linalg, schrodinger
 
-FUNCTION_CHOICES = ("expneg", "square", "pospart", "affine")
+# the --functions names and the functions each one adds to a suite
+FUNCTIONS = {
+    "expneg": tuple(linalg.exp_neg(t) for t in (0.1, 1.0, 10.0)),
+    "square": (linalg.square(),),
+    "pospart": (linalg.positive_part(),),
+    "affine": (linalg.affine(2.0, -0.5),),
+}
 
 
 def _trial_rng(seed: int, suite: int, trial: int) -> np.random.Generator:
@@ -61,18 +68,9 @@ def _draw_dim(rng: np.random.Generator, hi: int) -> int:
 def _parse_functions(text: str) -> list[linalg.ScalarFunction]:
     out = []
     for name in text.split(","):
-        if name == "expneg":
-            out.extend(linalg.exp_neg(t) for t in (0.1, 1.0, 10.0))
-        elif name == "square":
-            out.append(linalg.square())
-        elif name == "pospart":
-            out.append(linalg.positive_part())
-        elif name == "affine":
-            out.append(linalg.affine(2.0, -0.5))
-        else:
-            raise argparse.ArgumentTypeError(
-                f"unknown function {name!r}; choose from {', '.join(FUNCTION_CHOICES)}"
-            )
+        if name not in FUNCTIONS:
+            raise argparse.ArgumentTypeError(f"unknown function {name!r}; choose from {', '.join(FUNCTIONS)}")
+        out.extend(FUNCTIONS[name])
     return out
 
 
@@ -101,27 +99,22 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _parse_floats(text: str) -> list[float]:
-    if not text.strip():
-        return []
-    try:
-        return [float(p) for p in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_values(counts: tuple[int, ...], kind: type):
-    """Parser for comma-separated values of ``kind`` (float or int), as many as one of ``counts`` (1 to 4)."""
+def _parse_values(counts: tuple[int, ...] | None, kind: type):
+    """Parser for comma-separated values of ``kind`` (float or int), as many as one of
+    ``counts`` (1 to 4), or, when ``counts`` is None, any number (none for blank text)."""
     what = "number" if kind is float else "integer"
-    words = " or ".join(("one", "two", "three", "four")[c - 1] for c in counts)
-    expected = f"{words} {what}" if counts == (1,) else f"{words} comma-separated {what}s"
+    if counts is None:
+        expected = f"comma-separated {what}s"
+    else:
+        words = " or ".join(("one", "two", "three", "four")[c - 1] for c in counts)
+        expected = f"{words} {what}" if counts == (1,) else f"{words} comma-separated {what}s"
 
     def parse(text: str) -> tuple:
         try:
-            vals = tuple(kind(p) for p in text.split(","))
+            vals = tuple(kind(p) for p in text.split(",")) if text.strip() else ()
         except ValueError:
-            vals = ()
-        if len(vals) not in counts:
+            vals = None
+        if vals is None or (counts is not None and len(vals) not in counts):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return vals
 
@@ -137,14 +130,6 @@ def _parse_quadrants(text: str) -> schrodinger.QuadrantProfile:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _emit(out_path: str | None, text: str) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_line(record: dict) -> str:
     """One line of strict JSON: RFC 8259 has no infinity or NaN."""
     return json.dumps(record, allow_nan=False) + "\n"
@@ -156,16 +141,11 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _usage_error(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
 def _check_scales(flag: str, values) -> None:
     """Energies and times size the box, so each must be finite and positive."""
     bad = [v for v in values if not (math.isfinite(v) and v > 0)]
     if bad:
-        _usage_error(f"{flag} values must be finite and positive, got {bad[0]!r}")
+        raise ValueError(f"{flag} values must be finite and positive, got {bad[0]!r}")
 
 
 def _law_table(header: str, scales, values, law: asymptotics.Prediction | None, target: float | None) -> str:
@@ -187,32 +167,25 @@ def _law_table(header: str, scales, values, law: asymptotics.Prediction | None, 
     return "\n".join(lines) + "\n"
 
 
-def _refuse_grid_saturation(op: schrodinger.GridOperator, values: list, names, remedy: str) -> list:
-    """``values``, unless one equals the number of finite-sample nodes: such a
-    count or heat trace measures the grid, not the operator."""
+def _grid_values(op: schrodinger.GridOperator, scales, method: str | None = None) -> list:
+    """Eigenvalue counts below each lambda in ``scales``, or, given a heat
+    ``method``, heat traces at each t; refused when one equals the number of
+    finite-sample nodes: such a count, or a trace whose every exp(-tE) rounds
+    to 1, measures the grid, not the operator."""
+    if method is None:
+        values = schrodinger.counting_function(op, scales).tolist()
+        name, remedy = "N(lambda={!r})", "refine the grid or lower lambda"
+    else:
+        values = schrodinger.heat_trace(op, scales, method=method).tolist()
+        name, remedy = "Tr exp(-tH) at t={!r}", "refine the grid or raise t"
     nodes = int(np.count_nonzero(np.isfinite(op.potential)))
-    for name, value in zip(names, values):
+    for scale, value in zip(scales, values):
         if value == nodes:
             raise ValueError(
-                f"{name} = {nodes} counts every finite-sample node of the grid; "
+                f"{name.format(scale)} = {nodes} counts every finite-sample node of the grid; "
                 f"it measures the grid, not the operator ({remedy})"
             )
     return values
-
-
-def _counts(op: schrodinger.GridOperator, lams) -> list:
-    """Eigenvalue counts below each lambda, refusing a count of every finite-sample node."""
-    counts = schrodinger.counting_function(op, lams).tolist()
-    names = (f"N(lambda={lam!r})" for lam in lams)
-    return _refuse_grid_saturation(op, counts, names, "refine the grid or lower lambda")
-
-
-def _heat_traces(op: schrodinger.GridOperator, ts, method: str) -> list:
-    """Heat traces at each t, refusing a trace of every finite-sample node
-    (each exp(-tE) rounds to 1)."""
-    traces = schrodinger.heat_trace(op, ts, method=method).tolist()
-    names = (f"Tr exp(-tH) at t={t!r}" for t in ts)
-    return _refuse_grid_saturation(op, traces, names, "refine the grid or raise t")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +303,7 @@ SUITES = (
 
 def cmd_ineq(args) -> int:
     if args.trials < 1:
-        _usage_error("--trials must be at least 1")
+        raise ValueError("--trials must be at least 1")
     loaded = None
     if args.load:
         with open(args.load) as fh:
@@ -372,8 +345,7 @@ def cmd_ineq(args) -> int:
             }
         )
 
-    text = "".join(_json_line(s) for s in summaries)
-    _emit(args.out, text)
+    sys.stdout.write("".join(_json_line(s) for s in summaries))
     if args.dump and worst[1] is not None:
         mat, dims = worst[1]
         with open(args.dump, "w") as fh:
@@ -389,10 +361,9 @@ def cmd_ineq(args) -> int:
 
 def cmd_weyl(args) -> int:
     pot = schrodinger.Homogeneous(args.gamma, 1, (args.profile * 2)[:2])
-    lams = args.lam or []
-    ts = args.t or []
+    lams, ts = args.lam, args.t
     if lams and ts:
-        _usage_error("pass either --lambda or --t, not both")
+        raise ValueError("pass either --lambda or --t, not both")
     heat_mode = bool(ts)
     scales = ts if heat_mode else lams
     _check_scales("--t" if heat_mode else "--lambda", scales)
@@ -407,14 +378,10 @@ def cmd_weyl(args) -> int:
             box = schrodinger.counting_box(pot, max(scales))
         points = args.points[0] if args.points else schrodinger.points_for_spacing(box, 0.01)
         op = schrodinger.build_hamiltonian(pot, box, points)
-        if heat_mode:
-            values = _heat_traces(op, scales, args.method)
-            law = asymptotics.heat_law(pot)
-        else:
-            values = _counts(op, scales)
-            law = asymptotics.counting_law(pot)
+        values = _grid_values(op, scales, args.method if heat_mode else None)
+        law = asymptotics.heat_law(pot) if heat_mode else asymptotics.counting_law(pot)
     header = "t,trace_discrete,prediction,ratio" if heat_mode else "lambda,N_discrete,prediction,ratio"
-    _emit(args.out, _law_table(header, scales, values, law, None))
+    sys.stdout.write(_law_table(header, scales, values, law, None))
     return 0
 
 
@@ -431,7 +398,7 @@ def _separately_from_args(args) -> schrodinger.SeparatelyHomogeneous:
 
 def cmd_simon(args) -> int:
     pot = _separately_from_args(args)
-    lams = args.lam or []
+    lams = args.lam
     _check_scales("--lambda", lams)
     zetas = schrodinger.transverse_zetas(pot, asymptotics.zeta_power(pot), args.zeta_box, args.zeta_points)
     law = asymptotics.partial_counting_law(pot, zetas)
@@ -443,8 +410,8 @@ def cmd_simon(args) -> int:
             schrodinger.points_for_spacing(box[1], 0.12),
         )
         op = schrodinger.build_hamiltonian(pot, box, points)
-        counts = _counts(op, lams)
-    _emit(args.out, _law_table("lambda,N_discrete,prediction,ratio", lams, counts, law, law.exponent))
+        counts = _grid_values(op, lams)
+    sys.stdout.write(_law_table("lambda,N_discrete,prediction,ratio", lams, counts, law, law.exponent))
     return 0
 
 
@@ -454,7 +421,7 @@ def cmd_zeta(args) -> int:
     zetas = schrodinger.transverse_zetas(pot, p, args.zeta_box, args.zeta_points)
     # a divergent trace has no finite value: null
     rows = ({"omega": omega, "p": p, "zeta": z if math.isfinite(z) else None} for omega, z in zetas.items())
-    _emit(args.out, "".join(map(_json_line, rows)))
+    sys.stdout.write("".join(map(_json_line, rows)))
     return 0
 
 
@@ -493,8 +460,8 @@ def cmd_constants(args) -> int:
             "divergence": divergence.removeprefix("diverges_at_").removeprefix("diverges_"),
         }
     else:
-        _usage_error("pass --gamma (with --d) or --alpha and --beta")
-    _emit(args.out, _json_line(payload))
+        raise ValueError("pass --gamma (with --d) or --alpha and --beta")
+    sys.stdout.write(_json_line(payload))
     return 0
 
 
@@ -518,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--functions",
         default="expneg,square,pospart",
         type=_parse_functions,
-        help=f"comma list from {FUNCTION_CHOICES}",
+        help=f"comma list from {tuple(FUNCTIONS)}",
     )
-    p_ineq.add_argument("--out", default=None)
     p_ineq.add_argument("--dump", default=None, help="write the worst-gap operator")
     p_ineq.add_argument("--load", default=None, help="rerun the suites on a dumped operator")
     p_ineq.set_defaults(func=cmd_ineq)
@@ -528,34 +494,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_weyl = sub.add_parser("weyl", help="counting or heat law for a homogeneous potential")
     p_weyl.add_argument("--gamma", type=float, default=2.0)
     p_weyl.add_argument("--profile", type=_parse_values((1, 2), float), default=(1.0,))
-    p_weyl.add_argument("--lambda", dest="lam", type=_parse_floats, default=None)
-    p_weyl.add_argument("--t", type=_parse_floats, default=None)
+    p_weyl.add_argument("--lambda", dest="lam", type=_parse_values(None, float), default=())
+    p_weyl.add_argument("--t", type=_parse_values(None, float), default=())
     p_weyl.add_argument("--box", type=_parse_values((1,), float), default=None)
     p_weyl.add_argument("--points", type=_parse_values((1,), int), default=None)
     p_weyl.add_argument("--method", choices=("dense", "truncated"), default="dense")
-    p_weyl.add_argument("--out", default=None)
     p_weyl.set_defaults(func=cmd_weyl)
 
-    p_simon = sub.add_parser("simon", help="partially semiclassical counting law in 2d")
-    p_simon.add_argument("--alpha", type=float, required=True)
-    p_simon.add_argument("--beta", type=float, required=True)
-    p_simon.add_argument("--profile", type=_parse_quadrants, default=schrodinger.uniform_quadrants())
-    p_simon.add_argument("--lambda", dest="lam", type=_parse_floats, default=None)
+    # the separately homogeneous potential and the grid of its transverse zeta traces
+    channel = argparse.ArgumentParser(add_help=False)
+    channel.add_argument("--alpha", type=float, required=True)
+    channel.add_argument("--beta", type=float, required=True)
+    channel.add_argument("--profile", type=_parse_quadrants, default=schrodinger.uniform_quadrants())
+    channel.add_argument("--zeta-box", type=float, default=12.0)
+    channel.add_argument("--zeta-points", type=int, default=2399)
+
+    p_simon = sub.add_parser("simon", parents=[channel], help="partially semiclassical counting law in 2d")
+    p_simon.add_argument("--lambda", dest="lam", type=_parse_values(None, float), default=())
     p_simon.add_argument("--box", type=_parse_values((2,), float), default=None, metavar="LX,LY")
     p_simon.add_argument("--points", type=_parse_values((2,), int), default=None, metavar="PX,PY")
-    p_simon.add_argument("--zeta-box", type=float, default=12.0)
-    p_simon.add_argument("--zeta-points", type=int, default=2399)
-    p_simon.add_argument("--out", default=None)
     p_simon.set_defaults(func=cmd_simon)
 
-    p_zeta = sub.add_parser("zeta", help="transverse zeta traces per direction")
-    p_zeta.add_argument("--alpha", type=float, required=True)
-    p_zeta.add_argument("--beta", type=float, required=True)
-    p_zeta.add_argument("--profile", type=_parse_quadrants, default=schrodinger.uniform_quadrants())
+    p_zeta = sub.add_parser("zeta", parents=[channel], help="transverse zeta traces per direction")
     p_zeta.add_argument("--p", type=float, default=None)
-    p_zeta.add_argument("--zeta-box", type=float, default=12.0)
-    p_zeta.add_argument("--zeta-points", type=int, default=2399)
-    p_zeta.add_argument("--out", default=None)
     p_zeta.set_defaults(func=cmd_zeta)
 
     p_const = sub.add_parser("constants", help="growth-law constants and exponents")
@@ -565,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--beta", type=float, default=None)
     p_const.add_argument("--m", type=int, default=1)
     p_const.add_argument("--n", type=int, default=1)
-    p_const.add_argument("--out", default=None)
     p_const.set_defaults(func=cmd_constants)
 
     return parser
@@ -580,7 +540,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError, OSError) as exc:
-        _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

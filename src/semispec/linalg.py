@@ -71,17 +71,6 @@ class HermitianOperator:
     def identity(cls, dim: int) -> "HermitianOperator":
         return cls(np.eye(dim, dtype=np.complex128))
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.mat + other.mat)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.mat - other.mat)
-
-    def __mul__(self, c: float) -> "HermitianOperator":
-        return HermitianOperator(self.mat * float(c))
-
-    __rmul__ = __mul__
-
 
 def hermitian_stack(mats) -> np.ndarray:
     """The Hermitian construction gate on a ``(k, d, d)`` stack, ``d >= 1``.

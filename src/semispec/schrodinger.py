@@ -672,6 +672,8 @@ def heat_trace(op: GridOperator, t: float | np.ndarray, method: str = "dense") -
         keep = np.searchsorted(vals, HEAT_CUT / flat, side="right")
     else:
         raise ValueError(f"unknown method {method!r}")
+    # H >= 0 (V >= 0), so an eigenvalue below 0 is LAPACK round-off; exp(-t mu) would overflow at a huge t
+    vals = np.maximum(vals, 0.0)
     traces = np.array([np.sum(np.exp(-s * vals[:k])) for s, k in zip(flat, keep)])
     return float(traces[0]) if ts.ndim == 0 else traces.reshape(ts.shape)
 

@@ -116,6 +116,13 @@ def test_angular_integral_2d_constant_profile():
     assert angular_integral(pot) == pytest.approx(2.0 * math.pi / 3.0, rel=1e-8)
 
 
+def test_unconverged_angular_integral_is_refused():
+    # a sawtooth of 1e7 teeth: 10 doublings from 2048 nodes leave a relative change of 1.7e-5
+    pot = Homogeneous(2.0, 2, lambda th: 1 + 0.5 * ((th * 1e7 / (2 * math.pi)) % 1))
+    with pytest.raises(ValueError, match=r"at 1048576 nodes .* by 1\.7e-05 relative, above 1e-08$"):
+        angular_integral(pot)
+
+
 def test_vanishing_arc_gives_infinite_prediction():
     pot = Homogeneous(2.0, 2, lambda th: np.where(np.abs(th - 1.0) < 0.3, 0.0, 1.0))
     assert math.isinf(counting_law(pot).at(10.0))

@@ -26,11 +26,10 @@ def run_cli(capsys, *argv):
 # determinism and output formats ----------------------------------------------
 
 
-def test_ineq_deterministic_byte_identical(tmp_path, capsys):
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(["ineq", "--trials", "2", "--seed", "42", "--out", str(out1)]) == 0
-    assert cli.main(["ineq", "--trials", "2", "--seed", "42", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_ineq_deterministic_byte_identical(capsys):
+    argv = ("ineq", "--trials", "2", "--seed", "42")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and run_cli(capsys, *argv) == first
 
 
 def test_ineq_single_trial_json_lines(capsys):
@@ -324,11 +323,11 @@ def test_heat_trace_of_every_finite_node_is_refused(capsys, profile, nodes):
 
 def test_heat_traces_refuse_only_a_saturated_trace():
     op = schrodinger.build_hamiltonian(schrodinger.Homogeneous(2.0, 1, (1.0, 1.0)), 6.0, 61)
-    traces = cli._heat_traces(op, [0.5, 1.0], "dense")
+    traces = cli._grid_values(op, [0.5, 1.0], "dense")
     assert traces == schrodinger.heat_trace(op, np.array([0.5, 1.0])).tolist()
     assert 0 < traces[1] < traces[0] < 61
     with pytest.raises(ValueError, match=r"^Tr exp\(-tH\) at t=1e-300 = 61 counts every finite-sample node"):
-        cli._heat_traces(op, [1.0, 1e-300], "truncated")
+        cli._grid_values(op, [1.0, 1e-300], "truncated")
 
 
 def test_weyl_rejects_both_scales(capsys):
@@ -509,6 +508,8 @@ def test_argument_type_errors_state_the_reason(capsys):
         (SIMON_SMALL + ["--points", "120.5,40"], "argument --points: expected two comma-separated integers"),
         (["weyl", "--lambda", "10", "--box", "10,99"], "argument --box: expected one number, got '10,99'"),
         (["weyl", "--lambda", "10", "--points", "999.7"], "argument --points: expected one integer, got '999.7'"),
+        (["ineq", "--trials", "0"], "error: --trials must be at least 1\n"),
+        (["ineq", "--dims", "0x3"], "argument --dims: --dims must be positive, got '0x3'"),
     ]
     for argv, reason in cases:
         with pytest.raises(SystemExit) as err:

@@ -657,6 +657,15 @@ def test_heat_trace_methods_agree_within_bound():
         assert abs(dense - trunc) <= heat_truncation_bound(op, t) + 1e-12
 
 
+def test_heat_trace_clamps_round_off_below_zero_at_huge_t():
+    # LAPACK puts the free torus's zero eigenvalue at about -6.6e-17; exp(-t mu) overflowed at t = 1e300
+    op = build_hamiltonian(None, 4.0, 8, boundary="periodic")
+    assert spectrum(op)[0] < 0.0  # spectrum keeps the raw value
+    for method in ("dense", "truncated"):
+        assert heat_trace(op, 1e300, method=method) == 1.0
+    assert heat_trace(op, 1.0) == 2.468126559661774
+
+
 def test_heat_trace_rejects_bad_inputs():
     op = build_hamiltonian(OSCILLATOR, 6.0, 100)
     with pytest.raises(ValueError):
@@ -919,7 +928,8 @@ def test_non_finite_t_is_refused(entry, t):
 
 @pytest.mark.parametrize("entry", ["coherent_lower_bound", "coherent_partial_lower_bound", "sliced_gt_gap"])
 def test_finite_t_with_a_nan_bound_is_refused(entry):
-    # each was NaN: a factor exp(-t E) underflows to 0 where another overflows to inf
+    # each was NaN: a factor exp(-t E) underflows to 0 where another overflows to inf; the
+    # partial bound now folds the block eigenvalue -1 into exp(-t (0.44 - 1)), which overflows
     op = build_hamiltonian(None, 4.0, 8, boundary="periodic")
     oscillator = build_hamiltonian(OSCILLATOR, 4.0, 8, boundary="periodic")
     window = gaussian_window(8)
@@ -929,9 +939,35 @@ def test_finite_t_with_a_nan_bound_is_refused(entry):
         "coherent_partial_lower_bound": lambda: coherent_partial_lower_bound(op, blocks, 1e10, window),
         "sliced_gt_gap": lambda: sliced_gt_gap(oscillator.hermitian(), blocks, 1e10),
     }
-    with pytest.raises(ValueError, match=r"t=1(\.7e\+308|0000000000\.0) puts the .* out of float range \(0 \* inf\)"):
+    cause = r"it overflows" if entry == "coherent_partial_lower_bound" else r"0 \* inf"
+    with pytest.raises(ValueError, match=rf"t=1(\.7e\+308|0000000000\.0) puts the .* out of float range \({cause}\)"):
         with np.errstate(over="ignore", invalid="ignore"):
             calls[entry]()
+
+
+def test_partial_frame_bound_is_zero_where_the_combined_exponent_is_large():
+    # the smallest combined exponent is 0.21 - 0.1 = 0.11 > 0, so the bound tends to 0;
+    # split into exp(-t (E_x - s)) and Tr exp(-t Wbar_x) it was 0 * inf at t = 1e10
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    op = build_hamiltonian(None, 4.0, 8, boundary="periodic")
+    window = gaussian_window(8, sigma=1.5)
+    mus = (-0.1, 2.0)
+    blocks = [HermitianOperator(np.diag(mus).astype(np.complex128))] * 8
+    assert coherent_partial_lower_bound(op, blocks, 1e10, window) == 0.0
+    # every Wbar_x is (sum g^2) diag(mus), and the free torus's frame energies are
+    # (2/h^2) (sum g^2 - cos(2 pi k / 8) sum_j g(j) g(j+1)), the same at every x
+    g = [mpmath.mpf(float(v)) for v in window.values]
+    kinetic = 2 / mpmath.mpf(float(op.spacing[0])) ** 2
+    norm = mpmath.fsum(v * v for v in g)
+    hop = mpmath.fsum(g[j] * g[(j + 1) % 8] for j in range(8))
+    for t in (1.0, 1e3):
+        expected = mpmath.fsum(
+            mpmath.exp(-mpmath.mpf(t) * (kinetic * (norm - mpmath.cos(2 * mpmath.pi * k / 8) * hop) + mu * norm))
+            for k in range(8)
+            for mu in map(mpmath.mpf, mus)
+        )
+        assert coherent_partial_lower_bound(op, blocks, t, window) == pytest.approx(float(expected), rel=1e-12)
 
 
 @pytest.mark.parametrize("make", [delta_window, flat_window, gaussian_window])
