@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .inequalities import _block_stack
 from .linalg import HermitianOperator, eig_hermitian_stack
 
 if TYPE_CHECKING:
@@ -95,7 +96,9 @@ def _frame_boltzmann(
     E[x, k] = (g^2 * (2/h^2 + V))(x) - s cos(2 pi k / M) with
     s = (2/h^2) sum_j g(j) g(j+1).  Splitting E at -s keeps both exponents
     nonnegative (E >= 0 since H >= 0), so neither factor overflows unless
-    ``shift`` is negative.
+    ``shift`` is negative.  The momentum exponent is t (s (1 - cos)), exactly
+    0 at k = 0 for every finite t (t s first would give inf * 0 there); one
+    that overflows to inf gives the factor 0.
     """
     from .schrodinger import GridOperator
 
@@ -111,7 +114,8 @@ def _frame_boltzmann(
     s = kinetic * float(np.dot(g, np.roll(g, -1)))
     position = _window_average(window, kinetic + op.potential).real
     bx = np.exp(-t * (position - s + shift))
-    bk = np.exp(-t * s * (1.0 - np.cos(2.0 * math.pi * np.arange(m) / m)))
+    with np.errstate(over="ignore"):
+        bk = np.exp(-t * (s * (1.0 - np.cos(2.0 * math.pi * np.arange(m) / m))))
     return bx, bk
 
 
@@ -160,11 +164,7 @@ def coherent_partial_lower_bound(
     is 1, and a large combined exponent gives 0, not 0 * inf.
     """
     m = window.size
-    if len(blocks) != m:
-        raise ValueError(f"need one block per basis vector: {len(blocks)} != {m}")
-    if len({w.dim for w in blocks}) != 1:
-        raise ValueError("all blocks must share one dimension")
-    wbar = _window_average(window, np.stack([w.mat for w in blocks]))
+    wbar = _window_average(window, _block_stack(m, blocks))
     vals = eig_hermitian_stack(wbar)[0]
     low = vals.min(axis=1)
     bx, bk = _frame_boltzmann(t_op, t, window, low)
@@ -173,9 +173,10 @@ def coherent_partial_lower_bound(
 
 
 def _bound(value: float, t: float) -> float:
-    """A frame bound, refused when not finite: at this t it overflows, or, when
-    NaN, one exponential factor underflowed to 0 and another overflowed to inf."""
+    """A frame bound, refused when not finite.  Each factor is a sum of
+    nonnegative exponentials, and the momentum and block-trace sums are at
+    least 1 (their k = 0 and smallest terms are exp(0)), so the product is
+    never 0 * inf: a bound that is not finite has overflowed at this t."""
     if not math.isfinite(value):
-        cause = "0 * inf" if math.isnan(value) else "it overflows"
-        raise ValueError(f"t={t!r} puts the frame bound out of float range ({cause})")
+        raise ValueError(f"t={t!r} puts the frame bound out of float range (it overflows)")
     return value

@@ -16,8 +16,9 @@ input error (bad flag, invalid parameter, a parameter whose result
 overflows, a 2d potential that overflows to +inf on the grid, exponents
 outside the partial law's regime m/alpha > n/beta, a lambda whose count
 or a t whose heat trace is every finite-sample node of the grid, a profile
-whose boundary rule leaves no box, unreadable or malformed --load file,
-an ineq trial whose gap is not finite),
+whose boundary rule leaves no box, a simon or zeta profile that vanishes
+on a quadrant, a 1d grid with no finite-sample node, unreadable or
+malformed --load file, an ineq trial whose gap is not finite),
 3 a numerical contract not met
 (eigendecomposition residual, LAPACK non-convergence, refused count, size
 cap).  Commands raise; ``main`` alone prints the ``error:`` line and exits.
@@ -442,7 +443,7 @@ def cmd_constants(args) -> int:
         }
     elif args.alpha is not None and args.beta is not None:
         pot = schrodinger.SeparatelyHomogeneous(
-            args.alpha, args.beta, schrodinger.uniform_quadrants()
+            args.alpha, args.beta, schrodinger.QuadrantProfile(1.0, 1.0, 1.0, 1.0)
         )
         reduced = asymptotics.reduced_degree(pot)
         m, n = args.m, args.n
@@ -505,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     channel = argparse.ArgumentParser(add_help=False)
     channel.add_argument("--alpha", type=float, required=True)
     channel.add_argument("--beta", type=float, required=True)
-    channel.add_argument("--profile", type=_parse_quadrants, default=schrodinger.uniform_quadrants())
+    channel.add_argument("--profile", type=_parse_quadrants, default=schrodinger.QuadrantProfile(1.0, 1.0, 1.0, 1.0))
     channel.add_argument("--zeta-box", type=float, default=12.0)
     channel.add_argument("--zeta-points", type=int, default=2399)
 

@@ -183,9 +183,9 @@ def golden_thompson_gap(a: HermitianOperator, b: HermitianOperator) -> float:
     return rhs - lhs
 
 
-def _block_stack(t_op: HermitianOperator, blocks: Sequence[HermitianOperator]) -> np.ndarray:
-    """The ``(M, N, N)`` stack of the blocks, one per basis vector of T, all of one dimension."""
-    m = t_op.dim
+def _block_stack(m: int, blocks: Sequence[HermitianOperator]) -> np.ndarray:
+    """The ``(M, N, N)`` stack of ``m`` blocks, one per basis vector of T (or of
+    the frame's torus), all of one dimension."""
     if len(blocks) != m:
         raise ValueError(f"need one block per basis vector: {len(blocks)} != {m}")
     n = blocks[0].dim
@@ -196,7 +196,7 @@ def _block_stack(t_op: HermitianOperator, blocks: Sequence[HermitianOperator]) -
 
 def sliced_hamiltonian(t_op: HermitianOperator, blocks: Sequence[HermitianOperator]) -> HermitianOperator:
     """H = T (x) 1 + sum_m |e_m><e_m| (x) W_m on the M*N product space."""
-    return HermitianOperator(sliced_stack(t_op.mat[None], _block_stack(t_op, blocks)[None])[0])
+    return HermitianOperator(sliced_stack(t_op.mat[None], _block_stack(t_op.dim, blocks)[None])[0])
 
 
 def sliced_stack(t_mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -215,7 +215,7 @@ def sliced_gt_sides(
 ) -> tuple[float, float]:
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive, got {t}")
-    lhs, rhs = _sliced_gt_sides(t_op.mat[None], _block_stack(t_op, blocks)[None], t)
+    lhs, rhs = _sliced_gt_sides(t_op.mat[None], _block_stack(t_op.dim, blocks)[None], t)
     if np.isnan(rhs[0]):  # a damping factor underflowed to 0 and a block trace overflowed to inf
         raise ValueError(f"t={t!r} puts the sliced Golden-Thompson sides out of float range (0 * inf)")
     return float(lhs[0]), float(rhs[0])

@@ -144,11 +144,6 @@ class QuadrantProfile:
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"profile values must be nonnegative and finite, got {v!r}")
 
-    def at(self, sx: int, sy: int) -> float:
-        if sx > 0:
-            return self.pp if sy > 0 else self.pm
-        return self.mp if sy > 0 else self.mm
-
 
 @dataclass(frozen=True)
 class SeparatelyHomogeneous:
@@ -180,10 +175,6 @@ class SeparatelyHomogeneous:
             v = np.asarray(np.abs(x) ** self.alpha * np.abs(y) ** self.beta * f)
         v[f == 0] = 0.0
         return v
-
-
-def uniform_quadrants() -> QuadrantProfile:
-    return QuadrantProfile(1.0, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +307,8 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
             f"{potential!r} {what} +inf at {np.count_nonzero(np.isinf(v))} of {v.size} "
             f"nodes; {grids} need finite samples"
         )
+    if math.isinf(lo):
+        raise ValueError(f"{potential!r} is +inf at all {v.size} nodes; a 1d grid needs a finite sample")
     return GridOperator(ndim, boundary, points, spacing, v)
 
 
@@ -621,10 +614,7 @@ def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
     from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
     if op.ndim == 1 and op.boundary == "dirichlet":
-        diag, off = _chain(op)
-        if not diag.size:
-            return diag
-        chains = _sector_chains(diag, off)
+        chains = _sector_chains(*_chain(op))
         if upto is not None:
             window = dict(select="v", select_range=(gershgorin_bounds(op)[0] - 1.0, upto), lapack_driver="stebz")
             return np.sort(np.concatenate([eigvalsh_tridiagonal(d, o, **window) for d, o in chains]))
@@ -750,45 +740,53 @@ def transverse_growth_exponent(beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def transverse_potential(pot: SeparatelyHomogeneous, omega: int) -> Homogeneous:
-    """Potential |y|^beta F(omega, sign y) of the effective operator at
-    longitudinal direction omega in {+1, -1}."""
-    if omega not in (1, -1):
-        raise ValueError(f"omega must be +1 or -1, got {omega}")
-    return Homogeneous(
-        pot.beta, 1, (pot.profile.at(omega, +1), pot.profile.at(omega, -1))
-    )
+def _channel_potentials(pot: SeparatelyHomogeneous, axis: int) -> dict[int, Homogeneous]:
+    """The 1d slices of the potential at omega = +1 and -1 along the channel of
+    ``axis``: |y|^beta F(omega, sign y) along x (axis 0), |x|^alpha F(sign x, omega)
+    along y (axis 1)."""
+    p = pot.profile
+    if axis == 0:
+        return {1: Homogeneous(pot.beta, 1, (p.pp, p.pm)), -1: Homogeneous(pot.beta, 1, (p.mp, p.mm))}
+    return {1: Homogeneous(pot.alpha, 1, (p.pp, p.mp)), -1: Homogeneous(pot.alpha, 1, (p.pm, p.mm))}
+
+
+def _check_closed(pot: SeparatelyHomogeneous) -> None:
+    """Refuse a profile with a zero quadrant value: V = 0 on that open quadrant,
+    so the spectrum is not discrete and no channel closes."""
+    p = pot.profile
+    signs = {"+1,+1": p.pp, "+1,-1": p.pm, "-1,+1": p.mp, "-1,-1": p.mm}
+    zero = [f"F({s})" for s, v in signs.items() if v == 0]
+    if zero:
+        where = "that open quadrant" if len(zero) == 1 else "those open quadrants"
+        raise ValueError(
+            f"{' = '.join(zero)} = 0: V vanishes on {where} of (sign x, sign y), "
+            "so the spectrum is not discrete and no channel closes"
+        )
 
 
 def effective_operator(omega: int, pot: SeparatelyHomogeneous, box: float, points: int) -> GridOperator:
     """Transverse operator -d^2/dy^2 + |y|^beta F(omega, sign y) on a 1d grid."""
-    return build_hamiltonian(transverse_potential(pot, omega), box, points)
+    if omega not in (1, -1):
+        raise ValueError(f"omega must be +1 or -1, got {omega}")
+    return build_hamiltonian(_channel_potentials(pot, 0)[omega], box, points)
 
 
 def transverse_zetas(pot: SeparatelyHomogeneous, p: float, box: float, points: int) -> dict[int, float]:
     """Zeta traces of the effective operators at omega = +1 and -1, the factors
     of the partial laws: eigenvalues up to min(100, 0.8 x the Gershgorin top),
-    the rest extrapolated with q = 2 beta / (beta + 2); one spectrum when
-    both directions see the same potential."""
+    the rest extrapolated with q = 2 beta / (beta + 2); one spectrum per
+    distinct transverse potential.  A profile that vanishes on a quadrant is
+    refused."""
+    _check_closed(pot)
     q = transverse_growth_exponent(pot.beta)
-    out = {}
-    for omega in (1, -1):
-        if omega == -1 and transverse_potential(pot, -1) == transverse_potential(pot, 1):
-            out[-1] = out[1]
-            continue
-        op = effective_operator(omega, pot, box, points)
-        e_cut = min(100.0, 0.8 * gershgorin_bounds(op)[1])
-        out[omega] = zeta_trace(op, p, e_cut=e_cut, growth_exponent=q).value
+    out, zetas = {}, {}
+    for omega, v in _channel_potentials(pot, 0).items():
+        if v not in zetas:
+            op = build_hamiltonian(v, box, points)
+            e_cut = min(100.0, 0.8 * gershgorin_bounds(op)[1])
+            zetas[v] = zeta_trace(op, p, e_cut=e_cut, growth_exponent=q).value
+        out[omega] = zetas[v]
     return out
-
-
-def longitudinal_potential(pot: SeparatelyHomogeneous, omega_y: int) -> Homogeneous:
-    """Potential |x|^alpha F(sign x, omega_y) seen along the other channel."""
-    if omega_y not in (1, -1):
-        raise ValueError(f"omega_y must be +1 or -1, got {omega_y}")
-    return Homogeneous(
-        pot.alpha, 1, (pot.profile.at(+1, omega_y), pot.profile.at(-1, omega_y))
-    )
 
 
 def counting_box(pot: Homogeneous, lam_max: float) -> float:
@@ -830,23 +828,19 @@ def channel_boxes(pot: SeparatelyHomogeneous, lam_max: float) -> tuple[float, fl
     The boundary-value rule used for fully homogeneous potentials is vacuous
     here (V vanishes on the axes), so instead the walls are placed where the
     transverse zero-point energy of each channel reaches
-    CHANNEL_MARGIN * lam_max: with mu0 the smallest transverse ground energy
-    (on the probe grid), scaling gives
+    CHANNEL_MARGIN * lam_max: with mu0 the smallest ground energy of the
+    slices across the x channel (on the probe grid, one solve per distinct
+    slice), scaling gives
     Lx = (CHANNEL_MARGIN lam_max / mu0)^((beta+2)/(2 alpha)) and
-    symmetrically for Ly.  States below lam_max are then classically
-    confined to the box.
+    symmetrically for Ly with nu0.  States below lam_max are then classically
+    confined to the box.  Both channels close exactly when every quadrant
+    value of F is positive; a profile that vanishes on a quadrant is refused.
     """
-    mu0 = min(
-        ground_energy(effective_operator(o, pot, PROBE_BOX, PROBE_POINTS)) for o in (1, -1)
+    _check_closed(pot)
+    mu0, nu0 = (
+        min(ground_energy(build_hamiltonian(v, PROBE_BOX, PROBE_POINTS)) for v in set(slices.values()))
+        for slices in (_channel_potentials(pot, 0), _channel_potentials(pot, 1))
     )
-    if mu0 <= 1e-8:
-        raise ValueError("transverse channel does not close; box rule inapplicable")
-    nu0 = min(
-        ground_energy(build_hamiltonian(longitudinal_potential(pot, o), PROBE_BOX, PROBE_POINTS))
-        for o in (1, -1)
-    )
-    if nu0 <= 1e-8:
-        raise ValueError("longitudinal channel does not close; box rule inapplicable")
     try:
         lx = (CHANNEL_MARGIN * lam_max / mu0) ** ((pot.beta + 2.0) / (2.0 * pot.alpha))
         ly = (CHANNEL_MARGIN * lam_max / nu0) ** ((pot.alpha + 2.0) / (2.0 * pot.beta))

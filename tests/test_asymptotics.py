@@ -370,3 +370,22 @@ def test_tauberian_consistency_counting_vs_heat_fit():
     hop = build_hamiltonian(OSCILLATOR, box, points_for_spacing(box, 0.01))
     heat_fit = exponent_fit([(t, heat_trace(hop, t, method="truncated")) for t in ts])
     assert abs(-heat_fit.slope - target) <= 0.02
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Prediction("counting", 1.0, -1.0), r"constant must be nonnegative, got -1\.0"),
+        # F(+1) = 0: V vanishes on a half-line, the quadrature is infinite before the closed form is compared
+        (lambda: phase_space_identity_check(Homogeneous(2.0, 1, (0.0, 1.0)), lam=1.0),
+         "phase-space check requires a finite prediction"),
+        (lambda: phase_space_identity_check(Homogeneous(2.0, 1, (0.0, 1.0)), t=1.0),
+         "phase-space check requires a finite prediction"),
+        (lambda: divergence_classifier(0, 1, 1.0, 2.0), r"need m, n >= 1 and alpha, beta > 0"),
+        (lambda: divergence_classifier(1, 1, 1.0, 0.0), r"need m, n >= 1 and alpha, beta > 0"),
+    ],
+    ids=["negative-constant", "half-line-count", "half-line-heat", "m-zero", "beta-zero"],
+)
+def test_laws_and_checks_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -212,3 +212,9 @@ def test_bipartite_dump_roundtrip():
 def test_bipartite_dump_rejects_malformed_text(text, reason):
     with pytest.raises(ValueError, match=reason):
         parse_bipartite_operator(text)
+
+
+def test_compress_refuses_a_state_of_the_wrong_dimension():
+    rho = DensityMatrix(HermitianOperator(np.eye(3) / 3.0))
+    with pytest.raises(ValueError, match="^state dimension 3 does not match dim1 2$"):
+        compress(HermitianOperator(np.eye(4)), rho, BipartiteDims(2, 2))

@@ -495,6 +495,30 @@ def test_non_finite_profile_is_usage_error(capsys):
         assert len(errors) == 1 and "profile values must be nonnegative" in errors[0], argv
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # V = 0 on an open quadrant: zeta printed 367.58 for omega = +1, a number set by the box
+        (["zeta", "--alpha", "1", "--beta", "2", "--profile", "0,1,1,1"],
+         "error: F(+1,+1) = 0: V vanishes on that open quadrant of (sign x, sign y)"),
+        # simon sized the channel box from a probe energy and asked for 1234987130 nodes
+        (["simon", "--alpha", "1", "--beta", "2", "--profile", "0,0,1,1", "--lambda", "5"],
+         "error: F(+1,+1) = F(+1,-1) = 0: V vanishes on those open quadrants of (sign x, sign y)"),
+        # four nodes, all behind the hard walls: no finite sample to count
+        (["weyl", "--profile", "inf", "--box", "2", "--points", "4", "--lambda", "1"],
+         "error: Homogeneous(gamma=2.0, d=1, profile=(inf, inf)) is +inf at all 4 nodes; "
+         "a 1d grid needs a finite sample"),
+    ],
+    ids=["zeta-one-zero-quadrant", "simon-two-zero-quadrants", "weyl-all-walls"],
+)
+def test_open_quadrants_and_all_wall_grids_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()] and captured.err.startswith(message)
+
+
 SIMON_SMALL = ["simon", "--alpha", "1", "--beta", "2", "--lambda", "3", "--zeta-points", "199"]
 
 

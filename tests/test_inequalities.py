@@ -27,6 +27,7 @@ from semispec.inequalities import (
 from semispec.linalg import (
     HermitianOperator,
     affine,
+    custom,
     eig_hermitian,
     exp_neg,
     positive_part,
@@ -275,3 +276,25 @@ def test_gibbs_gap_minimized_near_inverse_temperature_one():
     best = scan[int(np.argmin(gaps))]
     assert abs(best - 1.0) <= 0.06  # scan spacing
     assert min(gaps) >= -1e-10
+
+
+CONCAVE = custom(lambda x: -x * x)
+UNIFORM_2, UNIFORM_3 = (DensityMatrix(HermitianOperator(np.eye(d) / d)) for d in (2, 3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: jensen_scalar_sides(HermitianOperator(np.eye(4)), np.eye(4)[0], CONCAVE),
+         "jensen_scalar_gap requires a convex function"),
+        (lambda: jensen_partial_trace_sides(HermitianOperator(np.eye(4)), UNIFORM_2, BipartiteDims(2, 2), CONCAVE),
+         "jensen_partial_trace_gap requires a convex function"),
+        (lambda: jensen_partial_trace_sides(HermitianOperator(np.eye(4)), UNIFORM_3, BipartiteDims(2, 2), square()),
+         "state dimension 3 does not match dim1 2"),
+        (lambda: gibbs_sides(UNIFORM_3, HermitianOperator(np.eye(4))), "dimension mismatch: 3 vs 4"),
+    ],
+    ids=["scalar-concave", "partial-concave", "partial-state-dim", "gibbs-dim"],
+)
+def test_sides_refuse_a_concave_function_or_a_mismatched_state(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

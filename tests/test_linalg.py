@@ -12,6 +12,7 @@ from semispec.linalg import (
     eig_hermitian,
     eig_hermitian_stack,
     exp_neg,
+    hermitian_stack,
     positive_part,
     power_neg,
     square,
@@ -244,3 +245,19 @@ def test_operator_dump_rejects_bad_header():
         parse_bipartite_operator("size 2\n" + entries)
     with pytest.raises(ValueError, match="'dim N' header"):
         parse_bipartite_operator("dims 2 1\nsize 2\n" + entries)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hermitian_stack(np.zeros((2, 3))), r"expected a \(k, d, d\) stack, got shape \(2, 3\)"),
+        (lambda: hermitian_stack(np.zeros((2, 3, 4))), r"expected a \(k, d, d\) stack, got shape \(2, 3, 4\)"),
+        (lambda: hermitian_stack(np.zeros((2, 0, 0))), "dimension must be at least 1"),
+        (lambda: exp_neg(0.0), "exp_neg requires t > 0, got 0.0"),
+        (lambda: exp_neg(math.nan), "exp_neg requires t > 0, got nan"),
+        (lambda: power_neg(-1.0), r"power_neg requires p > 0, got -1.0"),
+    ],
+)
+def test_stack_gate_and_function_parameters_refuse_with_a_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

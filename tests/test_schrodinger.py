@@ -221,6 +221,32 @@ def test_infinite_samples_are_refused_off_1d_dirichlet_grids():
         build_hamiltonian(wall, 8.0, 64, boundary="periodic")
 
 
+def test_a_1d_grid_with_no_finite_sample_is_refused():
+    # four nodes at +-h/2 and +-3h/2 all sit behind the walls; an odd count has a node at 0, where V = 0
+    walls = Homogeneous(2.0, 1, (math.inf, math.inf))
+    with pytest.raises(ValueError) as err:
+        build_hamiltonian(walls, 2.0, 4)
+    assert str(err.value) == f"{walls!r} is +inf at all 4 nodes; a 1d grid needs a finite sample"
+    assert np.count_nonzero(np.isfinite(build_hamiltonian(walls, 2.0, 5).potential)) == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Homogeneous(2.0, 3, (1.0, 1.0)), "d must be 1 or 2, got 3"),
+        (lambda: Homogeneous(2.0, 2, (1.0, 1.0)), "d=2 requires a callable angular profile"),
+        (lambda: build_hamiltonian(None, (1.0, 1.0), 5), "box and points must have matching dimensionality"),
+        (lambda: build_hamiltonian(None, (1.0,) * 3, (3,) * 3), "only 1d and 2d grids are supported, got 3d"),
+        (lambda: build_hamiltonian(None, 1.0, 5, boundary="neumann"), "unknown boundary 'neumann'"),
+        (lambda: effective_operator(0, SIMON, 4.0, 9), r"omega must be \+1 or -1, got 0"),
+    ],
+    ids=["d-3", "d-2-pair", "box-points", "3d", "boundary", "omega"],
+)
+def test_potentials_and_grids_refuse_malformed_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_profiles_and_walls_survive_rounded_powers():
     # |x|^1e300 is +inf for |x| > 1 and 0 for |x| < 1: V is 0 where F = 0, a
@@ -879,6 +905,53 @@ def test_channel_boxes_doubling_audit():
     assert box_doubling_change(SIMON, lam, (lx, ly), points) < 1e-3
 
 
+ZERO_QUADRANTS = [
+    ((0.0, 1.0, 1.0, 1.0), "F(+1,+1) = 0: V vanishes on that open quadrant"),
+    ((1.0, 0.0, 1.0, 1.0), "F(+1,-1) = 0: V vanishes on that open quadrant"),
+    ((1.0, 1.0, 0.0, 1.0), "F(-1,+1) = 0: V vanishes on that open quadrant"),
+    ((1.0, 1.0, 1.0, 0.0), "F(-1,-1) = 0: V vanishes on that open quadrant"),
+    ((0.0, 0.0, 0.0, 0.0), "F(+1,+1) = F(+1,-1) = F(-1,+1) = F(-1,-1) = 0: V vanishes on those open quadrants"),
+]
+
+
+@pytest.mark.parametrize("profile, named", ZERO_QUADRANTS, ids=["pp", "pm", "mp", "mm", "all"])
+@pytest.mark.parametrize("entry", ["channel_boxes", "transverse_zetas"])
+def test_channel_rules_refuse_a_profile_that_vanishes_on_a_quadrant(entry, profile, named):
+    # V = 0 on an open quadrant, so the spectrum is not discrete; the probe guards this replaces
+    # could not fire, since the probe grid's ground energy is at least the free one, 0.0126
+    pot = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(*profile))
+    calls = {
+        "channel_boxes": lambda: channel_boxes(pot, 5.0),
+        "transverse_zetas": lambda: transverse_zetas(pot, 2.0, 12.0, 199),
+    }
+    with pytest.raises(ValueError) as err:
+        calls[entry]()
+    assert str(err.value) == f"{named} of (sign x, sign y), so the spectrum is not discrete and no channel closes"
+
+
+@pytest.mark.parametrize("profile, solves", [((1, 1, 1, 1), 2), ((1, 2, 1, 2), 3), ((1, 2, 3, 4), 4)])
+def test_channel_boxes_solve_once_per_distinct_slice(monkeypatch, profile, solves):
+    grounds = []
+    full = schrodinger.ground_energy
+
+    def counted(op):
+        grounds.append(full(op))
+        return grounds[-1]
+
+    monkeypatch.setattr(schrodinger, "ground_energy", counted)
+    pot = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(*profile))
+    lx, ly = channel_boxes(pot, 8.0)
+    assert len(grounds) == solves
+    # the walls are those of the smallest ground energy over both directions of each channel:
+    # |y|^2 F(omega, sign y) across the x channel, |x| F(sign x, omega) across the y channel
+    pp, pm, mp, mm = profile
+    mu0, nu0 = (
+        min(full(build_hamiltonian(Homogeneous(gamma, 1, f), 14.0, 1400)) for f in pairs)
+        for gamma, pairs in ((2.0, [(pp, pm), (mp, mm)]), (1.0, [(pp, mp), (pm, mm)]))
+    )
+    assert (lx, ly) == ((1.1 * 8.0 / mu0) ** 2.0, (1.1 * 8.0 / nu0) ** 0.75)
+
+
 def test_channel_boxes_name_overflowing_parameters():
     steep = SeparatelyHomogeneous(1.0, 1e300, QuadrantProfile(1.0, 1.0, 1.0, 1.0))
     with pytest.raises(OverflowError, match=r"channel box for alpha=1.0, beta=1e\+300 at lambda=3.0 overflows"):
@@ -926,7 +999,7 @@ def test_non_finite_t_is_refused(entry, t):
         calls[entry]()
 
 
-@pytest.mark.parametrize("entry", ["coherent_lower_bound", "coherent_partial_lower_bound", "sliced_gt_gap"])
+@pytest.mark.parametrize("entry", ["coherent_partial_lower_bound", "sliced_gt_gap"])
 def test_finite_t_with_a_nan_bound_is_refused(entry):
     # each was NaN: a factor exp(-t E) underflows to 0 where another overflows to inf; the
     # partial bound now folds the block eigenvalue -1 into exp(-t (0.44 - 1)), which overflows
@@ -935,7 +1008,6 @@ def test_finite_t_with_a_nan_bound_is_refused(entry):
     window = gaussian_window(8)
     blocks = [HermitianOperator(np.diag([-1.0, 2.0]).astype(np.complex128))] * 8
     calls = {
-        "coherent_lower_bound": lambda: coherent_lower_bound(op, 1.7e308, window),
         "coherent_partial_lower_bound": lambda: coherent_partial_lower_bound(op, blocks, 1e10, window),
         "sliced_gt_gap": lambda: sliced_gt_gap(oscillator.hermitian(), blocks, 1e10),
     }
@@ -943,6 +1015,14 @@ def test_finite_t_with_a_nan_bound_is_refused(entry):
     with pytest.raises(ValueError, match=rf"t=1(\.7e\+308|0000000000\.0) puts the .* out of float range \({cause}\)"):
         with np.errstate(over="ignore", invalid="ignore"):
             calls[entry]()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_frame_bound_is_zero_where_t_times_every_frame_energy_is_huge():
+    # every frame energy of the free 8-point torus is at least 0.44; t s (1 - cos) at k = 0 is
+    # exactly 0, not inf * 0 from forming t s first, so the momentum factor is 1 there
+    op = build_hamiltonian(None, 4.0, 8, boundary="periodic")
+    assert coherent_lower_bound(op, 1.7e308, gaussian_window(8)) == 0.0
 
 
 def test_partial_frame_bound_is_zero_where_the_combined_exponent_is_large():
@@ -1013,6 +1093,25 @@ def test_coherent_partial_rejects_malformed_blocks():
     mixed = [random_hermitian(3, seed=s) for s in range(7)] + [random_hermitian(2, seed=7)]
     with pytest.raises(ValueError, match="share one dimension"):
         coherent_partial_lower_bound(op, mixed, 0.5, w)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CoherentWindow(np.full((2, 2), 0.5)), "window must be a nonempty 1d array"),
+        (lambda: CoherentWindow(np.array([])), "window must be a nonempty 1d array"),
+        (lambda: CoherentWindow(np.array([1.0, 3.0, 5.0, 3.0]) / math.sqrt(44.0)),
+         "window must be nonincreasing in torus distance"),
+        (lambda: coherent_lower_bound(build_hamiltonian(None, 4.0, 8), 1.0, gaussian_window(8)),
+         "coherent frame bounds need a 1d periodic grid operator"),
+        (lambda: coherent_lower_bound(build_hamiltonian(None, 4.0, 8, boundary="periodic"), 1.0, flat_window(16)),
+         "window size 16 does not match operator size 8"),
+    ],
+    ids=["2d-window", "empty-window", "rising-window", "dirichlet-operator", "size-mismatch"],
+)
+def test_frames_refuse_malformed_windows_and_operators(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_coherent_bound_below_heat_trace_large_frame():
