@@ -7,7 +7,9 @@ chain below re-derives the partial-trace inequality one basis vector at a
 time, sharing nothing with the library beyond raw eigendecompositions.
 The 1d count is checked against the scalar Sturm recursion, one shift at a
 time (for a mirror-symmetric chain, on each of its two sectors built from
-their definition), and the 2d count against a node-by-node scalar LDL^T of the banded
+their definition), and the 1d windowed spectra and ground energies, which
+solve the two sectors on two threads, against scipy's serial ``stebz``
+calls on those sectors, and the 2d count against a node-by-node scalar LDL^T of the banded
 matrix, independent of the library's block-row factorization, and the
 Gershgorin interval against a loop over the lower bands; the library's
 pivot-sign read of a Bunch-Kaufman factorization is checked
@@ -182,10 +184,9 @@ def sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
     return count
 
 
-def mirror_sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
-    """Sturm count of a mirror-symmetric tridiagonal (diagonal and couplings
-    equal to their reversals, n >= 2 nodes) as the sum of its even and odd
-    sectors' one-shift counts.
+def mirror_sectors(diag: np.ndarray, off: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The even and odd sector chains of a mirror-symmetric tridiagonal
+    (diagonal and couplings equal to their reversals, n >= 2 nodes).
 
     n = 2k+1: the even sector is the leading k+1 nodes with the coupling
     into node k times sqrt(2), the odd sector the leading k nodes.
@@ -197,10 +198,42 @@ def mirror_sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> in
     if n % 2:
         even_off = off[:k].copy()
         even_off[k - 1] *= math.sqrt(2.0)
-        sectors = [(diag[: k + 1], even_off), (diag[:k], off[: k - 1])]
-    else:
-        sectors = [(np.append(diag[: k - 1], diag[k - 1] + s * off[k - 1]), off[: k - 1]) for s in (1, -1)]
-    return sum(sturm_negcount(d, o, shift) for d, o in sectors)
+        return [(diag[: k + 1], even_off), (diag[:k], off[: k - 1])]
+    return [(np.append(diag[: k - 1], diag[k - 1] + s * off[k - 1]), off[: k - 1]) for s in (1, -1)]
+
+
+def mirror_sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
+    """Sturm count of a mirror-symmetric tridiagonal as the sum of its even
+    and odd sectors' (:func:`mirror_sectors`) one-shift counts."""
+    return sum(sturm_negcount(d, o, shift) for d, o in mirror_sectors(diag, off))
+
+
+def _chain_sectors(op: GridOperator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The finite-sample chain of a 1d Dirichlet operator, from its definition
+    (a +inf sample is a dropped node, and kept neighbours stay coupled only
+    where none was dropped between them), split into its mirror sectors
+    when the chain mirrors."""
+    (h,) = op.spacing
+    keep = np.flatnonzero(np.isfinite(op.potential))
+    diag = 2.0 / h**2 + op.potential[keep]
+    off = np.where(np.diff(keep) == 1, -1.0 / h**2, 0.0)
+    if diag.size >= 2 and np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1]):
+        return mirror_sectors(diag, off)
+    return [(diag, off)]
+
+
+def window_by_serial_stebz(op: GridOperator, lo: float, upto: float) -> np.ndarray:
+    """Eigenvalues in (lo, upto] of a 1d Dirichlet operator, ascending: one
+    serial scipy ``eigvalsh_tridiagonal(select="v", lapack_driver="stebz")``
+    call per sector of its chain."""
+    window = dict(select="v", select_range=(lo, upto), lapack_driver="stebz")
+    return np.sort(np.concatenate([eigvalsh_tridiagonal(d, o, **window) for d, o in _chain_sectors(op)]))
+
+
+def ground_energy_by_serial_stebz(op: GridOperator) -> float:
+    """Lowest eigenvalue of a 1d Dirichlet operator: the smallest of one
+    serial scipy ``stebz`` call for the lowest eigenvalue per sector."""
+    return min(float(eigvalsh_tridiagonal(d, o, select="i", select_range=(0, 0))[0]) for d, o in _chain_sectors(op))
 
 
 def dirichlet_bands(op: GridOperator) -> np.ndarray:

@@ -56,8 +56,13 @@ def test_dense_spectra_only_through_eig_hermitian():
 
 def _used_names(path: Path) -> set[str]:
     """Every name a module defines, reads, imports or takes as an attribute."""
+    return _names_in(ast.parse(path.read_text()))
+
+
+def _names_in(tree: ast.AST) -> set[str]:
+    """Every name a syntax tree defines, reads, imports or takes as an attribute."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -83,12 +88,63 @@ def test_cli_leaves_solves_and_derived_matrices_to_inequalities():
     }
 
 
+def _names_by_function(path: Path) -> dict[str | None, set[str]]:
+    """The names each top-level function of a module uses (nested functions
+    included), and under None those of the module's other statements."""
+    found: dict[str | None, set[str]] = {}
+    for node in ast.parse(path.read_text()).body:
+        func = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        found.setdefault(func, set()).update(_names_in(node))
+    return found
+
+
 def test_grid_spectra_only_through_spectrum_and_ground_energy():
     # raw grid eigensolvers are confined to spectrum and ground_energy
     sites = _raw_eig_sites(SRC / "schrodinger.py")
     stray = [(func, line) for func, line in sites if func not in ("spectrum", "ground_energy")]
     assert stray == [], f"raw eigensolver calls outside spectrum and ground_energy: {stray}"
-    assert {func for func, _ in sites} == {"spectrum", "ground_energy"}
+    # scipy's tridiagonal solver is left only the full spectrum: no window, no index range
+    assert {func for func, _ in sites} == {"spectrum"}
+    calls = [
+        node for node in ast.walk(ast.parse((SRC / "schrodinger.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "eigvalsh_tridiagonal"
+    ]
+    assert calls and all(not node.keywords and len(node.args) == 2 for node in calls)
+    # the LAPACK binding lives in _stebz alone, and only spectrum and ground_energy call it
+    uses = {
+        (path.name, func): names for path in sorted(SRC.glob("*.py")) for func, names in _names_by_function(path).items()
+    }
+    kernel = ("schrodinger.py", "_stebz")
+    assert {site for site, names in uses.items() if names & {"ctypes", "cython_lapack"}} == {kernel}
+    callers = {site for site, names in uses.items() if "_stebz" in names} - {kernel}
+    assert callers == {("schrodinger.py", "spectrum"), ("schrodinger.py", "ground_energy")}
+
+
+def _import_time_modules(path: Path) -> set[str]:
+    """Top-level packages a module imports when it is itself imported (function bodies excluded)."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.add(child.module.split(".")[0])
+            visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_no_module_imports_threads_ctypes_or_scipy_when_imported():
+    # importing semispec stays as cheap as before; the sector threads and the LAPACK binding load on first use
+    found = {path.name: _import_time_modules(path) for path in sorted(SRC.glob("*.py"))}
+    stray = {name: mods & {"ctypes", "concurrent", "threading", "scipy"} for name, mods in found.items()}
+    assert {name: mods for name, mods in stray.items() if mods} == {}
+    # the scan does see module-level imports, and not those inside functions
+    assert "numpy" in found["schrodinger.py"] and "scipy" not in found["schrodinger.py"]
 
 
 @pytest.mark.parametrize("argv", [["constants", "--gamma", "2"], ["ineq", "--trials", "1", "--dims", "2x2"]])

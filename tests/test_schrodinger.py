@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,7 +54,9 @@ from oracles import (
     dirichlet_bands,
     dirichlet_laplacian_eigenvalues,
     gershgorin_by_bands,
+    ground_energy_by_serial_stebz,
     lower_bands,
+    window_by_serial_stebz,
     zeta_by_full_spectrum,
 )
 
@@ -717,6 +721,91 @@ def test_heat_trace_array_matches_scalar_calls():
         scalar = [heat_trace(op, float(t), method=method) for t in ts.ravel()]
         assert all(type(x) is float for x in scalar)
         assert np.all(np.abs(traces.ravel() - scalar) <= rtol * np.array(scalar))
+
+
+# windowed spectra on two threads ------------------------------------------------
+
+
+def _chain_op(samples, h=0.5):
+    return GridOperator(1, "dirichlet", (len(samples),), (h,), np.array(samples, dtype=float))
+
+
+INF = math.inf
+STEBZ_CASES = {
+    "mirror, odd n": build_hamiltonian(OSCILLATOR, 7.3, 57),
+    "mirror, even n": build_hamiltonian(OSCILLATOR, 7.3, 58),
+    "no mirror": build_hamiltonian(Homogeneous(1.5, 1, (2.0, 0.3)), 5.0, 41),
+    "walls, zero couplings": _chain_op([1.0, INF, 2.0, 3.0, INF, INF, 4.0, 0.5, INF, 6.0]),
+    "walls, zero couplings, mirror": _chain_op([1.0, INF, 2.0, 3.0, 7.0, 3.0, 2.0, INF, 1.0]),
+    "n = 1": _chain_op([INF, 2.5, INF]),
+    "n = 2, mirror": _chain_op([INF, 1.5, 1.5, INF]),
+    "n = 2, no mirror": _chain_op([1.5, 0.25]),
+}
+
+
+@pytest.mark.parametrize("op", STEBZ_CASES.values(), ids=STEBZ_CASES.keys())
+def test_windowed_spectra_and_ground_energy_equal_serial_scipy_bit_for_bit(op):
+    lo, top = gershgorin_bounds(op)
+    lo -= 1.0
+    full = spectrum(op)
+    # empty (between the window's start and the spectrum), partial, and every eigenvalue
+    for upto in (0.5 * (lo + full[0]), float(np.median(full)), top + 1.0):
+        window = spectrum(op, upto=upto)
+        expected = window_by_serial_stebz(op, lo, upto)
+        assert window.dtype == expected.dtype and np.array_equal(window, expected)
+    assert spectrum(op, upto=0.5 * (lo + full[0])).size == 0
+    assert spectrum(op, upto=top + 1.0).size == full.size
+    assert ground_energy(op) == ground_energy_by_serial_stebz(op)
+
+
+def test_a_window_ending_at_or_below_its_start_is_empty():
+    op = STEBZ_CASES["mirror, odd n"]
+    lo = gershgorin_bounds(op)[0] - 1.0
+    for upto in (lo, lo - 5.0, math.nan):
+        assert spectrum(op, upto=upto).size == 0
+
+
+def test_a_chain_whose_diagonal_overflows_is_refused_before_lapack():
+    # 2/h^2 + V overflows at the outer nodes: V = 1.19e308 there, 2/h^2 = 1.39e308
+    op = build_hamiltonian(Homogeneous(1e-3, 1, (1.7e308, 1.7e308)), 2.4e-154, 3)
+    with np.errstate(over="ignore"):
+        for solve in (lambda: spectrum(op, upto=1.0), lambda: ground_energy(op)):
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                solve()
+
+
+def test_a_failure_in_the_worker_sector_reaches_the_caller():
+    # eigenvalues near 1e299 against a window ending at 4e-299: dstebz does not converge
+    box = heat_box(OSCILLATOR, 1e300)
+    bad = build_hamiltonian(OSCILLATOR, box, 8)
+    good = STEBZ_CASES["mirror, odd n"]
+    baseline = threading.active_count()
+    solves = [
+        schrodinger._stebz(*schrodinger._chain(good), gershgorin_bounds(good)[0] - 1.0, 40.0),
+        schrodinger._stebz(*schrodinger._chain(bad), gershgorin_bounds(bad)[0] - 1.0, 4e-299),
+    ]
+    with pytest.raises(np.linalg.LinAlgError, match=r"dstebz did not converge \(LAPACK info=\d+\)"):
+        schrodinger._concurrently(solves)
+    assert threading.active_count() == baseline
+
+
+def test_concurrent_truncated_heat_traces_equal_the_serial_one(monkeypatch):
+    box = heat_box(OSCILLATOR, 0.05)
+    op = build_hamiltonian(OSCILLATOR, box, points_for_spacing(box, 0.02))
+    ts = np.array([0.05, 0.1, 0.2])
+    serial = heat_trace(op, ts, method="truncated")
+    baseline = threading.active_count()
+    monkeypatch.setattr(schrodinger, "_DSTEBZ", None)  # every caller finds the routine unbound
+    start = threading.Barrier(4)
+
+    def trace():
+        start.wait()
+        return heat_trace(op, ts, method="truncated")
+
+    with ThreadPoolExecutor(4) as pool:
+        traces = [future.result() for future in [pool.submit(trace) for _ in range(4)]]
+    assert all(np.array_equal(got, serial) for got in traces)
+    assert threading.active_count() == baseline
 
 
 # zeta traces -----------------------------------------------------------------
