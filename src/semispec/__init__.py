@@ -54,7 +54,6 @@ from .schrodinger import (
     counting_box,
     counting_function,
     delta_window,
-    effective_operator,
     flat_window,
     gaussian_window,
     heat_box,

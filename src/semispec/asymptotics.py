@@ -336,21 +336,19 @@ def divergence_classifier(m: int, n: int, alpha: float, beta: float) -> str:
     With the polar-angle exponents p = m-1-(m+n) alpha/(alpha+beta) and
     q = n-1-(m+n) beta/(alpha+beta) one has p+1 = -(q+1), so at least one
     endpoint integral always diverges; exponent exactly -1 counts as
-    divergent (the endpoint integral of 1/phi diverges too).
+    divergent (the endpoint integral of 1/phi diverges too).  Since
+    p <= -1 exactly when m/alpha <= n/beta, the answer is read off the
+    comparison :func:`check_partial_regime` makes: both endpoints on the
+    borderline m/alpha == n/beta, pi/2 alone in the partial laws' regime
+    m/alpha > n/beta.
     """
     if not (m >= 1 and n >= 1 and alpha > 0 and beta > 0):
         raise ValueError("need m, n >= 1 and alpha, beta > 0")
-    total = alpha + beta
-    p = m - 1.0 - (m + n) * alpha / total
-    q = n - 1.0 - (m + n) * beta / total
-    tol = 1e-12
-    at_zero = p <= -1.0 + tol
-    at_half_pi = q <= -1.0 + tol
-    if at_zero and at_half_pi:
+    if m / alpha == n / beta:
         return "diverges_both"
-    if at_zero:
-        return "diverges_at_0"
-    return "diverges_at_half_pi"
+    if m / alpha > n / beta:
+        return "diverges_at_half_pi"
+    return "diverges_at_0"
 
 
 @dataclass(frozen=True)

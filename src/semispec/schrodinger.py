@@ -310,6 +310,16 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
         )
     if math.isinf(lo):
         raise ValueError(f"{potential!r} is +inf at all {v.size} nodes; a 1d grid needs a finite sample")
+    # the Gershgorin top over the finite-sample nodes, max V + sum 4/h^2, must be finite: below
+    # it lie every diagonal entry 2/h^2 + V and every mirror sector's d + 1/h^2 that LAPACK sees
+    radius = sum(4.0 / h**2 for h in spacing)
+    if math.isinf(float(np.max(v, where=v < math.inf, initial=0.0)) + radius):
+        with np.errstate(over="ignore"):
+            over = np.count_nonzero((v < math.inf) & np.isinf(v + radius))
+        raise ValueError(
+            f"{potential!r} on spacing {spacing} puts max V + sum 4/h^2 past the float range at "
+            f"{over} of {v.size} nodes; grids need a finite Gershgorin top"
+        )
     return GridOperator(ndim, boundary, points, spacing, v)
 
 
@@ -603,72 +613,15 @@ def _chain(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
     return _diagonal(op)[idx], np.where(np.diff(idx) == 1, -1.0 / op.spacing[0] ** 2, 0.0)
 
 
-# LAPACK dstebz as a ctypes function, bound by _stebz on first use
-_DSTEBZ = None
+def _sector_windows(op: GridOperator, lo: float | int, hi: float | int) -> list[np.ndarray]:
+    """One LAPACK bisection (:func:`semispec._lapack.stebz`) per sector of the
+    chain of a 1d Dirichlet operator (:func:`_sector_chains`): the eigenvalues
+    in (lo, hi], or, for integer lo and hi, those of 1-based indices lo..hi.
+    The second sector of a mirror chain runs on a worker thread while this one
+    solves the first."""
+    from . import _lapack
 
-
-def _stebz(d: np.ndarray, e: np.ndarray, lo: float | int, hi: float | int) -> tuple[Callable, Callable]:
-    """One LAPACK ``dstebz`` bisection of the tridiagonal chain (d, e), with
-    the arguments scipy's ``eigvalsh_tridiagonal(select="v",
-    lapack_driver="stebz")`` passes: the eigenvalues in (lo, hi] (RANGE V),
-    or, for integer lo and hi, those of 1-based indices lo..hi (RANGE I),
-    ascending (ORDER E), to LAPACK's default tolerance (abstol 0).
-
-    Returns ``(call, result)``.  Every array is allocated here.  ``call``
-    runs only the LAPACK routine, which scipy publishes in
-    ``cython_lapack``; ctypes releases the GIL for it, so calls on other
-    threads run in parallel.  ``result()`` then returns the eigenvalues, or
-    raises ``LinAlgError`` on a nonzero LAPACK info.
-    """
-    global _DSTEBZ
-    import ctypes
-
-    if _DSTEBZ is None:
-        from scipy.linalg import cython_lapack
-
-        # local prototypes: the shared ctypes.pythonapi functions keep their own
-        capsule, api = cython_lapack.__pyx_capi__["dstebz"], ctypes.pythonapi
-        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
-        get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-        _DSTEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18)(get(capsule, name))
-    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    n, by_index = d.size, isinstance(lo, int)
-    il, iu, vl, vu = (lo, hi, 0.0, 1.0) if by_index else (1, 1, float(lo), float(hi))
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    w, work = np.empty(n), np.empty(4 * n)
-    iblock, isplit, iwork = np.empty(n, np.intc), np.empty(n, np.intc), np.empty(3 * n, np.intc)
-    ref, c_int, c_double = ctypes.byref, ctypes.c_int, ctypes.c_double
-    args = (
-        b"I" if by_index else b"V", b"E", ref(c_int(n)), ref(c_double(vl)), ref(c_double(vu)),
-        ref(c_int(il)), ref(c_int(iu)), ref(c_double(0.0)), d.ctypes, e.ctypes, ref(m), ref(nsplit),
-        w.ctypes, iblock.ctypes, isplit.ctypes, work.ctypes, iwork.ctypes, ref(info),
-    )  # fmt: skip
-
-    def result() -> np.ndarray:
-        if info.value:
-            raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info.value})")
-        return w[: m.value]
-
-    return partial(_DSTEBZ, *args), result
-
-
-def _concurrently(solves: list[tuple[Callable, Callable]]) -> list:
-    """The results of ``(call, result)`` pairs: the first call runs on this
-    thread while each other runs on a worker thread of its own."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    (first, _), *rest = solves
-    if rest:
-        with ThreadPoolExecutor(len(rest)) as pool:
-            pending = [pool.submit(call) for call, _ in rest]
-            first()
-            for future in pending:
-                future.result()
-    else:
-        first()
-    return [result() for _, result in solves]
+    return _lapack.concurrently([partial(_lapack.stebz, d, o, lo, hi) for d, o in _sector_chains(*_chain(op))])
 
 
 def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
@@ -676,25 +629,21 @@ def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
 
     1d Dirichlet operators solve their chain (:func:`_chain`), so the
     infinite eigenvalues of hard-wall nodes are left out.  The windowed
-    form takes one LAPACK bisection (:func:`_stebz`) per mirror sector when
-    the chain is mirror-symmetric (:func:`_sector_chains`): the second
-    sector runs on a worker thread while this one solves the first, with
-    the GIL released, and every eigenvalue is bit for bit the one scipy's
-    serial ``stebz`` call gives (through scipy's own wrapper, which holds
-    the GIL, two threads took 0.497 s against 0.514 s serial).  Other
-    shapes go through a dense or banded solver, guarded by
-    ``DENSE_EIG_CAP``.
+    form is one LAPACK bisection per sector (:func:`_sector_windows`); the
+    two sectors of a mirror chain are solved at once, with the GIL
+    released, and every eigenvalue is bit for bit the one scipy's serial
+    ``stebz`` call gives.  Other shapes go through a dense or banded
+    solver, guarded by ``DENSE_EIG_CAP``.
     """
     from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
     if op.ndim == 1 and op.boundary == "dirichlet":
-        chains = _sector_chains(*_chain(op))
         if upto is not None:
             lo = gershgorin_bounds(op)[0] - 1.0
             if not upto > lo:  # every eigenvalue lies above lo; LAPACK refuses an empty interval
                 return np.empty(0)
-            return np.sort(np.concatenate(_concurrently([_stebz(d, o, lo, upto) for d, o in chains])))
-        vals = np.concatenate([eigvalsh_tridiagonal(d, o) for d, o in chains])
+            return np.sort(np.concatenate(_sector_windows(op, lo, upto)))
+        vals = np.concatenate([eigvalsh_tridiagonal(d, o) for d, o in _sector_chains(*_chain(op))])
     else:
         _check_dense_cap(op, "spectrum")
         if op.ndim == 2:
@@ -708,10 +657,12 @@ def spectrum(op: GridOperator, upto: float | None = None) -> np.ndarray:
 
 
 def ground_energy(op: GridOperator) -> float:
+    """Lowest eigenvalue of the discrete operator.  A 1d Dirichlet operator
+    takes the lowest eigenvalue of each sector (:func:`_sector_windows` at
+    indices 1..1), bit for bit scipy's serial ``stebz`` one; other shapes
+    the bottom of :func:`spectrum`."""
     if op.ndim == 1 and op.boundary == "dirichlet":
-        # the lowest eigenvalue of each sector (RANGE I, il = iu = 1), sectors solved as in spectrum
-        chains = _sector_chains(*_chain(op))
-        return min(float(vals[0]) for vals in _concurrently([_stebz(d, o, 1, 1) for d, o in chains]))
+        return min(float(vals[0]) for vals in _sector_windows(op, 1, 1))
     return float(spectrum(op)[0])
 
 
@@ -837,13 +788,6 @@ def _check_closed(pot: SeparatelyHomogeneous) -> None:
             f"{' = '.join(zero)} = 0: V vanishes on {where} of (sign x, sign y), "
             "so the spectrum is not discrete and no channel closes"
         )
-
-
-def effective_operator(omega: int, pot: SeparatelyHomogeneous, box: float, points: int) -> GridOperator:
-    """Transverse operator -d^2/dy^2 + |y|^beta F(omega, sign y) on a 1d grid."""
-    if omega not in (1, -1):
-        raise ValueError(f"omega must be +1 or -1, got {omega}")
-    return build_hamiltonian(_channel_potentials(pot, 0)[omega], box, points)
 
 
 def transverse_zetas(pot: SeparatelyHomogeneous, p: float, box: float, points: int) -> dict[int, float]:

@@ -307,6 +307,9 @@ def test_divergence_examples_from_exponent_formula():
     assert divergence_classifier(1, 1, 1.0, 2.0) == "diverges_at_half_pi"
     assert divergence_classifier(1, 1, 1.0, 1.0) == "diverges_both"
     assert divergence_classifier(2, 1, 1.0, 3.0) == "diverges_at_half_pi"
+    # the borderline m/alpha == n/beta is exact: 1/0.09999999999999 > 2/0.2 is inside the partial regime
+    assert divergence_classifier(1, 2, 0.1, 0.2) == "diverges_both"
+    assert divergence_classifier(1, 2, 0.09999999999999, 0.2) == "diverges_at_half_pi"
 
 
 def test_divergence_mirror_case():

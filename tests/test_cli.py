@@ -563,6 +563,9 @@ def test_constants_partial_mode(capsys):
     assert obj["divergence"] == "half_pi"
     assert obj["exponent"] == pytest.approx(2.5)
     assert obj["zeta_power"] == pytest.approx(2.0)
+    # just inside the regime (1/0.09999999999999 > 2/0.2): a finite exponent, so pi/2 alone diverges
+    code, out = run_cli(capsys, "constants", "--alpha", "0.09999999999999", "--beta", "0.2", "--n", "2")
+    assert code == 0 and json.loads(out)["divergence"] == "half_pi"
 
 
 # stdout of growth-law commands, byte for byte: a last-bit change in a constant or exponent shows here

@@ -110,18 +110,21 @@ def test_grid_spectra_only_through_spectrum_and_ground_energy():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "eigvalsh_tridiagonal"
     ]
     assert calls and all(not node.keywords and len(node.args) == 2 for node in calls)
-    # the LAPACK binding lives in _stebz alone, and only spectrum and ground_energy call it
+    # the LAPACK binding lives in _lapack.stebz alone; _lapack is imported only by
+    # _sector_windows, and only spectrum and ground_energy call that
     uses = {
         (path.name, func): names for path in sorted(SRC.glob("*.py")) for func, names in _names_by_function(path).items()
     }
-    kernel = ("schrodinger.py", "_stebz")
-    assert {site for site, names in uses.items() if names & {"ctypes", "cython_lapack"}} == {kernel}
-    callers = {site for site, names in uses.items() if "_stebz" in names} - {kernel}
+    assert {site for site, names in uses.items() if names & {"ctypes", "cython_lapack"}} == {("_lapack.py", "stebz")}
+    importers = {site for site, names in uses.items() if "_lapack" in names}
+    assert importers == {("schrodinger.py", "_sector_windows")}
+    callers = {site for site, names in uses.items() if "_sector_windows" in names} - importers
     assert callers == {("schrodinger.py", "spectrum"), ("schrodinger.py", "ground_energy")}
 
 
 def _import_time_modules(path: Path) -> set[str]:
-    """Top-level packages a module imports when it is itself imported (function bodies excluded)."""
+    """Top-level packages, and modules of this package, that a module imports
+    when it is itself imported (function bodies excluded)."""
     found = set()
 
     def visit(node):
@@ -132,6 +135,8 @@ def _import_time_modules(path: Path) -> set[str]:
                 found.update(alias.name.split(".")[0] for alias in child.names)
             elif isinstance(child, ast.ImportFrom) and child.level == 0:
                 found.add(child.module.split(".")[0])
+            elif isinstance(child, ast.ImportFrom):
+                found.update([child.module] if child.module else [alias.name for alias in child.names])
             visit(child)
 
     visit(ast.parse(path.read_text()))
@@ -141,20 +146,24 @@ def _import_time_modules(path: Path) -> set[str]:
 def test_no_module_imports_threads_ctypes_or_scipy_when_imported():
     # importing semispec stays as cheap as before; the sector threads and the LAPACK binding load on first use
     found = {path.name: _import_time_modules(path) for path in sorted(SRC.glob("*.py"))}
-    stray = {name: mods & {"ctypes", "concurrent", "threading", "scipy"} for name, mods in found.items()}
+    stray = {name: mods & {"ctypes", "concurrent", "threading", "scipy", "_lapack"} for name, mods in found.items()}
     assert {name: mods for name, mods in stray.items() if mods} == {}
-    # the scan does see module-level imports, and not those inside functions
+    # _lapack imports nothing until one of its functions runs
+    assert found["_lapack.py"] == {"__future__"}
+    # the scan does see module-level imports, relative ones too, and not those inside functions
     assert "numpy" in found["schrodinger.py"] and "scipy" not in found["schrodinger.py"]
+    assert {"_frames", "linalg"} <= found["schrodinger.py"]
 
 
 @pytest.mark.parametrize("argv", [["constants", "--gamma", "2"], ["ineq", "--trials", "1", "--dims", "2x2"]])
 def test_scipy_free_commands_never_load_scipy(argv):
-    # only schrodinger uses scipy, importing scipy.linalg inside its functions
+    # only schrodinger uses scipy, importing scipy.linalg (and _lapack, with its thread pool) inside its functions
     script = (
         "import sys\n"
         "from semispec import cli\n"
         f"code = cli.main({argv!r})\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "loaded = {'scipy', 'semispec._lapack', 'concurrent.futures'} & set(sys.modules)\n"
+        "assert not loaded, f'{sorted(loaded)} were imported'\n"
         "sys.exit(code)\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))

@@ -4,13 +4,14 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from semispec import schrodinger
+from semispec import _lapack, schrodinger
 from semispec.inequalities import sliced_gt_gap
 from semispec.linalg import HermitianOperator
 from semispec.bipartite import random_hermitian
@@ -29,7 +30,6 @@ from semispec.schrodinger import (
     counting_box,
     counting_function,
     delta_window,
-    effective_operator,
     flat_window,
     gaussian_window,
     gershgorin_bounds,
@@ -242,9 +242,8 @@ def test_a_1d_grid_with_no_finite_sample_is_refused():
         (lambda: build_hamiltonian(None, (1.0, 1.0), 5), "box and points must have matching dimensionality"),
         (lambda: build_hamiltonian(None, (1.0,) * 3, (3,) * 3), "only 1d and 2d grids are supported, got 3d"),
         (lambda: build_hamiltonian(None, 1.0, 5, boundary="neumann"), "unknown boundary 'neumann'"),
-        (lambda: effective_operator(0, SIMON, 4.0, 9), r"omega must be \+1 or -1, got 0"),
     ],
-    ids=["d-3", "d-2-pair", "box-points", "3d", "boundary", "omega"],
+    ids=["d-3", "d-2-pair", "box-points", "3d", "boundary"],
 )
 def test_potentials_and_grids_refuse_malformed_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -765,27 +764,87 @@ def test_a_window_ending_at_or_below_its_start_is_empty():
         assert spectrum(op, upto=upto).size == 0
 
 
+OVERFLOWING = Homogeneous(1e-3, 1, (1.7e308, 1.7e308))
+
+
+def _refusal(build) -> str:
+    with pytest.raises(ValueError) as err:
+        build()
+    return str(err.value)
+
+
 def test_a_chain_whose_diagonal_overflows_is_refused_before_lapack():
-    # 2/h^2 + V overflows at the outer nodes: V = 1.19e308 there, 2/h^2 = 1.39e308
-    op = build_hamiltonian(Homogeneous(1e-3, 1, (1.7e308, 1.7e308)), 2.4e-154, 3)
+    # 2/h^2 = 1.39e308 and V = 1.19e308 at the outer nodes are finite, their sum is not
+    assert _refusal(lambda: build_hamiltonian(OVERFLOWING, 2.4e-154, 3)) == (
+        f"{OVERFLOWING!r} on spacing (1.2e-154,) puts max V + sum 4/h^2 past the float range "
+        "at 3 of 3 nodes; grids need a finite Gershgorin top"
+    )
+    # an operator assembled past that refusal still stops at the kernel's finite check
+    op = GridOperator(1, "dirichlet", (3,), (1.2e-154,), np.array([1.19e308, 0.0, 1.19e308]))
     with np.errstate(over="ignore"):
         for solve in (lambda: spectrum(op, upto=1.0), lambda: ground_energy(op)):
             with pytest.raises(ValueError, match="must not contain infs or NaNs"):
                 solve()
 
 
-def test_a_failure_in_the_worker_sector_reaches_the_caller():
-    # eigenvalues near 1e299 against a window ending at 4e-299: dstebz does not converge
-    box = heat_box(OSCILLATOR, 1e300)
-    bad = build_hamiltonian(OSCILLATOR, box, 8)
+@pytest.mark.parametrize(
+    "build, nodes",
+    [
+        (lambda: build_hamiltonian(OVERFLOWING, 2.4e-154, 4, boundary="periodic"), 4),
+        (lambda: build_hamiltonian(Homogeneous(1e-3, 2, lambda th: np.full_like(th, 1.7e308)), (2.4e-154, 1.0), (3, 3)), 9),
+    ],
+    ids=["torus", "2d"],
+)
+def test_torus_and_2d_grids_whose_diagonal_overflows_are_refused_at_construction(build, nodes):
+    message = _refusal(build)
+    assert message.startswith("Homogeneous(gamma=0.001") and " on spacing (1.2e-154," in message
+    assert message.endswith(f"past the float range at {nodes} of {nodes} nodes; grids need a finite Gershgorin top")
+
+
+def test_only_the_nodes_whose_gershgorin_top_overflows_are_counted():
+    # 4/h^2 = 8e307: V + 4/h^2 overflows at the two outer nodes (V = 1.19e308), not at the centre (V = 0)
+    box = 4.0 / math.sqrt(8e307)
+    assert "past the float range at 2 of 3 nodes" in _refusal(lambda: build_hamiltonian(OVERFLOWING, box, 3))
+    # a hard wall is dropped from the chain, not counted
+    walled = Homogeneous(1e-3, 1, (1.7e308, math.inf))
+    assert "past the float range at 1 of 3 nodes" in _refusal(lambda: build_hamiltonian(walled, box, 3))
+
+
+def _failing_window():
+    """A bisection that LAPACK cannot finish: eigenvalues near 1e299 against a window ending at 4e-299."""
+    bad = build_hamiltonian(OSCILLATOR, heat_box(OSCILLATOR, 1e300), 8)
+    return partial(_lapack.stebz, *schrodinger._chain(bad), gershgorin_bounds(bad)[0] - 1.0, 4e-299)
+
+
+def _good_window():
     good = STEBZ_CASES["mirror, odd n"]
+    return partial(_lapack.stebz, *schrodinger._chain(good), gershgorin_bounds(good)[0] - 1.0, 40.0)
+
+
+def test_a_failure_in_the_worker_sector_reaches_the_caller():
     baseline = threading.active_count()
-    solves = [
-        schrodinger._stebz(*schrodinger._chain(good), gershgorin_bounds(good)[0] - 1.0, 40.0),
-        schrodinger._stebz(*schrodinger._chain(bad), gershgorin_bounds(bad)[0] - 1.0, 4e-299),
-    ]
     with pytest.raises(np.linalg.LinAlgError, match=r"dstebz did not converge \(LAPACK info=\d+\)"):
-        schrodinger._concurrently(solves)
+        _lapack.concurrently([_good_window(), _failing_window()])
+    assert threading.active_count() == baseline
+
+
+def test_a_failure_on_the_calling_thread_reaches_the_caller_after_its_workers():
+    baseline = threading.active_count()
+    started, finished = threading.Event(), threading.Event()
+
+    def worker():
+        started.set()
+        value = _good_window()()
+        finished.set()
+        return value
+
+    def caller():
+        started.wait()
+        raise RuntimeError("the calling thread's call failed")
+
+    with pytest.raises(RuntimeError, match="the calling thread's call failed"):
+        _lapack.concurrently([caller, worker])
+    assert finished.is_set()
     assert threading.active_count() == baseline
 
 
@@ -795,7 +854,7 @@ def test_concurrent_truncated_heat_traces_equal_the_serial_one(monkeypatch):
     ts = np.array([0.05, 0.1, 0.2])
     serial = heat_trace(op, ts, method="truncated")
     baseline = threading.active_count()
-    monkeypatch.setattr(schrodinger, "_DSTEBZ", None)  # every caller finds the routine unbound
+    monkeypatch.setattr(_lapack, "_DSTEBZ", None)  # every caller finds the routine unbound
     start = threading.Barrier(4)
 
     def trace():
@@ -842,7 +901,7 @@ def test_windowed_zeta_matches_full_spectrum_oracle(profile):
     p = 2.0
     zetas = transverse_zetas(pot, p, 12.0, 2399)
     for omega in (1, -1):
-        op = effective_operator(omega, pot, 12.0, 2399)
+        op = build_hamiltonian(schrodinger._channel_potentials(pot, 0)[omega], 12.0, 2399)
         # the oracle sums the full spectrum up to the same cut, min(100, 0.8 x
         # the Gershgorin top), and extrapolates with q = 2 beta / (beta + 2) = 1
         top = gershgorin_bounds(op)[1]
@@ -913,14 +972,14 @@ def test_zeta_requires_positive_spectrum():
 
 
 def test_effective_operator_is_oscillator_for_beta_two():
-    op = effective_operator(1, SIMON, 12.0, 7999)
+    op = build_hamiltonian(schrodinger._channel_potentials(SIMON, 0)[1], 12.0, 7999)
     got = spectrum(op, upto=40.0)[:15]
     assert np.max(np.abs(got - (2.0 * np.arange(15) + 1.0))) < 1e-3
 
 
 def test_effective_operator_one_sided_profile():
     pot = SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1.0, 0.0, 1.0, 0.0))
-    op = effective_operator(1, pot, 10.0, 1000)
+    op = build_hamiltonian(schrodinger._channel_potentials(pot, 0)[1], 10.0, 1000)
     vals = spectrum(op, upto=5.0)
     assert vals.size > 0 and vals[0] > 0  # discrete on the truncated box
 
@@ -931,8 +990,8 @@ def test_effective_operator_scaling_law():
     r = 2.0
     pot, scaled = SIMON, SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(2.0, 2.0, 2.0, 2.0))
     ratio_expected = r ** (2.0 * 1.0 / 4.0)
-    base = effective_operator(1, pot, 12.0, 1999)
-    resized = effective_operator(1, scaled, 12.0 * r ** (-0.25), 1999)
+    base = build_hamiltonian(schrodinger._channel_potentials(pot, 0)[1], 12.0, 1999)
+    resized = build_hamiltonian(schrodinger._channel_potentials(scaled, 0)[1], 12.0 * r ** (-0.25), 1999)
     vb = spectrum(base, upto=9.0)
     vs = spectrum(resized, upto=9.0 * ratio_expected)
     k = min(vb.size, vs.size, 4)
