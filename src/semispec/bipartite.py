@@ -171,14 +171,16 @@ def compress_stack(mats: np.ndarray, states: np.ndarray, dims: BipartiteDims) ->
 
 def draw_hermitian(rngs, dim: int) -> np.ndarray:
     """One GUE-style draw from each Generator of ``rngs``, in order: the
-    ``(k, dim, dim)`` stack of ``(G + G*) / 2`` for complex Gaussian G, real
-    parts drawn first.  Hermitian by construction; :func:`random_hermitian`
-    is the gated stack of one."""
+    read-only ``(k, dim, dim)`` stack of ``(G + G*) / 2`` for complex
+    Gaussian G, real parts drawn first.  Hermitian by construction, so the
+    Hermitian gate would return it bit for bit; :func:`random_hermitian` is
+    the gated stack of one."""
     normals = np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]).reshape(-1, 2, dim, dim)
     g = np.empty((len(normals), dim, dim), dtype=np.complex128)
     g.real, g.imag = normals[:, 0], normals[:, 1]
     h = g + g.conj().swapaxes(1, 2)
     h /= 2.0
+    h.flags.writeable = False
     return h
 
 

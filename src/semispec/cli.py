@@ -194,11 +194,12 @@ def _grid_values(op: schrodinger.GridOperator, scales, method: str | None = None
 # ---------------------------------------------------------------------------
 
 
-# Trials drawn and evaluated together.  A suite draws a block's inputs and
-# gates them as stacks, and its inequality's stacked evaluator decomposes
-# and evaluates each group of one shape at once, so the Python cost is
-# paid per block and per shape, not per trial.  The block size bounds how
-# many matrices (and eigenvectors) are held at once: 128 was chosen with
+# Trials drawn and evaluated together.  A suite draws a block's inputs as
+# stacks and gates its states (operator draws are Hermitian by
+# construction), and its inequality's stacked evaluator decomposes and
+# evaluates each group of one shape at once, so the Python cost is paid
+# per block and per shape, not per trial.  The block size bounds how many
+# matrices (and eigenvectors) are held at once: 128 was chosen with
 # perfbench against 64 and 96, which ran 5-10% slower, at about the same
 # peak resident memory.  It is sized for matrices up to 36 x 36 (--dims 6x6);
 # larger ones get proportionally fewer trials per block (see _block_size).
@@ -226,7 +227,7 @@ def _jensen_scalar_block(rngs, args, loaded):
     lhs, rhs = np.empty((2, len(rngs), len(args.functions)))
     for dim, idx in inequalities._group(dims).items():
         group = [rngs[i] for i in idx]
-        h = linalg.hermitian_stack([loaded[0].mat] * len(idx) if loaded else bipartite.draw_hermitian(group, dim))
+        h = np.array([loaded[0].mat] * len(idx)) if loaded else bipartite.draw_hermitian(group, dim)
         psi = np.array([bipartite.random_unit_vector(dim, rng) for rng in group])
         lhs[idx], rhs[idx] = inequalities._jensen_scalar_sides(h, psi, args.functions)
     return lhs, rhs, None
@@ -245,7 +246,7 @@ def _jensen_partial_trace_block(rngs, args, loaded):
     cases = [None] * len(rngs)
     for d, idx in inequalities._group(keys).items():
         group = [rngs[i] for i in idx]
-        h = linalg.hermitian_stack([loaded[0].mat] * len(idx) if loaded else bipartite.draw_hermitian(group, d.total))
+        h = np.array([loaded[0].mat] * len(idx)) if loaded else bipartite.draw_hermitian(group, d.total)
         ranks = [int(rng.integers(1, d.dim1 + 1)) for rng in group]
         rho = linalg.hermitian_stack(bipartite.draw_density(group, d.dim1, ranks))
         lhs[idx], rhs[idx] = inequalities._jensen_partial_trace_sides(h, rho, d, args.functions)
@@ -262,8 +263,7 @@ def _golden_thompson_block(rngs, args, loaded):
         group = [rngs[i] for i in idx]
         # each trial's Generator draws A, then B; as temporaries, neither stack is held through the solve
         lhs[idx, 0], rhs[idx, 0] = inequalities._golden_thompson_sides(
-            linalg.hermitian_stack(bipartite.draw_hermitian(group, dim)),
-            linalg.hermitian_stack(bipartite.draw_hermitian(group, dim)),
+            bipartite.draw_hermitian(group, dim), bipartite.draw_hermitian(group, dim)
         )
     return lhs, rhs, None
 
@@ -274,8 +274,8 @@ def _sliced_gt_block(rngs, args, loaded):
     lhs, rhs = np.empty((2, len(rngs), 1))
     for (m, n), idx in inequalities._group(keys).items():
         # each trial draws T, then its m blocks
-        t_mats = linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx], m))
-        blocks = linalg.hermitian_stack(bipartite.draw_hermitian([rngs[i] for i in idx for _ in range(m)], n))
+        t_mats = bipartite.draw_hermitian([rngs[i] for i in idx], m)
+        blocks = bipartite.draw_hermitian([rngs[i] for i in idx for _ in range(m)], n)
         lhs[idx, 0], rhs[idx, 0] = inequalities._sliced_gt_sides(t_mats, blocks.reshape(len(idx), m, n, n), 0.5)
     return lhs, rhs, None
 
@@ -286,7 +286,7 @@ def _gibbs_block(rngs, args, loaded):
     lhs, rhs = np.empty((2, len(rngs), 1))
     for dim, idx in inequalities._group(dims).items():
         group = [rngs[i] for i in idx]
-        h = linalg.hermitian_stack(bipartite.draw_hermitian(group, dim))
+        h = bipartite.draw_hermitian(group, dim)
         ranks = [int(rng.integers(1, dim + 1)) for rng in group]
         rho = linalg.hermitian_stack(bipartite.draw_density(group, dim, ranks))
         lhs[idx, 0], rhs[idx, 0] = inequalities._gibbs_sides(rho, h)

@@ -216,22 +216,35 @@ def sliced_gt_sides(
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive, got {t}")
     lhs, rhs = _sliced_gt_sides(t_op.mat[None], _block_stack(t_op.dim, blocks)[None], t)
-    if np.isnan(rhs[0]):  # a damping factor underflowed to 0 and a block trace overflowed to inf
-        raise ValueError(f"t={t!r} puts the sliced Golden-Thompson sides out of float range (0 * inf)")
+    if not np.isfinite(rhs[0]):
+        raise ValueError(f"t={t!r} puts the sliced Golden-Thompson sides out of float range (it overflows)")
     return float(lhs[0]), float(rhs[0])
 
 
 def _sliced_gt_sides(t_mats: np.ndarray, blocks: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Both sides, shape ``(k,)``, for a gated ``(k, M, M)`` stack of T and a
-    ``(k, M, N, N)`` stack of gated blocks."""
+    ``(k, M, N, N)`` stack of gated blocks.
+
+    A rhs that is 0 * inf (a damping factor underflowed where a block trace
+    overflowed) is formed again with the smallest eigenvalue of T and of
+    each block moved into one exponent, as the partial frame bound forms
+    its sum; every other rhs keeps its bits."""
     k, m, n = blocks.shape[:3]
     h = hermitian_stack(sliced_stack(t_mats, blocks))
     (h_vals, _), (t_vals, t_vecs), (block_vals, _) = _eig_by_dim(h, t_mats, blocks.reshape(k * m, n, n))
+    block_vals = block_vals.reshape(k, m, n)
     lhs = np.sum(np.exp(-t * h_vals), axis=1)
-    # (e^(-tT))_mm = sum_k |U_mk|^2 e^(-t lambda_k)
-    damp = (np.abs(t_vecs) ** 2 @ np.exp(-t * t_vals)[:, :, None])[..., 0]
-    block_traces = np.sum(np.exp(-t * block_vals.reshape(k, m, n)), axis=2)
-    rhs = _rowdot(damp, block_traces)
+    weights = np.abs(t_vecs) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (e^(-tT))_mm = sum_k |U_mk|^2 e^(-t lambda_k)
+        damp = (weights @ np.exp(-t * t_vals)[:, :, None])[..., 0]
+        rhs = _rowdot(damp, np.sum(np.exp(-t * block_vals), axis=2))
+        nan = np.isnan(rhs)
+        if nan.any():
+            t_low, block_low = t_vals[nan, :1], block_vals[nan, :, :1]  # ascending eigenvalues
+            damp = (weights[nan] @ np.exp(-t * (t_vals[nan] - t_low))[:, :, None])[..., 0]
+            traces = np.sum(np.exp(-t * (block_vals[nan] - block_low)), axis=2)
+            rhs[nan] = _rowdot(damp * np.exp(-t * (t_low + block_low[..., 0])), traces)
     return lhs, rhs
 
 

@@ -26,7 +26,7 @@ sector, 1d counts run the half of the Sturm pass that both sectors share
 once, and 2d counts fold mirror rows (the first half of the Schur
 complements factored once) and split mirror blocks into halves.  Any
 other input takes the unsplit path.  On a 2d pivot breakdown the count
-goes down a ladder (:func:`_block_count`): the sectors, all rows forward,
+goes down a ladder (:func:`_count_below`): the sectors, all rows forward,
 all rows in reverse (unless the rows mirror, when that order factors the
 same blocks), the dense spectrum up to ``DENSE_EIG_CAP`` nodes, refusal
 beyond it; no other shift is ever counted.
@@ -462,96 +462,96 @@ def _block_negcount(rows: np.ndarray, hx: float, hy: float, shift: float, fold: 
     (:func:`_schur_rows`), in whatever order the rows come.  ``fold``
     counts the mirror sectors (:func:`_sector_chains`) that the samples
     allow: blocks whose samples mirror split, with every D_i, into two
-    recursions on blocks of ceil(m/2) and floor(m/2) nodes, and rows that
-    mirror one another fold (:func:`_fold`), so the first (P-1)//2 Schur
-    complements are factored once and counted twice.
+    recursions on the sector chains of ceil(m/2) and floor(m/2) nodes, and
+    rows that mirror one another fold (:func:`_fold`), so the first
+    (P-1)//2 Schur complements are factored once and counted twice.
     """
     centre = 2.0 / hx**2 + 2.0 / hy**2
     ptol = 1e-12 * (centre + float(rows.max()) + abs(shift) + 1.0)
-    m = rows.shape[1]
-    diag, off = np.full(m, centre - shift), np.full(m - 1, -1.0 / hy**2)
+    chain = np.full(rows.shape[1], centre - shift), np.full(rows.shape[1] - 1, -1.0 / hy**2)
     rows_off = np.full(len(rows) - 1, -1.0 / hx**2)
     neg = 0
-    for d, o in _sector_chains(diag, off) if fold and _is_mirror(rows.T) else [(diag, off)]:
-        # lower triangle of A_ii - s - V_i in one sector; LAPACK reads no other
-        fixed = np.zeros((d.size, d.size), order="F")
-        idx = np.arange(d.size)
-        fixed[idx[1:], idx[:-1]] = o
-        np.fill_diagonal(fixed, d)
+    for d, o in _sector_chains(*chain) if fold and _is_mirror(rows.T) else [chain]:
         vals = rows[:, : d.size]
         if fold:
-            neg += _fold(_schur_rows, vals, rows_off, fixed, ptol)
+            neg += _fold(_schur_rows, vals, rows_off, d, o, ptol)
         else:
-            neg += _schur_rows(vals, rows_off, 0, len(rows), None, fixed, ptol)[0]
+            neg += _schur_rows(vals, rows_off, 0, len(rows), None, d, o, ptol)[0]
     return neg
 
 
 def _schur_rows(
-    rows: np.ndarray, off: np.ndarray, start: int, stop: int, inv, fixed: np.ndarray, ptol: float
+    rows: np.ndarray, off: np.ndarray, start: int, stop: int, inv, d: np.ndarray, o: np.ndarray, ptol: float
 ) -> tuple:
-    """Negative eigenvalues of D_i = fixed + diag(rows[i]) - off[i-1]^2 D_{i-1}^-1
-    for rows start..stop-1, from ``inv`` = D_{start-1}^-1 (None: 0), and the
-    lower triangle of the last inverse.
+    """Negative eigenvalues of D_i = T + diag(rows[i]) - off[i-1]^2 D_{i-1}^-1
+    for rows start..stop-1, T the chain of diagonal ``d`` and couplings ``o``,
+    from ``inv`` = D_{start-1}^-1 (None: 0), and the lower triangle of the
+    last inverse.
 
-    Each D_i is factorized by Bunch-Kaufman (``dsytrf``), its inertia read
-    off the pivots (:func:`_pivot_inertia`), and inverted from the factors
-    (``dsytri``).  A pivot eigenvalue within ``ptol`` of zero raises
-    :class:`_PivotBreakdown`.
+    One Fortran-ordered buffer, a copy of ``inv`` (never written) or zeros,
+    holds every D_i and its inverse: each row scales it by -off^2, adds d and
+    the row's samples to its diagonal and o below it, factors it in place by
+    Bunch-Kaufman (``dsytrf``), reads its inertia off the pivots
+    (:func:`_pivot_inertia`) and inverts it in place (``dsytri``).  A pivot
+    eigenvalue within ``ptol`` of zero raises :class:`_PivotBreakdown`.
     """
     from scipy.linalg import lapack
 
-    m = fixed.shape[0]
-    block = np.empty((m, m), order="F")
-    inv = np.zeros((m, m), order="F") if inv is None else inv
+    m = d.size
+    block = np.zeros((m, m), order="F") if inv is None else np.array(inv, order="F")
+    entries = block.reshape(-1, order="F")  # a view: the buffer is Fortran-contiguous
+    diagonal, below = entries[:: m + 1], entries[1 :: m + 1]
     neg = 0
     for row in range(start, stop):
-        np.multiply(inv, -off[row - 1] ** 2, out=block)
-        block += fixed
-        block.flat[:: m + 1] += rows[row]
+        block *= -off[row - 1] ** 2
+        diagonal += d
+        diagonal += rows[row]
+        below += o
         ldu, ipiv, _ = lapack.dsytrf(block, lower=1, overwrite_a=1)
         row_neg, smallest = _pivot_inertia(ldu, ipiv)
         if smallest <= ptol:
             raise _PivotBreakdown(f"pivot eigenvalue {smallest:.3e} in block row {row}")
         neg += row_neg
-        inv, _ = lapack.dsytri(ldu, ipiv, lower=1, overwrite_a=1)
-    return neg, inv
-
-
-def _block_count(op: GridOperator, shift: float) -> int:
-    """Block-row count of a 2d Dirichlet operator, down a ladder that counts
-    only at ``shift``: the mirror sectors, when the samples mirror along
-    either axis; all rows forward; all rows in reverse, unless the rows
-    mirror one another (then the reverse order factors the same blocks);
-    the dense spectrum up to ``DENSE_EIG_CAP`` nodes; otherwise refused."""
-    rows, hx, hy = _block_rows(op)
-    mirror_rows = _is_mirror(rows)
-    folded = mirror_rows or _is_mirror(rows.T)
-    for order, fold in [(rows, True)] * folded + [(rows, False)] + [(rows[::-1], False)] * (not mirror_rows):
-        try:
-            return _block_negcount(order, hx, hy, shift, fold)
-        except _PivotBreakdown as exc:
-            breakdown = exc
-    if op.n > DENSE_EIG_CAP:
-        orders = "its one row order" if mirror_rows else "both row orders"
-        raise RuntimeError(
-            f"block factorization at shift {shift!r} broke down in {'its mirror sectors and ' * folded}{orders} "
-            f"({breakdown}) and {op.n} nodes exceed the dense fallback cap {DENSE_EIG_CAP}"
-        )
-    return int(np.searchsorted(spectrum(op), shift, side="left"))
+        lapack.dsytri(ldu, ipiv, lower=1, overwrite_a=1)
+    return neg, block
 
 
 def _count_below(op: GridOperator, shifts: np.ndarray) -> np.ndarray:
     """Exact counts of eigenvalues strictly below each of ``shifts`` (1d array).
 
     1d Dirichlet operators take one Sturm pass over their chain for all
-    shifts, the torus one spectrum; 2d operators are counted shift by shift.
+    shifts, the torus one spectrum.  2d operators are counted by block rows
+    (:func:`_block_negcount`) shift by shift, each down the breakdown ladder
+    of the module docstring; the rows, their mirror flags and the ladder are
+    derived once per call, and the dense spectrum at most once.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     if op.boundary == "periodic":
         return np.searchsorted(spectrum(op), shifts, side="left")
     if op.ndim == 1:
         return _fold(_sturm_pass, *_chain(op), shifts)
-    return np.array([_block_count(op, float(s)) for s in shifts], dtype=np.intp)
+    rows, hx, hy = _block_rows(op)
+    mirror_rows = _is_mirror(rows)
+    folded = mirror_rows or _is_mirror(rows.T)
+    ladder = [(rows, True)] * folded + [(rows, False)] + [(rows[::-1], False)] * (not mirror_rows)
+    counts, vals = [], None
+    for shift in shifts.tolist():
+        for order, fold in ladder:
+            try:
+                counts.append(_block_negcount(order, hx, hy, shift, fold))
+                break
+            except _PivotBreakdown as exc:
+                breakdown = exc
+        else:
+            if op.n > DENSE_EIG_CAP:
+                orders = "its one row order" if mirror_rows else "both row orders"
+                raise RuntimeError(
+                    f"block factorization at shift {shift!r} broke down in {'its mirror sectors and ' * folded}{orders} "
+                    f"({breakdown}) and {op.n} nodes exceed the dense fallback cap {DENSE_EIG_CAP}"
+                )
+            vals = spectrum(op) if vals is None else vals
+            counts.append(np.searchsorted(vals, shift, side="left"))
+    return np.array(counts, dtype=np.intp)
 
 
 def counting_function(op: GridOperator, lam: float | np.ndarray) -> int | np.ndarray:

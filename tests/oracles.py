@@ -7,7 +7,8 @@ chain below re-derives the partial-trace inequality one basis vector at a
 time, sharing nothing with the library beyond raw eigendecompositions.
 The 1d count is checked against the scalar Sturm recursion, one shift at a
 time (for a mirror-symmetric chain, on each of its two sectors built from
-their definition), and the 1d windowed spectra and ground energies, which
+their definition), and against the same recursion in 200-bit arithmetic on
+the unsplit chain, and the 1d windowed spectra and ground energies, which
 solve the two sectors on two threads, against scipy's serial ``stebz``
 calls on those sectors, and the 2d count against a node-by-node scalar LDL^T of the banded
 matrix, independent of the library's block-row factorization, and the
@@ -208,18 +209,44 @@ def mirror_sturm_negcount(diag: np.ndarray, off: np.ndarray, shift: float) -> in
     return sum(sturm_negcount(d, o, shift) for d, o in mirror_sectors(diag, off))
 
 
-def _chain_sectors(op: GridOperator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The finite-sample chain of a 1d Dirichlet operator, from its definition
-    (a +inf sample is a dropped node, and kept neighbours stay coupled only
-    where none was dropped between them), split into its mirror sectors
-    when the chain mirrors."""
+def chain_by_definition(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The finite-sample chain of a 1d Dirichlet operator, from its definition:
+    a +inf sample is a dropped node, and kept neighbours stay coupled only
+    where none was dropped between them."""
     (h,) = op.spacing
     keep = np.flatnonzero(np.isfinite(op.potential))
-    diag = 2.0 / h**2 + op.potential[keep]
-    off = np.where(np.diff(keep) == 1, -1.0 / h**2, 0.0)
+    return 2.0 / h**2 + op.potential[keep], np.where(np.diff(keep) == 1, -1.0 / h**2, 0.0)
+
+
+def _chain_sectors(op: GridOperator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`chain_by_definition`, split into its mirror sectors when the chain mirrors."""
+    diag, off = chain_by_definition(op)
     if diag.size >= 2 and np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1]):
         return mirror_sectors(diag, off)
     return [(diag, off)]
+
+
+def exact_sturm_count(diag: np.ndarray, off: np.ndarray, shift: float, bits: int = 200) -> int:
+    """Eigenvalues below ``shift`` of the symmetric tridiagonal (diag, off), by the
+    scalar Sturm recursion in ``bits``-bit ``mpmath`` arithmetic on the exact
+    float entries and shift.
+
+    The recursion is backward stable (Kahan), so at 200 bits the count is
+    exact at any shift farther than about 1e-55 ||T|| from an eigenvalue.  A
+    pivot that is exactly zero means the shift is an eigenvalue of a leading
+    block, where the count is not decided; it raises.
+    """
+    import mpmath
+
+    with mpmath.workprec(bits):
+        s = mpmath.mpf(shift)
+        count, q = 0, None
+        for i, d in enumerate(diag.tolist()):
+            q = mpmath.mpf(d) - s if q is None else mpmath.mpf(d) - s - mpmath.mpf(off[i - 1]) ** 2 / q
+            if q == 0:
+                raise ValueError(f"shift {shift!r} is an exact pivot at node {i}")
+            count += q < 0
+    return count
 
 
 def window_by_serial_stebz(op: GridOperator, lo: float, upto: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Property tests for exact eigenvalue counting: 1d Sturm counts against the
-one-shift oracle and dense spectra, 2d counts against dense spectra, and the
-mirror sectors of symmetric chains against the unsplit counts and spectra."""
+one-shift oracle, dense spectra and 200-bit Sturm counts, 2d counts against
+dense spectra, and the mirror sectors of symmetric chains against the
+unsplit counts and spectra."""
 
 import math
 import warnings
@@ -13,6 +14,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from semispec import schrodinger
 from semispec.schrodinger import (
+    BoundaryWarning,
     GridOperator,
     Homogeneous,
     QuadrantProfile,
@@ -23,7 +25,7 @@ from semispec.schrodinger import (
     spectrum,
 )
 
-from oracles import mirror_sturm_negcount, sturm_negcount
+from oracles import chain_by_definition, exact_sturm_count, mirror_sturm_negcount, sturm_negcount
 
 profiles = st.builds(QuadrantProfile, *[st.floats(0.0, 4.0)] * 4)
 potentials = st.builds(
@@ -206,3 +208,50 @@ def test_mirror_sectors_count_and_solve_like_the_unsplit_chain(op, fractions):
     with np.errstate(over="ignore"):
         expected = [sturm_negcount(*raw, s) for s in shifts]
     assert schrodinger._count_below(op, shifts).tolist() == expected
+
+
+OSCILLATOR = Homogeneous(2.0, 1, (1.0, 1.0))
+EXACT_CHAINS = {
+    "oscillator-odd": build_hamiltonian(OSCILLATOR, 6.0, 241),
+    "oscillator-even": build_hamiltonian(OSCILLATOR, 6.0, 240),
+    "asymmetric": build_hamiltonian(Homogeneous(1.5, 1, (1.0, 3.0)), 6.0, 240),
+    "hard-wall": build_hamiltonian(Homogeneous(2.0, 1, (1.0, math.inf)), 6.0, 240),
+}
+
+
+def _delta(lam):
+    """The boundary half-width of counting_function."""
+    return 1e-12 * (1.0 + abs(lam))
+
+
+@pytest.mark.parametrize("name", EXACT_CHAINS)
+def test_sturm_counts_equal_exact_counts_where_no_eigenvalue_is_within_delta(name):
+    # the lowest 30 eigenvalues (to working precision) +- 2 and 4 delta, and the gaps' midpoints;
+    # a mirror chain is counted by sectors, the exact oracle runs on the unsplit chain
+    op = EXACT_CHAINS[name]
+    diag, off = chain_by_definition(op)
+    mu = eigvalsh_tridiagonal(diag, off)[:30]
+    shifts = [m + c * _delta(m) for m in mu for c in (-4.0, -2.0, 2.0, 4.0)] + list(0.5 * (mu[1:] + mu[:-1]))
+    exact, clear = [], []
+    for s in shifts:
+        low, high = (exact_sturm_count(diag, off, s + sign * _delta(s)) for sign in (-1.0, 1.0))
+        if low == high:
+            exact.append(low)
+            clear.append(s)
+    assert len(clear) >= 140
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryWarning)
+        assert counting_function(op, np.array(clear)).tolist() == exact
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a count just past delta from an eigenvalue can be low")
+def test_a_shift_just_past_delta_from_an_eigenvalue_counts_exactly():
+    # 1.05 delta above the lowest eigenvalue of a 600-node oscillator chain, where delta is about
+    # eps * ||T||: the exact eigenvalue lies 1.11 delta below the shift, but the float count at
+    # shift - delta misses it, so counting_function warns and returns the lower count, 0
+    op = build_hamiltonian(OSCILLATOR, 6.0, 600)
+    diag, off = chain_by_definition(op)
+    shift = 0.9999750825067576
+    assert [exact_sturm_count(diag, off, shift + sign * _delta(shift)) for sign in (-1.0, 1.0)] == [1, 1]
+    with pytest.warns(BoundaryWarning, match="count jumps 0 -> 1"):
+        assert counting_function(op, shift) == 1

@@ -122,6 +122,24 @@ def test_grid_spectra_only_through_spectrum_and_ground_energy():
     assert callers == {("schrodinger.py", "spectrum"), ("schrodinger.py", "ground_energy")}
 
 
+def test_the_2d_count_builds_one_matrix_per_sweep():
+    # _schur_rows allocates its one buffer (and copies a passed state into it); nothing else in
+    # the 2d kernel makes a matrix or walks one entry by entry
+    uses = _names_by_function(SRC / "schrodinger.py")
+    builders = {"zeros", "empty", "full", "array", "fill_diagonal", "flat", "multiply"}
+    assert uses["_block_negcount"] & builders == {"full"}  # the chain's two diagonals
+    assert uses["_schur_rows"] & builders == {"zeros", "array"}
+
+
+def test_cli_draws_operators_without_the_hermitian_gate():
+    # draw_hermitian is Hermitian by construction: a gate around it would only check it again
+    gated = [
+        node for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "hermitian_stack"
+    ]
+    assert gated and all("draw_density" in _names_in(node) for node in gated)
+
+
 def _import_time_modules(path: Path) -> set[str]:
     """Top-level packages, and modules of this package, that a module imports
     when it is itself imported (function bodies excluded)."""

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from scipy.linalg import lapack
 
 from semispec import _lapack, schrodinger
-from semispec.inequalities import sliced_gt_gap
+from semispec.inequalities import sliced_gt_gap, sliced_gt_sides
 from semispec.linalg import HermitianOperator
 from semispec.bipartite import random_hermitian
 from semispec.schrodinger import (
@@ -461,9 +463,19 @@ def test_block_count_breakdown_in_both_orders_counts_by_spectrum(monkeypatch):
     def breakdown(rows, hx, hy, shift, fold=False):
         raise schrodinger._PivotBreakdown("forced")
 
+    calls = []
+
+    def counted(name):
+        func = getattr(schrodinger, name)
+        monkeypatch.setattr(schrodinger, name, lambda *args: calls.append(name) or func(*args))
+
     monkeypatch.setattr(schrodinger, "_block_negcount", breakdown)
+    for name in ("spectrum", "_block_rows", "_is_mirror"):
+        counted(name)
     shifts = [float(vals[0]) - 1.0, 0.5 * float(vals[3] + vals[4]), float(vals[-1]) + 1.0]
     assert schrodinger._count_below(op, shifts).tolist() == [0, 4, op.n]
+    # the rows, both mirror flags and the dense spectrum once for all three shifts
+    assert sorted(calls) == ["_block_rows", "_is_mirror", "_is_mirror", "spectrum"]
 
 
 def test_block_count_on_eigenvalue_past_dense_cap_raises(monkeypatch):
@@ -572,6 +584,62 @@ def test_block_count_identical_under_block_oracle_read(monkeypatch, points):
     assert any(isinstance(x, str) for x in fast)
     monkeypatch.setattr(schrodinger, "_pivot_inertia", lambda ldu, ipiv: bunch_kaufman_inertia(ldu, ipiv)[:2])
     assert _block_outcomes(op, shifts) == fast
+
+
+def test_schur_rows_factor_and_invert_in_one_buffer(monkeypatch):
+    # every dsytrf and dsytri result is the buffer it was given, one buffer per sweep
+    op = build_hamiltonian(SIMON, (5.0, 4.0), (14, 9))
+    shift = 0.5 * sum(gershgorin_bounds(op))
+    expected = schrodinger._block_negcount(*_rows(op), shift, fold=True)
+    buffers = []
+
+    def in_place(name):
+        func = getattr(lapack, name)
+
+        def call(a, *args, **kwargs):
+            out = func(a, *args, **kwargs)
+            assert np.shares_memory(out[0], a)
+            buffers.append(a)
+            return out
+
+        monkeypatch.setattr(lapack, name, call)
+
+    in_place("dsytrf")
+    in_place("dsytri")
+    assert schrodinger._block_negcount(*_rows(op), shift, fold=True) == expected
+    # two block sectors (9 nodes: 5 and 4), each with a shared sweep of 6 rows and two
+    # finishing sweeps of one row (14 mirror rows), each sweep in its own buffer
+    assert len(buffers) == 2 * 2 * (6 + 1 + 1) and len({id(b) for b in buffers}) == 2 * 3
+
+
+def test_fold_hands_one_unwritten_state_to_both_finishing_sweeps():
+    op = build_hamiltonian(SIMON, (5.0, 4.0), (14, 9))
+    rows, hx, hy = schrodinger._block_rows(op)
+    diag = np.full(rows.shape[1], 2.0 / hx**2 + 2.0 / hy**2 - 3.0)
+    chain = diag, np.full(rows.shape[1] - 1, -1.0 / hy**2)
+    rows_off = np.full(len(rows) - 1, -1.0 / hx**2)
+    seen = []
+
+    def sweep(vals, off, start, stop, state, *args):
+        seen.append((start, state, None if state is None else state.copy()))
+        return schrodinger._schur_rows(vals, off, start, stop, state, *args)
+
+    folded = schrodinger._fold(sweep, rows, rows_off, *chain, 1e-9)
+    assert folded == schrodinger._schur_rows(rows, rows_off, 0, len(rows), None, *chain, 1e-9)[0]
+    (_, none, _), (p, first, before), (q, second, _) = seen
+    assert none is None and p == q == 6 and first is second
+    assert np.array_equal(first, before)  # neither finishing sweep wrote it
+
+
+def test_benchmark_grid_counts_equal_the_recorded_table():
+    # the simon_2d grid, 773 x 83 nodes, at the six shifts of one job: lambda +- delta
+    with open(Path(__file__).resolve().parents[1] / "perfbench" / "simon_counts.json") as fh:
+        table = json.load(fh)["counts"]
+    box = channel_boxes(SIMON, 8.0)
+    op = build_hamiltonian(SIMON, box, (points_for_spacing(box[0], 0.2), points_for_spacing(box[1], 0.12)))
+    assert op.points == (773, 83)
+    lams = [5.0, 6.5, 8.0]
+    assert counting_function(op, np.array(lams)).tolist() == [table[f"{lam:g}"] for lam in lams]
 
 
 def test_counting_periodic_dense_path():
@@ -1149,8 +1217,9 @@ def test_non_finite_t_is_refused(entry, t):
 
 @pytest.mark.parametrize("entry", ["coherent_partial_lower_bound", "sliced_gt_gap"])
 def test_finite_t_with_a_nan_bound_is_refused(entry):
-    # each was NaN: a factor exp(-t E) underflows to 0 where another overflows to inf; the
-    # partial bound now folds the block eigenvalue -1 into exp(-t (0.44 - 1)), which overflows
+    # each was NaN: a factor exp(-t E) underflows to 0 where another overflows to inf; both
+    # now fold the block eigenvalue -1 into one exponent, exp(-t (0.44 - 1)) for the partial
+    # bound and exp(-t (0.93 - 1)) for the sliced side, which overflows
     op = build_hamiltonian(None, 4.0, 8, boundary="periodic")
     oscillator = build_hamiltonian(OSCILLATOR, 4.0, 8, boundary="periodic")
     window = gaussian_window(8)
@@ -1159,10 +1228,20 @@ def test_finite_t_with_a_nan_bound_is_refused(entry):
         "coherent_partial_lower_bound": lambda: coherent_partial_lower_bound(op, blocks, 1e10, window),
         "sliced_gt_gap": lambda: sliced_gt_gap(oscillator.hermitian(), blocks, 1e10),
     }
-    cause = r"it overflows" if entry == "coherent_partial_lower_bound" else r"0 \* inf"
-    with pytest.raises(ValueError, match=rf"t=1(\.7e\+308|0000000000\.0) puts the .* out of float range \({cause}\)"):
+    with pytest.raises(ValueError, match=r"t=1(\.7e\+308|0000000000\.0) puts the .* out of float range \(it overflows\)"):
         with np.errstate(over="ignore", invalid="ignore"):
             calls[entry]()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sliced_side_is_zero_where_its_combined_exponent_is_huge():
+    # the oscillator torus's lowest eigenvalue is 0.93: at t = 1e10 every damping factor
+    # underflows to 0 and every block trace overflows, yet each term of the side is at most
+    # e^(-0.83 t); it was refused as 0 * inf
+    oscillator = build_hamiltonian(OSCILLATOR, 4.0, 8, boundary="periodic")
+    blocks = [HermitianOperator(np.diag([-0.1, 2.0]).astype(np.complex128))] * 8
+    assert sliced_gt_sides(oscillator.hermitian(), blocks, 1e3) == (0.0, 0.0)
+    assert sliced_gt_sides(oscillator.hermitian(), blocks, 1e10) == (0.0, 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

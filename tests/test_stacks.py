@@ -93,6 +93,14 @@ def test_hermitian_gate_changes_no_bit_of_a_hermitian_draw():
     assert _same(hermitian_stack(mats).view(np.float64), mats.view(np.float64))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5, 36])
+def test_a_hermitian_draw_is_read_only_and_needs_no_gate(dim):
+    # semispec ineq hands draw_hermitian stacks to the evaluators ungated
+    mats = draw_hermitian([np.random.default_rng(s) for s in range(5)], dim)
+    assert not mats.flags.writeable
+    assert _same(hermitian_stack(mats).view(np.float64), mats.view(np.float64))
+
+
 @pytest.mark.parametrize("defect", ["trace", "negative"])
 def test_state_gate_names_the_first_offending_member(defect):
     mats = np.array(_states(4, 5, 3))
