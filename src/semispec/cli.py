@@ -26,10 +26,11 @@ Every command is deterministic given its flags; per-trial seeds are derived
 from --seed with numpy's SeedSequence spawning, so the output is
 byte-identical across runs and independent of how trials are grouped for
 evaluation.  ``ineq`` draws and gates each block of trials as stacks (see
-``TRIAL_BLOCK``) and hands each group of trials of one shape to the private
-stacked evaluator of its inequality in ``inequalities``, which forms the
-derived matrices, decomposes and evaluates; only the --dump operator is
-built as an object.
+``TRIAL_BLOCK``) and hands each group of trials of one shape, in chunks of
+about ``CHUNK_ENTRIES`` matrix entries, to the private stacked evaluator of
+its inequality in ``inequalities``, which forms the derived matrices,
+decomposes and evaluates; only the --dump operator is kept past its chunk,
+and built as an object.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ FUNCTIONS = {
     "pospart": (linalg.positive_part(),),
     "affine": (linalg.affine(2.0, -0.5),),
 }
-
-
-def _trial_rng(seed: int, suite: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(suite, trial)))
 
 
 def _draw_dim(rng: np.random.Generator, hi: int) -> int:
@@ -194,38 +191,53 @@ def _grid_values(op: schrodinger.GridOperator, scales, method: str | None = None
 # ---------------------------------------------------------------------------
 
 
-# Trials drawn and evaluated together.  A suite draws a block's inputs as
-# stacks and gates its states (operator draws are Hermitian by
-# construction), and its inequality's stacked evaluator decomposes and
-# evaluates each group of one shape at once, so the Python cost is paid
-# per block and per shape, not per trial.  The block size bounds how many
-# matrices (and eigenvectors) are held at once: 128 was chosen with
-# perfbench against 64 and 96, which ran 5-10% slower, at about the same
-# peak resident memory.  It is sized for matrices up to 36 x 36 (--dims 6x6);
-# larger ones get proportionally fewer trials per block (see _block_size).
-TRIAL_BLOCK = 128
+# Trials drawn together.  A suite draws a block's inputs as stacks and gates
+# its states (operator draws are Hermitian by construction), and its
+# inequality's stacked evaluator decomposes and evaluates each group of
+# trials of one shape at once, in chunks (see _chunks), so the Python cost is
+# paid per chunk of a shape, not per trial.  The block bounds the live
+# per-trial Generators (about 1.6 KB each) and side arrays; the chunks bound
+# the matrix stacks.  With 1024 trials and 8 * 36**2 entries, a 1000-trial
+# --dims 6x6 job (about 28 trials of each of 35-36 shapes) makes about 380
+# stacked solves, against about 1,920 with blocks of 128 trials and no
+# chunks; perfbench's ineq_mix job time fell 20 %, its peak memory rose 0.6 MB.
+TRIAL_BLOCK = 1024
+CHUNK_ENTRIES = 8 * 36**2
 
 
-def _block_size(top: int) -> int:
-    """Trials per block when a trial's largest matrix is ``top`` x ``top``: about
-    as many matrix entries as TRIAL_BLOCK trials hold at 36 x 36."""
-    return max(1, min(TRIAL_BLOCK, TRIAL_BLOCK * 36**2 // top**2))
+def _chunks(keys, top):
+    """Each key's positions, keys in order of first appearance, in runs of at most
+    ``CHUNK_ENTRIES // top(key)**2`` trials (at least one): about as many
+    entries of a trial's largest matrix, ``top(key)`` x ``top(key)``, at any size."""
+    for key, idx in inequalities._group(keys).items():
+        step = max(1, CHUNK_ENTRIES // top(key) ** 2)
+        for at in range(0, len(idx), step):
+            yield key, idx[at : at + step]
+
+
+def _block_rngs(seed: int, suite: int, first: int, count: int) -> list[np.random.Generator]:
+    """The Generators of a suite's trials first .. first + count - 1: trial t's is
+    seeded by ``SeedSequence(seed, spawn_key=(suite, t))``, spawned here from one
+    parent sequence."""
+    parent = np.random.SeedSequence(seed, spawn_key=(suite,), n_children_spawned=first)
+    return [np.random.Generator(np.random.PCG64(child)) for child in parent.spawn(count)]
 
 
 # A suite takes the Generators of a block's trials, the parsed flags and the
 # --load operator (or None).  It draws each trial's shape first, then, one
-# group of trials of a shape at a time, the rest of their inputs; every
+# chunk of trials of a shape at a time, the rest of their inputs; every
 # Generator serves one trial, so each trial makes the same draws in the same
 # order as alone.  It returns the lhs and rhs of every evaluation, shape
-# (trials, evaluations per trial), and, for the suite that --dump reads,
-# each trial's (operator matrix, dims).
+# (trials, evaluations per trial), and, for the suite that --dump reads, the
+# block's dump candidate: (normalized gap, (operator matrix, dims)) of its
+# first smallest normalized gap in trial and function order.
 
 
 def _jensen_scalar_block(rngs, args, loaded):
     max_m, max_n = args.dims
     dims = [len(loaded[0].mat) if loaded else _draw_dim(rng, max_m * max_n) for rng in rngs]
     lhs, rhs = np.empty((2, len(rngs), len(args.functions)))
-    for dim, idx in inequalities._group(dims).items():
+    for dim, idx in _chunks(dims, int):
         group = [rngs[i] for i in idx]
         h = np.array([loaded[0].mat] * len(idx)) if loaded else bipartite.draw_hermitian(group, dim)
         psi = np.array([bipartite.random_unit_vector(dim, rng) for rng in group])
@@ -242,24 +254,29 @@ def _jensen_partial_trace_block(rngs, args, loaded):
         else:
             m = int(rng.integers(1, max_m + 1))
             keys.append(bipartite.BipartiteDims(m, int(rng.integers(1, max_n + 1))))
-    lhs, rhs = np.empty((2, len(rngs), len(args.functions)))
-    cases = [None] * len(rngs)
-    for d, idx in inequalities._group(keys).items():
+    per_trial = len(args.functions)
+    lhs, rhs = np.empty((2, len(rngs), per_trial))
+    worst = (math.inf, 0, None)  # normalized gap, flat index in the block, (operator matrix, dims)
+    for d, idx in _chunks(keys, lambda d: d.total):
         group = [rngs[i] for i in idx]
         h = np.array([loaded[0].mat] * len(idx)) if loaded else bipartite.draw_hermitian(group, d.total)
         ranks = [int(rng.integers(1, d.dim1 + 1)) for rng in group]
         rho = linalg.hermitian_stack(bipartite.draw_density(group, d.dim1, ranks))
-        lhs[idx], rhs[idx] = inequalities._jensen_partial_trace_sides(h, rho, d, args.functions)
-        for j, i in enumerate(idx):
-            cases[i] = (h[j], d)
-    return lhs, rhs, cases
+        chunk_lhs, chunk_rhs = inequalities._jensen_partial_trace_sides(h, rho, d, args.functions)
+        lhs[idx], rhs[idx] = chunk_lhs, chunk_rhs
+        norm = ((chunk_rhs - chunk_lhs) / (1.0 + np.abs(chunk_rhs))).ravel()
+        j = int(np.argmin(norm))  # the chunk's first smallest, its trials in block order
+        flat = idx[j // per_trial] * per_trial + j % per_trial
+        if (norm[j], flat) < worst[:2]:
+            worst = (float(norm[j]), flat, (h[j // per_trial].copy(), d))  # a copy: the chunk's stack is not kept
+    return lhs, rhs, (worst[0], worst[2])
 
 
 def _golden_thompson_block(rngs, args, loaded):
     max_m, max_n = args.dims
     dims = [_draw_dim(rng, max_m * max_n) for rng in rngs]
     lhs, rhs = np.empty((2, len(rngs), 1))
-    for dim, idx in inequalities._group(dims).items():
+    for dim, idx in _chunks(dims, int):
         group = [rngs[i] for i in idx]
         # each trial's Generator draws A, then B; as temporaries, neither stack is held through the solve
         lhs[idx, 0], rhs[idx, 0] = inequalities._golden_thompson_sides(
@@ -272,7 +289,7 @@ def _sliced_gt_block(rngs, args, loaded):
     max_m, max_n = args.dims
     keys = [(_draw_dim(rng, max_m), int(rng.integers(1, max_n + 1))) for rng in rngs]
     lhs, rhs = np.empty((2, len(rngs), 1))
-    for (m, n), idx in inequalities._group(keys).items():
+    for (m, n), idx in _chunks(keys, math.prod):
         # each trial draws T, then its m blocks
         t_mats = bipartite.draw_hermitian([rngs[i] for i in idx], m)
         blocks = bipartite.draw_hermitian([rngs[i] for i in idx for _ in range(m)], n)
@@ -284,7 +301,7 @@ def _gibbs_block(rngs, args, loaded):
     max_m, _ = args.dims
     dims = [_draw_dim(rng, max_m) for rng in rngs]
     lhs, rhs = np.empty((2, len(rngs), 1))
-    for dim, idx in inequalities._group(dims).items():
+    for dim, idx in _chunks(dims, int):
         group = [rngs[i] for i in idx]
         h = bipartite.draw_hermitian(group, dim)
         ranks = [int(rng.integers(1, dim + 1)) for rng in group]
@@ -310,14 +327,13 @@ def cmd_ineq(args) -> int:
         with open(args.load) as fh:
             loaded = bipartite.parse_bipartite_operator(fh.read())
 
-    size = _block_size(max(args.dims[0] * args.dims[1], loaded[0].dim if loaded else 1))
     summaries = []
     worst = (math.inf, None)  # smallest normalized gap, (operator matrix, dims)
     for suite_idx, (suite, block) in enumerate(SUITES):
         evaluations, min_gap, violations = 0, math.inf, 0
-        for first in range(0, args.trials, size):
-            trials = range(first, min(first + size, args.trials))
-            lhs, rhs, cases = block([_trial_rng(args.seed, suite_idx, trial) for trial in trials], args, loaded)
+        for first in range(0, args.trials, TRIAL_BLOCK):
+            rngs = _block_rngs(args.seed, suite_idx, first, min(TRIAL_BLOCK, args.trials - first))
+            lhs, rhs, candidate = block(rngs, args, loaded)
             gap = rhs - lhs  # (trials, evaluations per trial)
             finite = np.isfinite(gap).ravel()
             if not finite.all():
@@ -328,14 +344,9 @@ def cmd_ineq(args) -> int:
             # the first smallest gap, as min() over the evaluations in order takes it (0.0 before -0.0)
             min_gap = min(min_gap, float(gap.flat[int(np.argmin(gap))]))
             violations += int(np.count_nonzero(inequalities.violates(gap, rhs)))
-            if cases is not None:
-                # the first evaluation, in trial and function order, of the smallest normalized gap
-                norm = (gap / (1.0 + np.abs(rhs))).ravel()
-                i = int(np.argmin(norm))
-                if norm[i] < worst[0]:
-                    mat, dims = cases[i // gap.shape[1]]
-                    worst = (float(norm[i]), (mat.copy(), dims))  # a copy: the block's stacks are not kept
-            del lhs, rhs, cases  # not held through the next block
+            if candidate is not None and candidate[0] < worst[0]:
+                worst = candidate
+            del rngs, lhs, rhs, gap  # not held through the next block
         summaries.append(
             {
                 "suite": suite,

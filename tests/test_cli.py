@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,8 +85,20 @@ def test_ineq_dump_and_load_roundtrip(tmp_path, capsys):
 @pytest.mark.parametrize("dims", ["6x6", "3x4", "1x5", "1x1"])
 @pytest.mark.parametrize("seed", [1, 7, 11])
 def test_ineq_blocks_match_trial_by_trial_oracle(monkeypatch, tmp_path, capsys, seed, dims, functions):
-    # a small block keeps the cost flat whatever TRIAL_BLOCK is, and still crosses boundaries
+    # a small block keeps the cost flat whatever TRIAL_BLOCK is, and still crosses boundaries;
+    # a budget of three 2 x 2 matrices cuts every shape group of two or more trials into chunks
+    # (of up to 12 trials at dimension 1, 3 at 2, and 1 above), the last one partial
     monkeypatch.setattr(cli, "TRIAL_BLOCK", 16)
+    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 3 * 2**2)
+    split = []
+    chunks = cli._chunks
+
+    def spy(keys, top):
+        for key, idx in chunks(keys, top):
+            split.append(len(idx) < keys.count(key))
+            yield key, idx
+
+    monkeypatch.setattr(cli, "_chunks", spy)
     trials = str(2 * cli.TRIAL_BLOCK + 3)  # two full trial blocks and a partial one
     dump = tmp_path / "worst.op"
     argv = ["ineq", "--trials", trials, "--seed", str(seed), "--dims", dims, "--functions", functions,
@@ -92,6 +108,7 @@ def test_ineq_blocks_match_trial_by_trial_oracle(monkeypatch, tmp_path, capsys, 
     assert code == 0
     assert out == expected
     assert dump.read_text() == expected_dump
+    assert any(split)  # some shape group of a block was evaluated in more than one chunk
     load_argv = ["ineq", "--trials", trials, "--seed", str(seed), "--functions", functions, "--load", str(dump)]
     expected_load, _ = ineq_by_trials(cli.build_parser().parse_args(load_argv))
     code, out = run_cli(capsys, *load_argv)
@@ -99,10 +116,14 @@ def test_ineq_blocks_match_trial_by_trial_oracle(monkeypatch, tmp_path, capsys, 
     assert out == expected_load
 
 
-def test_ineq_block_holds_about_as_many_entries_at_any_dimension(tmp_path, capsys):
-    assert [cli._block_size(top) for top in (1, 36, 72, 1000)] == [cli.TRIAL_BLOCK] * 2 + [cli.TRIAL_BLOCK // 4, 1]
-    # a 120-dim operator loaded for 40 trials: at a full block the partial-trace
-    # suite alone holds 40 such matrices, their eigenvectors and the solver's buffers
+def test_ineq_chunk_holds_about_as_many_entries_at_any_dimension(tmp_path, capsys):
+    # trials per chunk: 8 at 36 x 36, a quarter of that at twice the size, at least one
+    keys = [36] * 20 + [72] * 5 + [1000] * 2
+    assert [(k, len(idx)) for k, idx in cli._chunks(keys, int)] == [
+        (36, 8), (36, 8), (36, 4), (72, 2), (72, 2), (72, 1), (1000, 1), (1000, 1)
+    ]
+    assert [i for _, idx in cli._chunks(keys, int) for i in idx] == list(range(len(keys)))
+    # a 120-dim operator loaded for 40 trials: one block, one shape, a chunk of one trial at a time
     rng = np.random.default_rng(5)
     g = rng.standard_normal((120, 120)) + 1j * rng.standard_normal((120, 120))
     dump = tmp_path / "big.op"
@@ -115,6 +136,66 @@ def test_ineq_block_holds_about_as_many_entries_at_any_dimension(tmp_path, capsy
         tracemalloc.stop()
     assert code == 0
     assert peak < 20 * 2**20
+
+
+def test_ineq_dump_keeps_one_operator_not_every_stack(tmp_path, capsys):
+    # the partial-trace suite keeps a copy of its --dump candidate, not the chunks' H stacks: at 1000
+    # trials of --dims 6x6 the peak measured 3.3 MiB (numpy 2.4), and 6.7-7.1 MiB when every
+    # chunk's H stack was kept alive
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(
+            capsys, "ineq", "--trials", "1000", "--seed", "1", "--dims", "6x6", "--dump", str(tmp_path / "w.op")
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4.5 * 2**20
+
+
+def test_ineq_dump_candidate_is_first_in_trial_order_across_shapes(monkeypatch):
+    # seed 1 at --dims 2x1 draws shapes 2x1, 1x1, 2x1, so the block visits trials 0, 2, then 1;
+    # trials 1 and 2 tie at the smallest normalized gap, and trial 1 comes first
+    rngs = cli._block_rngs(1, 1, 0, 3)
+    calls = []
+
+    def sides(h, rho, dims, functions):
+        rhs = -np.ones((len(h), 1))
+        rhs[0, 0] = 0.0 if not calls else -1.0  # trial 0, first in the first chunk, has gap 0
+        calls.append(dims)
+        return np.zeros((len(h), 1)), rhs
+
+    monkeypatch.setattr(cli.inequalities, "_jensen_partial_trace_sides", sides)
+    args = cli.build_parser().parse_args(["ineq", "--dims", "2x1", "--functions", "square"])
+    _, _, (norm, (mat, dims)) = cli._jensen_partial_trace_block(rngs, args, None)
+    assert calls == [BipartiteDims(2, 1), BipartiteDims(1, 1)]
+    assert (norm, dims, mat.shape) == (-0.5, BipartiteDims(1, 1), (1, 1))
+
+
+def test_ineq_block_generators_are_the_trials_own():
+    # one spawn per block gives trial t the Generator of SeedSequence(seed, spawn_key=(suite, t))
+    rngs = cli._block_rngs(9, 3, 1024, 3)
+    for trial, rng in zip(range(1024, 1027), rngs):
+        alone = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(3, trial)))
+        assert rng.bit_generator.state == alone.bit_generator.state
+        assert rng.standard_normal(4).tolist() == alone.standard_normal(4).tolist()
+
+
+def test_ineq_output_is_independent_of_blas_threads():
+    # larger stacks may take other BLAS paths; the bytes must not depend on the thread count
+    argv = ["ineq", "--trials", "300", "--seed", "7", "--dims", "6x6"]
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "semispec.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_oversized_operators_are_refused_before_allocation(tmp_path, capsys):
