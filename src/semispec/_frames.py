@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .inequalities import _block_stack
-from .linalg import HermitianOperator, eig_hermitian_stack
+from .linalg import HermitianOperator, _shifted_exp, eig_hermitian_stack
 
 if TYPE_CHECKING:
     from .schrodinger import GridOperator
@@ -86,19 +86,18 @@ def _window_average(window: CoherentWindow, values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(weights * np.fft.fft(values, axis=0), axis=0)
 
 
-def _frame_boltzmann(
-    op, t: float, window: CoherentWindow, shift: float | np.ndarray = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factors with exp(-t (<psi_xk|H|psi_xk> + shift[x])) = bx[x] * bk[k] for
-    the torus operator.
+def _frame_boltzmann(op, t: float, window: CoherentWindow, block_vals: np.ndarray = np.zeros((1, 1))) -> tuple:
+    """Factors with exp(-t (<psi_xk|H|psi_xk> + low[x])) = bx[x] * bk[k] for the
+    torus operator, and the traces sum_j exp(-t (w[x, j] - low[x])) of the ``(M, N)``
+    block eigenvalues w, each row pivoted at its smallest, low[x] (``_shifted_exp``).
 
     H = diag(2/h^2 + V) - (S + S^T)/h^2 gives the frame energies
     E[x, k] = (g^2 * (2/h^2 + V))(x) - s cos(2 pi k / M) with
     s = (2/h^2) sum_j g(j) g(j+1).  Splitting E at -s keeps both exponents
     nonnegative (E >= 0 since H >= 0), so neither factor overflows unless
-    ``shift`` is negative.  The momentum exponent is t (s (1 - cos)), exactly
+    ``low`` is negative.  The momentum exponent is t (s (1 - cos)), exactly
     0 at k = 0 for every finite t (t s first would give inf * 0 there); one
-    that overflows to inf gives the factor 0.
+    that overflows to inf gives the factor 0.  t is checked before any exponential.
     """
     from .schrodinger import GridOperator
 
@@ -113,10 +112,11 @@ def _frame_boltzmann(
     kinetic = 2.0 / op.spacing[0] ** 2
     s = kinetic * float(np.dot(g, np.roll(g, -1)))
     position = _window_average(window, kinetic + op.potential).real
-    bx = np.exp(-t * (position - s + shift))
+    low, factors = _shifted_exp(block_vals, t)
+    bx = np.exp(-t * (position - s + low))
     with np.errstate(over="ignore"):
         bk = np.exp(-t * (s * (1.0 - np.cos(2.0 * math.pi * np.arange(m) / m))))
-    return bx, bk
+    return bx, bk, factors.sum(axis=1)
 
 
 def coherent_frame_defect(window: CoherentWindow) -> float:
@@ -140,7 +140,7 @@ def coherent_lower_bound(op: GridOperator, t: float, window: CoherentWindow) -> 
     - (2/h^2) cos(2 pi k / M) sum_j g(j) g(j+1), with (g^2 * V)(x) =
     sum_j g(j - x)^2 V(j); the sum costs O(M log M).
     """
-    bx, bk = _frame_boltzmann(op, t, window)
+    bx, bk, _ = _frame_boltzmann(op, t, window)
     return _bound(float(bx.sum() * bk.sum()) / window.size, t)
 
 
@@ -159,16 +159,13 @@ def coherent_partial_lower_bound(
     K_xk = <psi_xk|T|psi_xk> I + Wbar_x with Wbar_x = sum_a g(a - x)^2 W_a,
     so Tr exp(-t K_xk) = exp(-t <psi_xk|T|psi_xk>) Tr exp(-t Wbar_x) and one
     batch of M small eigenvalue problems replaces the M^2 compressions.
-    Each row's smallest eigenvalue of Wbar_x moves into its position
-    exponent, so every block trace is a sum of terms in [0, 1] whose largest
-    is 1, and a large combined exponent gives 0, not 0 * inf.
+    Each row's pivot (``_shifted_exp``), the smallest eigenvalue of Wbar_x,
+    moves into its position exponent, so every block trace is a sum of terms
+    in [0, 1] whose largest is 1: a large combined exponent gives 0, not 0 * inf.
     """
     m = window.size
     wbar = _window_average(window, _block_stack(m, blocks))
-    vals = eig_hermitian_stack(wbar)[0]
-    low = vals.min(axis=1)
-    bx, bk = _frame_boltzmann(t_op, t, window, low)
-    traces = np.exp(-t * (vals - low[:, None])).sum(axis=1)
+    bx, bk, traces = _frame_boltzmann(t_op, t, window, eig_hermitian_stack(wbar)[0])
     return _bound(float(bx @ traces * bk.sum()) / m, t)
 
 

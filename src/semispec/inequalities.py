@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .bipartite import BipartiteDims, DensityMatrix, compress_stack, entropy_terms, state_stack
-from .linalg import HermitianOperator, ScalarFunction, eig_hermitian, eig_hermitian_stack, hermitian_stack
+from .linalg import HermitianOperator, ScalarFunction, _shifted_exp, eig_hermitian, eig_hermitian_stack, hermitian_stack
 
 
 def _group(keys) -> dict:
@@ -164,17 +164,20 @@ def golden_thompson_sides(a: HermitianOperator, b: HermitianOperator) -> tuple[f
 
 def _golden_thompson_sides(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides, shape ``(k,)``, for two gated ``(k, d, d)`` stacks of A and B,
-    dropped once A + B, A and B are concatenated: the solve holds only the copy."""
+    dropped once A + B, A and B are concatenated: the solve holds only the copy.
+    The rhs sums its d^2 terms pivoted at the largest (``_shifted_exp``): finite where its value is."""
     mats = np.concatenate([hermitian_stack(a + b), a, b])
     del a, b
     [(vals, vecs)] = _eig_by_dim(mats)
     sum_vals, a_vals, b_vals = vals.reshape(3, -1, vals.shape[1])
     _, a_vecs, b_vecs = vecs.reshape(3, -1, *vecs.shape[1:])
     lhs = np.sum(np.exp(sum_vals), axis=1)
-    # Tr[e^(A/2) e^B e^(A/2)] = Tr[e^A e^B] = e^a . |U* V|^2 . e^b
+    # Tr[e^(A/2) e^B e^(A/2)] = Tr[e^A e^B] = sum_ij e^(a_i + b_j + log |U* V|^2_ij); log 0 is a term 0
     overlaps = np.abs(a_vecs.conj().swapaxes(1, 2) @ b_vecs) ** 2
-    rhs = _rowdot((np.exp(a_vals)[:, None, :] @ overlaps)[:, 0], np.exp(b_vals))
-    return lhs, rhs
+    with np.errstate(divide="ignore"):
+        terms = a_vals[:, :, None] + b_vals[:, None, :] + np.log(overlaps)
+    top, factors = _shifted_exp(terms.reshape(len(terms), -1), -1.0)
+    return lhs, np.exp(top) * np.sum(factors, axis=1)
 
 
 def golden_thompson_gap(a: HermitianOperator, b: HermitianOperator) -> float:
@@ -225,27 +228,19 @@ def _sliced_gt_sides(t_mats: np.ndarray, blocks: np.ndarray, t: float) -> tuple[
     """Both sides, shape ``(k,)``, for a gated ``(k, M, M)`` stack of T and a
     ``(k, M, N, N)`` stack of gated blocks.
 
-    A rhs that is 0 * inf (a damping factor underflowed where a block trace
-    overflowed) is formed again with the smallest eigenvalue of T and of
-    each block moved into one exponent, as the partial frame bound forms
-    its sum; every other rhs keeps its bits."""
+    The rhs is a log-sum-exp of its M^2 N terms, pivoted at the largest
+    (``_shifted_exp`` at t = -1), so it is finite wherever its value is; a
+    value beyond float range is inf, which the public side refuses."""
     k, m, n = blocks.shape[:3]
     h = hermitian_stack(sliced_stack(t_mats, blocks))
     (h_vals, _), (t_vals, t_vecs), (block_vals, _) = _eig_by_dim(h, t_mats, blocks.reshape(k * m, n, n))
     block_vals = block_vals.reshape(k, m, n)
     lhs = np.sum(np.exp(-t * h_vals), axis=1)
-    weights = np.abs(t_vecs) ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (e^(-tT))_mm = sum_k |U_mk|^2 e^(-t lambda_k)
-        damp = (weights @ np.exp(-t * t_vals)[:, :, None])[..., 0]
-        rhs = _rowdot(damp, np.sum(np.exp(-t * block_vals), axis=2))
-        nan = np.isnan(rhs)
-        if nan.any():
-            t_low, block_low = t_vals[nan, :1], block_vals[nan, :, :1]  # ascending eigenvalues
-            damp = (weights[nan] @ np.exp(-t * (t_vals[nan] - t_low))[:, :, None])[..., 0]
-            traces = np.sum(np.exp(-t * (block_vals[nan] - block_low)), axis=2)
-            rhs[nan] = _rowdot(damp * np.exp(-t * (t_low + block_low[..., 0])), traces)
-    return lhs, rhs
+    # sum_m (e^(-tT))_mm Tr e^(-t W_m) = sum_mkj e^(log |U_mk|^2 - t (lambda_k + w_mj)); log 0 is a term 0
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = np.log(np.abs(t_vecs) ** 2)[..., None] - t * (t_vals[:, None, :, None] + block_vals[:, :, None, :])
+        top, factors = _shifted_exp(terms.reshape(k, -1), -1.0)
+        return lhs, np.exp(top) * np.sum(factors, axis=1)
 
 
 def sliced_gt_gap(t_op: HermitianOperator, blocks: Sequence[HermitianOperator], t: float) -> float:
@@ -280,8 +275,8 @@ def _gibbs_sides(states: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.n
     energy = np.real(_rowdot(states.reshape(k, -1).conj(), mats.reshape(k, -1)))  # Tr[rho H], both Hermitian
     rhs = energy + entropies
     # log-sum-exp keeps ln Z finite for large spectra
-    shift = np.min(vals, axis=1)
-    lhs = -(np.log(np.sum(np.exp(-(vals - shift[:, None])), axis=1)) - shift)
+    low, factors = _shifted_exp(vals, 1.0)
+    lhs = -(np.log(np.sum(factors, axis=1)) - low)
     return lhs, rhs
 
 
@@ -296,9 +291,9 @@ def gibbs_gap(rho: DensityMatrix, op: HermitianOperator) -> float:
 
 
 def gibbs_state(op: HermitianOperator, s: float = 1.0) -> DensityMatrix:
-    """Normalized e^(-s H), the minimizer of the Gibbs functional at s = 1."""
+    """Normalized e^(-s H), the minimizer of the Gibbs functional at s = 1;
+    its weights are pivoted (``linalg._shifted_exp``), so it is finite at any finite s."""
     dec = eig_hermitian(op)
-    w = np.exp(-s * (dec.eigenvalues - np.min(dec.eigenvalues)))
-    w = w / np.sum(w)
+    w = _shifted_exp(dec.eigenvalues, s)[1]
     u = dec.eigenvectors
-    return DensityMatrix(HermitianOperator((u * w) @ u.conj().T))
+    return DensityMatrix(HermitianOperator((u * (w / np.sum(w))) @ u.conj().T))

@@ -184,6 +184,14 @@ def eig_hermitian(op: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(vals[0], vecs[0])
 
 
+def _shifted_exp(vals: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pivot and factors exp(-t (vals - pivot)) along the last axis.  The pivot,
+    the smallest entry for t > 0 and the largest otherwise, keeps every factor in
+    [0, 1] and one at 1: exp(-t pivot) * sum(factors) is finite wherever its value is."""
+    pivot = vals.min(axis=-1) if t > 0 else vals.max(axis=-1)
+    return pivot, np.exp(-t * (vals - pivot[..., None]))
+
+
 def trace(op) -> float:
     """Real trace.  Warns if the imaginary residue exceeds 1e-12 (relative)."""
     mat = op.mat if isinstance(op, HermitianOperator) else np.asarray(op)

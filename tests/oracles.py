@@ -11,7 +11,8 @@ their definition), and against the same recursion in 200-bit arithmetic on
 the unsplit chain, and the 1d windowed spectra and ground energies, which
 solve the two sectors on two threads, against scipy's serial ``stebz``
 calls on those sectors, and the 2d count against a node-by-node scalar LDL^T of the banded
-matrix, independent of the library's block-row factorization, and the
+matrix, independent of the library's block-row factorization, and against
+block-row Schur inertia in 200-bit arithmetic next to its eigenvalues, and the
 Gershgorin interval against a loop over the lower bands; the library's
 pivot-sign read of a Bunch-Kaufman factorization is checked
 against locating every 2x2 pivot block.  Windowed zeta traces are checked
@@ -356,6 +357,54 @@ def banded_negcount(bands: np.ndarray, shift: float, pivot_rtol: float = 1e-12) 
         spare[bw, bw] = padded[0, j + m]
         window, spare = spare, window
     return neg
+
+
+def exact_block_inertia(op: GridOperator, shift: float, bits: int = 200) -> int:
+    """Eigenvalues below ``shift`` of a 2d Dirichlet operator, by block-row Schur
+    inertia in ``bits``-bit ``mpmath`` arithmetic on the exact float entries of
+    :func:`dirichlet_bands` and the shift.
+
+    The blocks are the grid's lines along its shorter axis, whatever order the
+    library factors them in: D_0 = A_00 - s and D_i = A_ii - s - c^2 D_{i-1}^-1,
+    with c the coupling across lines, and by Haynsworth's inertia additivity
+    nu_-(A - s) = sum_i nu_-(D_i).  Each D_i is reduced by Gauss-Jordan
+    elimination without pivoting, whose pivots are those of its LDL^T and so
+    carry its inertia (Sylvester), and which leaves D_i^-1.  A pivot that is
+    exactly zero leaves the count undecided; it raises.
+    """
+    import mpmath
+
+    bands = dirichlet_bands(op)
+    lines, m = op.points if op.points[0] >= op.points[1] else op.points[::-1]
+    diag = bands[0].reshape(op.points)
+    diag = (diag if op.points[0] >= op.points[1] else diag.T).tolist()
+    with mpmath.workprec(bits):
+        s = mpmath.mpf(shift)
+        c2 = mpmath.mpf(1.0 / op.spacing[op.points[0] < op.points[1]] ** 2) ** 2
+        within = mpmath.mpf(-1.0 / op.spacing[op.points[0] >= op.points[1]] ** 2)
+        count, inv = 0, None
+        for i in range(lines):
+            # [D_i | I], D_i = A_ii - s - c^2 D_{i-1}^-1
+            work = [[-c2 * x for x in inv[r]] if inv else [mpmath.mpf(0)] * m for r in range(m)]
+            for r in range(m):
+                work[r][r] += mpmath.mpf(diag[i][r]) - s
+                if r:
+                    work[r][r - 1] += within
+                    work[r - 1][r] += within
+                work[r] += [mpmath.mpf(r == q) for q in range(m)]
+            for k in range(m):
+                pivot = work[k][k]
+                if pivot == 0:
+                    raise ValueError(f"shift {shift!r} is an exact pivot in line {i}")
+                count += pivot < 0
+                row = [x / pivot for x in work[k]]
+                work[k] = row
+                for r in range(m):
+                    factor = work[r][k]
+                    if r != k and factor:
+                        work[r] = [x - factor * y for x, y in zip(work[r], row)]
+            inv = [r[m:] for r in work]
+    return count
 
 
 def bunch_kaufman_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[int, float, np.ndarray]:

@@ -690,7 +690,7 @@ INEQ_PINNED = {
         '{"suite": "jensen_scalar", "trials": 200, "evaluations": 1200, "min_gap": -1.0880185641326534e-14, '
         '"violations": 0}\n'
         '{"suite": "jensen_partial_trace", "trials": 200, "evaluations": 1200, "min_gap": -9216.0, "violations": 0}\n'
-        '{"suite": "golden_thompson", "trials": 200, "evaluations": 200, "min_gap": 0.10239235602407204, '
+        '{"suite": "golden_thompson", "trials": 200, "evaluations": 200, "min_gap": 0.10239235602407293, '
         '"violations": 0}\n'
         '{"suite": "sliced_gt", "trials": 200, "evaluations": 200, "min_gap": 6.624851304160018e-05, '
         '"violations": 0}\n'

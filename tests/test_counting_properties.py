@@ -25,7 +25,7 @@ from semispec.schrodinger import (
     spectrum,
 )
 
-from oracles import chain_by_definition, exact_sturm_count, mirror_sturm_negcount, sturm_negcount
+from oracles import chain_by_definition, exact_block_inertia, exact_sturm_count, mirror_sturm_negcount, sturm_negcount
 
 profiles = st.builds(QuadrantProfile, *[st.floats(0.0, 4.0)] * 4)
 potentials = st.builds(
@@ -242,6 +242,34 @@ def test_sturm_counts_equal_exact_counts_where_no_eigenvalue_is_within_delta(nam
     with warnings.catch_warnings():
         warnings.simplefilter("error", BoundaryWarning)
         assert counting_function(op, np.array(clear)).tolist() == exact
+
+
+EXACT_GRIDS = {
+    "mirror": build_hamiltonian(SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1, 1, 1, 1)), (3.0, 2.0), (19, 7)),
+    "quadrant": build_hamiltonian(SeparatelyHomogeneous(1.0, 2.0, QuadrantProfile(1, 2, 3, 0.5)), (3.0, 2.0), (20, 8)),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_GRIDS)
+def test_block_counts_equal_exact_block_inertia_next_to_eigenvalues(name):
+    # the lowest 5 eigenvalues (dense, to about 1e-14 here) +- 2 and 4 delta, and the gaps' midpoints,
+    # counted by each row order, folded and not, and by counting_function, against 200-bit Schur inertia
+    op = EXACT_GRIDS[name]
+    vals = np.linalg.eigvalsh(op.dense())
+    mu = vals[:5]
+    shifts = [m + c * _delta(m) for m in mu for c in (-4.0, -2.0, 2.0, 4.0)] + list(0.5 * (mu[1:] + mu[:-1]))
+    # no eigenvalue lies within delta of s +- delta, so counting_function's two counts agree
+    assert all(np.min(np.abs(vals - s)) > 1.5 * _delta(s) for s in shifts)
+    exact = [exact_block_inertia(op, s) for s in shifts]
+    assert exact[:4] == [0, 0, 1, 1] and exact[-1] == 4
+    rows, hx, hy = schrodinger._block_rows(op)
+    assert schrodinger._is_mirror(rows) == schrodinger._is_mirror(rows.T) == (name == "mirror")
+    for order in (rows, rows[::-1]):
+        for fold in (True, False):
+            assert [schrodinger._block_negcount(order, hx, hy, s, fold) for s in shifts] == exact, fold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryWarning)
+        assert counting_function(op, np.array(shifts)).tolist() == exact
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a count just past delta from an eigenvalue can be low")

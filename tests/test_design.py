@@ -2,8 +2,10 @@
 
 import ast
 import os
+import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,11 @@ import semispec
 
 SRC = Path(semispec.__file__).parent
 DENSE_MODULES = ("linalg.py", "bipartite.py", "inequalities.py")
+# the compile() peak of any one module, in KB: without cached bytecode every process compiles
+# the sources, and the largest module's peak is a high-water mark that the process keeps.
+# Measured on CPython 3.11.7; the peak depends on the interpreter's parser and compiler.
+COMPILE_PEAK_KB = 2300
+COMPILE_PEAK_PYTHON = ("cpython", (3, 11))
 
 
 def _raw_eig_sites(path: Path) -> list[tuple[str | None, int]]:
@@ -190,3 +197,29 @@ def test_scipy_free_commands_never_load_scipy(argv):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _compile_peak_kb(source: str, name: str) -> float:
+    """The tracemalloc peak of compiling ``source`` once, in KB."""
+    tracemalloc.start()
+    try:
+        compile(source, name, "exec")
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(
+    (sys.implementation.name, sys.version_info[:2]) != COMPILE_PEAK_PYTHON,
+    reason="the compile() peak bound was measured on CPython 3.11",
+)
+def test_no_module_compiles_above_the_peak_bound():
+    # the median of five compiles; a large new subsystem belongs in a module of its own
+    peaks = {
+        path.name: statistics.median(_compile_peak_kb(path.read_text(), path.name) for _ in range(5))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    over = {name: round(kb) for name, kb in peaks.items() if kb > COMPILE_PEAK_KB}
+    assert over == {}, f"modules whose compile() peak exceeds {COMPILE_PEAK_KB} KB: {over}"
+    # the measure does see a module's size: the largest is over half the bound
+    assert max(peaks.values()) > COMPILE_PEAK_KB / 2

@@ -15,6 +15,7 @@ from semispec.inequalities import (
     gibbs_sides,
     gibbs_state,
     golden_thompson_gap,
+    golden_thompson_sides,
     jensen_partial_trace_gap,
     jensen_partial_trace_sides,
     jensen_scalar_gap,
@@ -183,6 +184,29 @@ def test_gt_nonnegative_on_random_pairs(seed):
     assert not violates(rhs - lhs, rhs)
 
 
+# R rotates a spectrum off the basis; the exponents of every case below commute, so each
+# side is a plain sum of exponentials.  A case whose exponents pair one top eigenvalue with
+# one far below stays diagonal: rotated, its eigenvectors' round-off of order eps^2 is
+# weighted by e^800
+ROTATION = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+E700 = math.exp(700.0) + math.exp(690.0)
+
+
+def _rotated(*eigenvalues):
+    return HermitianOperator(ROTATION @ np.diag(eigenvalues) @ ROTATION.T)
+
+
+@pytest.mark.parametrize("a,b,side", [
+    (_rotated(800.0, 790.0), _rotated(-100.0, -100.0), E700),  # e^800 overflows; it was inf, with a warning
+    # e^(a_top + b_top) = e^800 overflows: times the pivoted 2e^-400 it is inf, times 2e^-800 = 0 it is NaN
+    (HermitianOperator.from_diag([400.0, 0.0]), HermitianOperator.from_diag([0.0, 400.0]), 2.0 * math.exp(400.0)),
+    (HermitianOperator.from_diag([400.0, -400.0]), HermitianOperator.from_diag([-400.0, 400.0]), 2.0),
+], ids=["e700", "e400", "two"])
+def test_gt_sides_are_finite_wherever_their_value_is(a, b, side):
+    # the rhs is pivoted at its largest term e^(a_i + b_j) |U* V|^2_ij, not at A's or B's top
+    assert golden_thompson_sides(a, b) == pytest.approx((side, side), rel=1e-12)
+
+
 # sliced Golden-Thompson ------------------------------------------------------
 
 
@@ -242,6 +266,19 @@ def test_sliced_gt_nonnegative_with_psd_blocks(seed):
     assert not violates(rhs - lhs, rhs)
 
 
+@pytest.mark.parametrize("t_op,block_vals,side", [
+    # e^(-tT) overflows, but T (x) 1 commutes with the equal blocks; it was refused as overflowing
+    (_rotated(-800.0, -790.0), (100.0, 100.0), E700),
+    # T is diagonal and row 1 misses T's lowest eigenvector, so its damping pivoted at T's lowest
+    # eigenvalue is e^-690, or 0, against a pivot exponent of e^800, or e^1450
+    (HermitianOperator.from_diag([-400.0, 290.0]), (0.0, -400.0), math.exp(400.0) + math.exp(110.0)),
+    (HermitianOperator.from_diag([-800.0, 100.0]), (1000.0, -650.0), math.exp(-200.0) + math.exp(550.0)),
+], ids=["e700", "small_damping", "zero_damping"])
+def test_sliced_sides_are_finite_wherever_their_value_is(t_op, block_vals, side):
+    sides = sliced_gt_sides(t_op, [HermitianOperator(np.array([[w]])) for w in block_vals], 1.0)
+    assert sides == pytest.approx((side, side), rel=1e-12)
+
+
 # Gibbs variational principle -------------------------------------------------
 
 
@@ -276,6 +313,13 @@ def test_gibbs_gap_minimized_near_inverse_temperature_one():
     best = scan[int(np.argmin(gaps))]
     assert abs(best - 1.0) <= 0.06  # scan spacing
     assert min(gaps) >= -1e-10
+
+
+def test_gibbs_state_is_finite_where_e_to_the_minus_sh_overflows():
+    # at s = -1 the weights pivot at the largest eigenvalue: e^(800 - 800) and e^(0 - 800);
+    # pivoted at the smallest, e^800 overflowed and the state was refused as NaN
+    state = gibbs_state(HermitianOperator.from_diag([0.0, 800.0]), s=-1.0)
+    assert np.array_equal(state.op.mat, np.diag([0.0, 1.0]).astype(np.complex128))
 
 
 CONCAVE = custom(lambda x: -x * x)

@@ -211,25 +211,37 @@ def test_compress_and_partial_jensen_sides_stacked_bit_for_bit(k, m, n):
         assert _same_member(sides, i, alone)
 
 
+def _with_extreme(stack, shift):
+    """The stack and one more member: its first, moved by ``shift`` I, so that the new
+    member's spectra sit near ``shift``."""
+    return np.concatenate([stack, stack[:1] + shift * np.eye(stack.shape[-1])])
+
+
 @pytest.mark.parametrize("k,m,n", SHAPES)
 def test_golden_thompson_sides_stacked_bit_for_bit(k, m, n):
-    a, b = _stack(30 + k, k, m * n), _stack(31 + k, k, m * n)
+    # the last member's e^A and e^B are near e^700 and e^-700, at the ends of float range
+    a, b = _with_extreme(_stack(30 + k, k, m * n), 700.0), _with_extreme(_stack(31 + k, k, m * n), -700.0)
     sides = lhs, rhs = inequalities._golden_thompson_sides(a, b)
     sum_vals, _ = eig_hermitian_stack(hermitian_stack(a + b))
     (a_vals, a_vecs), (b_vals, b_vecs) = eig_hermitian_stack(a), eig_hermitian_stack(b)
-    for i in range(k):
+    for i in range(k + 1):
+        # the rhs's terms e^(a_i + b_j) |U* V|^2_ij, summed pivoted at the largest exponent
         overlaps = np.abs(a_vecs[i].conj().T @ b_vecs[i]) ** 2
+        exponents = (a_vals[i][:, None] + b_vals[i][None, :] + np.log(overlaps)).ravel()
         assert _same(lhs[i], float(np.sum(np.exp(sum_vals[i]))))
-        assert _same(rhs[i], float(np.exp(a_vals[i]) @ overlaps @ np.exp(b_vals[i])))
+        assert _same(rhs[i], float(np.exp(exponents.max()) * np.sum(np.exp(exponents - exponents.max()))))
         assert _same_member(sides, i, _alone(inequalities._golden_thompson_sides, i, a, b))
+    assert 0.0 < rhs[k] < np.inf
 
 
 @pytest.mark.parametrize("k,m,n", SHAPES)
 def test_sliced_hamiltonian_and_sides_stacked_bit_for_bit(k, m, n):
-    t_mats = _stack(40 + k, k, m)
-    blocks = _stack(41 + k, k * m, n).reshape(k, m, n, n)
+    # the last member's T sits near -1400 and its blocks near +1400: at t = 0.5 its exponents
+    # are near +-700, at the ends of float range, but its side is of order 1
+    t_mats = _with_extreme(_stack(40 + k, k, m), -1400.0)
+    blocks = _with_extreme(_stack(41 + k, k * m, n).reshape(k, m, n, n), 1400.0)
     hs = hermitian_stack(inequalities.sliced_stack(t_mats, blocks))
-    for i in range(k):
+    for i in range(k + 1):
         h = np.kron(t_mats[i], np.eye(n, dtype=np.complex128))
         for j in range(m):
             h[j * n : (j + 1) * n, j * n : (j + 1) * n] += blocks[i, j]
@@ -237,13 +249,15 @@ def test_sliced_hamiltonian_and_sides_stacked_bit_for_bit(k, m, n):
     sides = lhs, rhs = inequalities._sliced_gt_sides(t_mats, blocks, 0.5)
     h_vals, _ = eig_hermitian_stack(hs)
     t_vals, t_vecs = eig_hermitian_stack(t_mats)
-    block_vals = eig_hermitian_stack(blocks.reshape(-1, n, n))[0].reshape(k, m, n)
-    for i in range(k):
-        damp = np.abs(t_vecs[i]) ** 2 @ np.exp(-0.5 * t_vals[i])
-        traces = [np.sum(np.exp(-0.5 * vals)) for vals in block_vals[i]]
+    block_vals = eig_hermitian_stack(blocks.reshape(-1, n, n))[0].reshape(k + 1, m, n)
+    for i in range(k + 1):
+        # the rhs's terms |U_mk|^2 e^(-t (lambda_k + w_mj)), summed pivoted at the largest exponent
+        weights = np.log(np.abs(t_vecs[i]) ** 2)[:, :, None]
+        exponents = (weights - 0.5 * (t_vals[i][None, :, None] + block_vals[i][:, None, :])).ravel()
         assert _same(lhs[i], float(np.sum(np.exp(-0.5 * h_vals[i]))))
-        assert _same(rhs[i], float(damp @ traces))
+        assert _same(rhs[i], float(np.exp(exponents.max()) * np.sum(np.exp(exponents - exponents.max()))))
         assert _same_member(sides, i, _alone(inequalities._sliced_gt_sides, i, t_mats, blocks, t=0.5))
+    assert 0.0 < rhs[k] < np.inf
 
 
 @pytest.mark.parametrize("k,dim", [(1, 1), (6, 3), (12, 6), (9, 11), (5, 20)])
