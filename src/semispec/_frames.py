@@ -99,7 +99,7 @@ def _frame_boltzmann(op, t: float, window: CoherentWindow, block_vals: np.ndarra
     0 at k = 0 for every finite t (t s first would give inf * 0 there); one
     that overflows to inf gives the factor 0.  t is checked before any exponential.
     """
-    from .schrodinger import GridOperator
+    from .schrodinger import GridOperator, _stencil
 
     if not (isinstance(op, GridOperator) and op.boundary == "periodic" and op.ndim == 1):
         raise ValueError("coherent frame bounds need a 1d periodic grid operator")
@@ -109,7 +109,7 @@ def _frame_boltzmann(op, t: float, window: CoherentWindow, block_vals: np.ndarra
     m = g.size
     if m != op.n:
         raise ValueError(f"window size {m} does not match operator size {op.n}")
-    kinetic = 2.0 / op.spacing[0] ** 2
+    kinetic = _stencil(op.spacing[0])[0]
     s = kinetic * float(np.dot(g, np.roll(g, -1)))
     position = _window_average(window, kinetic + op.potential).real
     low, factors = _shifted_exp(block_vals, t)

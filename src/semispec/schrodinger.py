@@ -4,7 +4,8 @@ transverse effective operators, and (from :mod:`semispec._frames`)
 discrete coherent-state frames.
 
 Grids are second-order central-difference discretizations on a box with
-Dirichlet walls (tridiagonal in 1d, 5-point in 2d) or on a 1d torus.  A grid
+Dirichlet walls (tridiagonal in 1d, 5-point in 2d) or on a 1d torus, whose
+coefficients 2/h^2 and -1/h^2 have one home, :func:`_stencil`.  A grid
 operator holds only its potential samples and spacings; every matrix is
 built from them on demand, and any dense or banded one only up to
 ``DENSE_EIG_CAP`` nodes.  Each shape has one array form: a 1d Dirichlet
@@ -73,7 +74,7 @@ PROBE_POINTS = 1400
 
 
 class BoundaryWarning(UserWarning):
-    """The shift sits within 1e-12 of a discrete eigenvalue; a strict count is ambiguous."""
+    """lambda sits within delta = 1e-12 (1 + |lambda|) of a discrete eigenvalue; a strict count is ambiguous."""
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +212,20 @@ class GridOperator:
             idx = np.arange(n - r)
             out[idx + r, idx] = out[idx, idx + r] = row[: n - r]
         if self.boundary == "periodic":
-            out[0, n - 1] = out[n - 1, 0] = -1.0 / self.spacing[0] ** 2
+            out[0, n - 1] = out[n - 1, 0] = _stencil(self.spacing[0])[1]
         return out
 
     def hermitian(self) -> HermitianOperator:
         return HermitianOperator(self.dense().astype(np.complex128))
 
 
+def _stencil(h: float) -> tuple[float, float]:
+    """The five-point stencil at spacing h: diagonal term 2/h^2, coupling -1/h^2 to each neighbour."""
+    return 2.0 / h**2, -1.0 / h**2
+
+
 def _diagonal(op: GridOperator) -> np.ndarray:
-    return sum(2.0 / h**2 for h in op.spacing) + op.potential
+    return sum(_stencil(h)[0] for h in op.spacing) + op.potential
 
 
 def _banded(op: GridOperator) -> np.ndarray:
@@ -227,10 +233,10 @@ def _banded(op: GridOperator) -> np.ndarray:
     py = op.points[-1]
     ab = np.zeros((2 if op.ndim == 1 else py + 1, op.n))
     ab[0] = _diagonal(op)
-    ab[1] = -1.0 / op.spacing[-1] ** 2
+    ab[1] = _stencil(op.spacing[-1])[1]
     ab[1, py - 1 :: py] = 0.0  # no coupling past the last node, in 2d across x-rows
     if op.ndim == 2:
-        ab[py, : op.n - py] = -1.0 / op.spacing[0] ** 2
+        ab[py, : op.n - py] = _stencil(op.spacing[0])[1]
     return ab
 
 
@@ -287,8 +293,15 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
         # mirror-symmetric samples bit for bit
         axes = [spacing[i] * (np.arange(points[i]) - (points[i] - 1) / 2.0) for i in range(ndim)]
     # the stencil's diagonal offset sum(2/h^2), and with it each coupling 1/h^2, must be finite
-    if any(h**2 == 0.0 for h in spacing) or not math.isfinite(sum(2.0 / h**2 for h in spacing)):
-        raise ValueError(f"box {box} on {points} points gives spacing {spacing}, too fine for the 2/h^2 stencil")
+    grid = f"box {box} on {points} points gives spacing {spacing}"
+    try:
+        offset = sum(_stencil(h)[0] for h in spacing)
+    except OverflowError:
+        raise ValueError(f"{grid}, too coarse for the 2/h^2 stencil: h^2 overflows a float") from None
+    except ZeroDivisionError:  # h^2 underflows to 0
+        offset = math.inf
+    if not math.isfinite(offset):
+        raise ValueError(f"{grid}, too fine for the 2/h^2 stencil")
     if potential is None:
         v = np.zeros(n_total)
     else:
@@ -312,7 +325,7 @@ def build_hamiltonian(potential, box, points, boundary: str = "dirichlet") -> Gr
         raise ValueError(f"{potential!r} is +inf at all {v.size} nodes; a 1d grid needs a finite sample")
     # the Gershgorin top over the finite-sample nodes, max V + sum 4/h^2, must be finite: below
     # it lie every diagonal entry 2/h^2 + V and every mirror sector's d + 1/h^2 that LAPACK sees
-    radius = sum(4.0 / h**2 for h in spacing)
+    radius = 2.0 * offset
     if math.isinf(float(np.max(v, where=v < math.inf, initial=0.0)) + radius):
         with np.errstate(over="ignore"):
             over = np.count_nonzero((v < math.inf) & np.isinf(v + radius))
@@ -466,10 +479,11 @@ def _block_negcount(rows: np.ndarray, hx: float, hy: float, shift: float, fold: 
     rows that mirror one another fold (:func:`_fold`), so the first
     (P-1)//2 Schur complements are factored once and counted twice.
     """
-    centre = 2.0 / hx**2 + 2.0 / hy**2
+    (dx, cx), (dy, cy) = _stencil(hx), _stencil(hy)
+    centre = dx + dy
     ptol = 1e-12 * (centre + float(rows.max()) + abs(shift) + 1.0)
-    chain = np.full(rows.shape[1], centre - shift), np.full(rows.shape[1] - 1, -1.0 / hy**2)
-    rows_off = np.full(len(rows) - 1, -1.0 / hx**2)
+    chain = np.full(rows.shape[1], centre - shift), np.full(rows.shape[1] - 1, cy)
+    rows_off = np.full(len(rows) - 1, cx)
     neg = 0
     for d, o in _sector_chains(*chain) if fold and _is_mirror(rows.T) else [chain]:
         vals = rows[:, : d.size]
@@ -589,7 +603,7 @@ def gershgorin_bounds(op: GridOperator) -> tuple[float, float]:
     """
     radius = np.zeros(op.points)
     for axis in reversed(range(op.ndim)):
-        coupling = 1.0 / op.spacing[axis] ** 2
+        coupling = -_stencil(op.spacing[axis])[1]
         both = np.ones(op.points[axis])
         if op.boundary == "dirichlet":
             both[[0, -1]] = 0.0  # a wall node has one neighbour along this axis
@@ -610,7 +624,7 @@ def _chain(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
     nothing to a count, heat or zeta sum; kept neighbours stay coupled only
     where no dropped node lay between them."""
     idx = np.flatnonzero(np.isfinite(op.potential))
-    return _diagonal(op)[idx], np.where(np.diff(idx) == 1, -1.0 / op.spacing[0] ** 2, 0.0)
+    return _diagonal(op)[idx], np.where(np.diff(idx) == 1, _stencil(op.spacing[0])[1], 0.0)
 
 
 def _sector_windows(op: GridOperator, lo: float | int, hi: float | int) -> list[np.ndarray]:

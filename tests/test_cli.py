@@ -600,6 +600,28 @@ def test_open_quadrants_and_all_wall_grids_are_usage_errors(capsys, argv, messag
     assert captured.err.splitlines() == [captured.err.strip()] and captured.err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "argv, spacing",
+    [
+        (["weyl", "--gamma", "2", "--box", "1e155", "--points", "3", "--lambda", "1"], "(5e+154,)"),
+        (["zeta", "--alpha", "1", "--beta", "2", "--zeta-box", "1e160", "--zeta-points", "5"],
+         "(3.3333333333333334e+159,)"),
+        (["simon", "--alpha", "1", "--beta", "2", "--lambda", "3", "--box", "1e160,1", "--points", "5,5",
+          "--zeta-points", "199"], "(3.3333333333333334e+159, 0.3333333333333333)"),
+    ],
+    ids=["weyl", "zeta", "simon"],
+)
+def test_boxes_whose_spacing_squared_overflows_are_usage_errors(capsys, argv, spacing):
+    # each printed "error: (34, 'Numerical result out of range')", which names nothing
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: box ") and captured.err.endswith(
+        f" gives spacing {spacing}, too coarse for the 2/h^2 stencil: h^2 overflows a float\n"
+    )
+
+
 SIMON_SMALL = ["simon", "--alpha", "1", "--beta", "2", "--lambda", "3", "--zeta-points", "199"]
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -21,8 +22,8 @@ COMPILE_PEAK_KB = 2300
 COMPILE_PEAK_PYTHON = ("cpython", (3, 11))
 
 
-def _raw_eig_sites(path: Path) -> list[tuple[str | None, int]]:
-    """(enclosing function, line) of every ``<pkg>.linalg.eig*`` use or import in a module."""
+def _sites(source: str, match: Callable[[ast.AST], bool]) -> list[tuple[str | None, int]]:
+    """(innermost enclosing function, line) of every node of ``source`` that ``match`` accepts."""
     sites = []
 
     def visit(node, func):
@@ -30,24 +31,32 @@ def _raw_eig_sites(path: Path) -> list[tuple[str | None, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr.startswith("eig")
-                and isinstance(child.value, ast.Attribute)
-                and child.value.attr == "linalg"
-            ):
-                sites.append((func, child.lineno))
-            if (
-                isinstance(child, ast.ImportFrom)
-                and child.level == 0
-                and (child.module or "").endswith("linalg")
-                and any(alias.name.startswith("eig") for alias in child.names)
-            ):
+            if match(child):
                 sites.append((func, child.lineno))
             visit(child, func)
 
-    visit(ast.parse(path.read_text()), None)
+    visit(ast.parse(source), None)
     return sites
+
+
+def _is_raw_eig(node: ast.AST) -> bool:
+    """A ``<pkg>.linalg.eig*`` use, or an import of one."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr.startswith("eig")
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "linalg"
+    ) or (
+        isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module or "").endswith("linalg")
+        and any(alias.name.startswith("eig") for alias in node.names)
+    )
+
+
+def _raw_eig_sites(path: Path) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every ``<pkg>.linalg.eig*`` use or import in a module."""
+    return _sites(path.read_text(), _is_raw_eig)
 
 
 def test_dense_spectra_only_through_eig_hermitian():
@@ -127,6 +136,39 @@ def test_grid_spectra_only_through_spectrum_and_ground_energy():
     assert importers == {("schrodinger.py", "_sector_windows")}
     callers = {site for site, names in uses.items() if "_sector_windows" in names} - importers
     assert callers == {("schrodinger.py", "spectrum"), ("schrodinger.py", "ground_energy")}
+
+
+def _is_square_division(node: ast.AST) -> bool:
+    """A division whose divisor is a square, ``x / y**2``."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Pow)
+        and isinstance(node.right.right, ast.Constant)
+        and node.right.right.value == 2
+    )
+
+
+def test_the_stencil_coefficients_are_written_in_stencil_alone():
+    # every grid coefficient k/h^2, in the operator's matrices, counts, bounds and frames, comes from _stencil
+    sites = {name: _sites((SRC / name).read_text(), _is_square_division) for name in ("schrodinger.py", "_frames.py")}
+    stray = [(name, func, line) for name, found in sites.items() for func, line in found if func != "_stencil"]
+    assert stray == [], f"stencil coefficients written outside schrodinger._stencil: {stray}"
+    assert [func for func, _ in sites["schrodinger.py"]] == ["_stencil", "_stencil"]
+    # the scan does see a coefficient written by hand, in a method, a generator and a function
+    planted = (
+        "class Grid:\n"
+        "    def dense(self):\n"
+        "        return -1.0 / self.spacing[0] ** 2\n"
+        "def _diagonal(op):\n"
+        "    return sum(2.0 / h**2 for h in op.spacing) + op.potential\n"
+        "def _block_negcount(hx, hy):\n"
+        "    return 2.0 / hx**2 + 2.0 / hy**2, 2.0 / (hx * hx), hx**2 / 2.0\n"
+    )
+    # (two per line in _block_negcount, and not 2 / (hx * hx) nor hx**2 / 2)
+    found = _sites(planted, _is_square_division)
+    assert found == [("dense", 3), ("_diagonal", 5), ("_block_negcount", 7), ("_block_negcount", 7)]
 
 
 def test_the_2d_count_builds_one_matrix_per_sweep():

@@ -212,6 +212,15 @@ def test_build_validation():
     # in 2d each 2/h^2 is finite but their sum is not
     with pytest.raises(ValueError, match="too fine"):
         build_hamiltonian(None, (2.5e-154, 2.5e-154), (3, 3))
+    # h^2 overflows a float (a bare OverflowError before), in 1d and on either axis in 2d; h = 1e154 still builds
+    for box, points, spacing in (
+        (1e155, 3, "(5e+154,)"),
+        ((1.0, 1e160), (5, 5), "(0.3333333333333333, 3.3333333333333334e+159)"),
+    ):
+        with pytest.raises(ValueError) as err:
+            build_hamiltonian(None, box, points)
+        assert str(err.value).endswith(f"gives spacing {spacing}, too coarse for the 2/h^2 stencil: h^2 overflows a float")
+    assert build_hamiltonian(None, 2e154, 3).spacing == (1e154,)
 
 
 def test_infinite_samples_are_refused_off_1d_dirichlet_grids():
@@ -679,6 +688,9 @@ def test_dirichlet_dense_and_gershgorin_match_band_oracles(pot, box, points):
     full = lower_bands(op.dense())
     assert np.array_equal(full[: bands.shape[0]], bands) and not full[bands.shape[0] :].any()
     assert gershgorin_bounds(op) == gershgorin_by_bands(bands)
+    if op.ndim == 1:  # the chain that every 1d count, spectrum and ground energy reads
+        diag, off = schrodinger._chain(op)
+        assert np.array_equal(diag, op.dense().diagonal()) and np.array_equal(off, op.dense().diagonal(-1))
     assert np.array_equal(op.hermitian().mat, op.dense().astype(np.complex128))
 
 
